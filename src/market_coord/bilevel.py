@@ -175,14 +175,7 @@ def build_relaxed_bid(
     from .rtm import rtm_structure
 
     for scen in instance.scenario_set.scenarios:
-        rts = rtm_structure(instance, scen, suffix=f"@{scen.id}")
-        pi = scen.probability
-        for var, obj in rts.var_obj.items():
-            model.add_var(var, obj=pi * obj)
-        for var, obj in rts.da_obj.items():
-            model.add_obj(var, pi * obj)
-        for row in rts.rows:
-            model.add_row(row)
+        rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
 
     ctx = RelaxedContext(cfg=cfg, structure=structure, dual_of=dual_of, lam_bar=lam_bar)
     return model, ctx

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 infeasible market problem, 3 failed assertion
-(benchmark chain or theorem check).
+(benchmark chain or theorem check), 4 bad input (malformed bid file or bid set).
 """
 from __future__ import annotations
 
@@ -9,16 +9,18 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import bilevel, io as mio, policies
-from .dam import DamInfeasibleError, clear_dam
+from .dam import BidSetError, DamInfeasibleError, clear_dam
 from .model import Instance
 from .rtm import clear_rtm
 
 EXIT_INFEASIBLE = 2
 EXIT_ASSERTION = 3
+EXIT_BAD_INPUT = 4
 
 
 def _load(instance: str, scenarios: str | None) -> Instance:
@@ -35,6 +37,11 @@ def _parse_prices(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise click.BadParameter(f"cannot parse price list {text!r}")
+
+
+def _bad_input(exc: Exception) -> NoReturn:
+    click.echo(f"bad input: {exc}", err=True)
+    sys.exit(EXIT_BAD_INPUT)
 
 
 def _emit(ctx_obj, payload: dict, human: str) -> None:
@@ -86,9 +93,11 @@ def main(ctx, instance, scenarios, output, json_out, threads):
 def clear_da_cmd(obj, bids_path, da_slack):
     """Clear the day-ahead market and report schedules and LMPs."""
     inst = obj["instance"]
-    bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
     try:
+        bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
         da, duals = clear_dam(inst, bids, da_slack=da_slack)
+    except (mio.ParseError, BidSetError) as exc:
+        _bad_input(exc)
     except DamInfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -110,9 +119,11 @@ def clear_da_cmd(obj, bids_path, da_slack):
 def clear_rt_cmd(obj, scenario, bids_path):
     """Clear one real-time scenario against the day-ahead schedule."""
     inst = obj["instance"]
-    bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
     try:
+        bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
         da, _ = clear_dam(inst, bids)
+    except (mio.ParseError, BidSetError) as exc:
+        _bad_input(exc)
     except DamInfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
@@ -134,6 +145,8 @@ def evaluate_cmd(obj, bids_path):
     try:
         result = policies.evaluate_bids(inst, mio.load_bids(bids_path),
                                         threads=obj["threads"])
+    except (mio.ParseError, BidSetError) as exc:
+        _bad_input(exc)
     except DamInfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)

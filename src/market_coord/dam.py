@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .lp import EQ, GE, LE, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL
 from .lp import diagnose_infeasibility, solve
-from .model import BidCurve, Instance
+from .model import BidCurve, Instance, validate_bid_curve
 
 __all__ = [
     "DamStructure",
@@ -35,7 +35,8 @@ class DamInfeasibleError(RuntimeError):
 
 
 class BidSetError(ValueError):
-    """Missing bid curve or inconsistent segment counts."""
+    """Malformed bid set: a curve that breaks its invariants, an unknown owner
+    or hour, a missing curve, or inconsistent segment counts."""
 
 
 # variable-name helpers shared with the RTM and bilevel builders
@@ -189,18 +190,6 @@ class DaSchedule:
 @dataclass
 class DaDuals:
     balance: dict[tuple[str, int], float]  # the LMP
-    flow_lb: dict[tuple[str, str, int], float]
-    flow_ub: dict[tuple[str, str, int], float]
-    vre_lb: dict[tuple[str, int, int], float]
-    vre_ub: dict[tuple[str, int, int], float]
-    gen_lb: dict[tuple[str, int], float]
-    gen_ub: dict[tuple[str, int], float]
-    uc_lb: dict[tuple[str, int], float]
-    uc_ub: dict[tuple[str, int], float]
-    startup_def: dict[tuple[str, int], float]
-    startup_nonneg: dict[tuple[str, int], float]
-    ramp_dn: dict[tuple[str, int], float]
-    ramp_up: dict[tuple[str, int], float]
 
 
 def bids_by_key(bids) -> dict[tuple[str, int], BidCurve]:
@@ -208,8 +197,17 @@ def bids_by_key(bids) -> dict[tuple[str, int], BidCurve]:
 
 
 def _check_bids(instance: Instance, bids) -> tuple[int, dict, dict]:
-    """One curve per (VRE, hour), uniform segment count; returns (S, prices, qtys)."""
+    """Valid curves, one per (VRE, hour), uniform segment count; returns
+    (S, prices, qtys)."""
     table = bids_by_key(bids)
+    hours = set(instance.hours)
+    errors = []
+    for bid in table.values():
+        errors += validate_bid_curve(bid, instance)
+        if bid.hour not in hours:
+            errors.append(f"bid ({bid.owner},{bid.hour}): unknown hour {bid.hour}")
+    if errors:
+        raise BidSetError("malformed bid set: " + "; ".join(errors))
     seg_counts = {len(b.segments) for b in table.values()}
     if len(seg_counts) > 1:
         raise BidSetError(f"inconsistent segment counts: {sorted(seg_counts)}")
@@ -288,29 +286,10 @@ def _schedule_from(instance: Instance, structure: DamStructure,
     )
 
 
-def _duals_from(instance: Instance, structure: DamStructure,
-                duals: dict[str, float]) -> DaDuals:
-    hours = instance.hours
-    net = instance.network
-    S = structure.seg_count
+def _duals_from(instance: Instance, duals: dict[str, float]) -> DaDuals:
     return DaDuals(
-        balance={(n, t): duals[f"da_bal[{n},{t}]"] for n in net.buses for t in hours},
-        flow_lb={(l.from_bus, l.to_bus, t): duals[f"da_flow_lb[{l.from_bus},{l.to_bus},{t}]"]
-                 for l in net.lines for t in hours},
-        flow_ub={(l.from_bus, l.to_bus, t): duals[f"da_flow_ub[{l.from_bus},{l.to_bus},{t}]"]
-                 for l in net.lines for t in hours},
-        vre_lb={(k.id, t, s): duals[f"da_pw_lb[{k.id},{t},{s}]"]
-                for k in instance.vre_units for t in hours for s in range(S)},
-        vre_ub={(k.id, t, s): duals[f"da_pw_cap[{k.id},{t},{s}]"]
-                for k in instance.vre_units for t in hours for s in range(S)},
-        gen_lb={(g.id, t): duals[f"da_pc_lb[{g.id},{t}]"] for g in instance.units for t in hours},
-        gen_ub={(g.id, t): duals[f"da_pc_ub[{g.id},{t}]"] for g in instance.units for t in hours},
-        uc_lb={(g.id, t): duals[f"da_u_lb[{g.id},{t}]"] for g in instance.units for t in hours},
-        uc_ub={(g.id, t): duals[f"da_u_ub[{g.id},{t}]"] for g in instance.units for t in hours},
-        startup_def={(g.id, t): duals[f"da_su[{g.id},{t}]"] for g in instance.units for t in hours},
-        startup_nonneg={(g.id, t): duals[f"da_c_lb[{g.id},{t}]"] for g in instance.units for t in hours},
-        ramp_dn={(g.id, t): duals[f"da_ramp_dn[{g.id},{t}]"] for g in instance.units for t in hours},
-        ramp_up={(g.id, t): duals[f"da_ramp_up[{g.id},{t}]"] for g in instance.units for t in hours},
+        balance={(n, t): duals[f"da_bal[{n},{t}]"]
+                 for n in instance.network.buses for t in instance.hours},
     )
 
 
@@ -332,4 +311,4 @@ def clear_dam(
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
     schedule = _schedule_from(instance, structure, sol.primal, sol.objective)
-    return schedule, _duals_from(instance, structure, sol.duals)
+    return schedule, _duals_from(instance, sol.duals)

@@ -8,8 +8,10 @@ slackness residuals are computed and the first two are enforced.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -66,7 +68,12 @@ class Row:
 
 
 class LpModel:
-    """Sparse LP in named-variable / named-constraint form (minimization)."""
+    """Sparse LP in named-variable / named-constraint form (minimization).
+
+    Constraint coefficients live in one coordinate list (row, column, value)
+    in the order they were added; `add_constr` appends one row and `add_rows`
+    a whole sparse block.
+    """
 
     def __init__(self, name: str = "lp"):
         self.name = name
@@ -77,9 +84,11 @@ class LpModel:
         self.obj: list[float] = []
         self.con_names: list[str] = []
         self._con_index: dict[str, int] = {}
-        self.con_rows: list[dict[int, float]] = []
         self.con_sense: list[str] = []
         self.con_rhs: list[float] = []
+        self._row = array("q")
+        self._col = array("q")
+        self._val = array("d")
         self.obj_offset: float = 0.0
 
     @property
@@ -108,6 +117,19 @@ class LpModel:
         self.obj.append(obj)
         return name
 
+    def add_vars(self, names: Sequence[str], obj) -> None:
+        """Append free variables `names` with objective coefficients `obj`."""
+        obj = np.asarray(obj, dtype=float)
+        if obj.shape != (len(names),):
+            raise ValueError(f"{len(names)} variables but {obj.shape} objective coefficients")
+        if not np.all(np.isfinite(obj)):
+            raise ValueError("non-finite objective coefficient")
+        self._extend_index(self._var_index, names, "variable")
+        self.var_names.extend(names)
+        self.lb.extend([-math.inf] * len(names))
+        self.ub.extend([math.inf] * len(names))
+        self.obj.extend(obj.tolist())
+
     def add_obj(self, name: str, coeff: float) -> None:
         """Accumulate an objective coefficient onto an existing variable."""
         self.obj[self._var_index[name]] += coeff
@@ -129,12 +151,70 @@ class LpModel:
             if c == 0.0:
                 continue
             row[self._var_index[var]] = row.get(self._var_index[var], 0.0) + c
-        self._con_index[name] = len(self.con_names)
+        r = len(self.con_names)
+        self._con_index[name] = r
         self.con_names.append(name)
-        self.con_rows.append(row)
         self.con_sense.append(sense)
         self.con_rhs.append(rhs)
+        self._row.extend([r] * len(row))
+        self._col.extend(row)
+        self._val.extend(row.values())
         return name
+
+    def add_rows(
+        self,
+        names: Sequence[str],
+        matrix,
+        sense: Sequence[str],
+        rhs,
+        columns: Sequence[str],
+    ) -> None:
+        """Append one constraint per row of the sparse `matrix`.
+
+        Row i reads `sum_j matrix[i, j] * columns[j]  sense[i]  rhs[i]`, where
+        `columns` names an existing variable for each matrix column. Rows keep
+        their order and explicit zeros are dropped, as in `add_constr`.
+        """
+        block = sparse.coo_matrix(matrix)
+        rhs = np.asarray(rhs, dtype=float)
+        if block.shape != (len(names), len(columns)):
+            raise ValueError(
+                f"block of shape {block.shape} for {len(names)} rows "
+                f"and {len(columns)} columns"
+            )
+        if len(sense) != len(names) or rhs.shape != (len(names),):
+            raise ValueError("one sense and one rhs per row required")
+        if not set(sense) <= set(_SENSES):
+            raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
+        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(block.data))):
+            raise ValueError("non-finite rhs or coefficient in row block")
+        col_of = np.fromiter(
+            (self._var_index[v] for v in columns), dtype=np.int64, count=len(columns)
+        )
+        start = len(self.con_names)
+        self._extend_index(self._con_index, names, "constraint")
+        self.con_names.extend(names)
+        self.con_sense.extend(sense)
+        self.con_rhs.extend(rhs.tolist())
+        keep = block.data != 0.0
+        self._row.frombytes((block.row[keep].astype(np.int64) + start).tobytes())
+        self._col.frombytes(col_of[block.col[keep]].tobytes())
+        self._val.frombytes(block.data[keep].astype(float).tobytes())
+
+    @staticmethod
+    def _extend_index(index: dict[str, int], names: Sequence[str], kind: str) -> None:
+        start = len(index)
+        new = dict(zip(names, range(start, start + len(names))))
+        if len(new) != len(names) or not index.keys().isdisjoint(new):
+            raise ValueError(f"duplicate {kind} id in block")
+        index.update(new)
+
+    def _matrix(self) -> sparse.csr_matrix:
+        """All constraint coefficients, one row per constraint."""
+        return sparse.csr_matrix(
+            (np.array(self._val), (np.array(self._row), np.array(self._col))),
+            shape=(self.n_cons, self.n_vars),
+        )
 
     def add_row(self, row: Row) -> str:
         return self.add_constr(row.name, row.coeffs, row.sense, row.rhs)
@@ -148,9 +228,9 @@ class LpModel:
         lines.append(" obj: " + " ".join(terms) if terms else " obj: 0")
         lines.append("Subject To")
         for name, row, sense, rhs in zip(
-            self.con_names, self.con_rows, self.con_sense, self.con_rhs
+            self.con_names, _row_dicts(self), self.con_sense, self.con_rhs
         ):
-            body = " ".join(f"{c:+g} {self.var_names[j]}" for j, c in sorted(row.items()))
+            body = " ".join(f"{c:+g} {v}" for v, c in row.items())
             lines.append(f" {name}: {body} {sense} {rhs:g}")
         lines.append("Bounds")
         for v, lo, hi in zip(self.var_names, self.lb, self.ub):
@@ -168,11 +248,12 @@ class LpCertificates:
 
 @dataclass
 class LpSolution:
+    """Solver result; `primal` is keyed in column order, `duals` in row order."""
+
     status: LpStatus
     objective: float | None = None
     primal: dict[str, float] = field(default_factory=dict)
     duals: dict[str, float] = field(default_factory=dict)
-    reduced_costs: dict[str, float] = field(default_factory=dict)
     certificates: LpCertificates | None = None
 
 
@@ -188,34 +269,42 @@ def certificate_log(enable: bool) -> list[tuple[str, LpCertificates]]:
     return _certificate_log if _certificate_log is not None else []
 
 
+def _row_dicts(model: LpModel):
+    """Each constraint's coefficients as {variable name: coefficient}."""
+    A = model._matrix()
+    names = model.var_names
+    for r in range(model.n_cons):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        yield {names[j]: c for j, c in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())}
+
+
 def _matrices(model: LpModel):
     """Split rows into equality and <= blocks (>= rows are negated)."""
-    eq_idx, ub_idx, ub_sign = [], [], []
-    for j, sense in enumerate(model.con_sense):
-        if sense == EQ:
-            eq_idx.append(j)
-        else:
-            ub_idx.append(j)
-            ub_sign.append(1.0 if sense == LE else -1.0)
+    sense = np.array(model.con_sense, dtype="<U2")
+    rhs = np.array(model.con_rhs, dtype=float)
+    is_eq = sense == EQ
+    eq_idx = np.flatnonzero(is_eq)
+    ub_idx = np.flatnonzero(~is_eq)
+    ub_sign = np.where(sense[ub_idx] == GE, -1.0, 1.0)
+    sign = np.ones(model.n_cons)
+    sign[ub_idx] = ub_sign
+    pos = np.empty(model.n_cons, dtype=np.int64)  # row within its block
+    pos[eq_idx] = np.arange(eq_idx.size)
+    pos[ub_idx] = np.arange(ub_idx.size)
+    row, col, val = np.array(model._row), np.array(model._col), np.array(model._val)
 
-    def build(indices, signs=None):
-        data, ri, ci = [], [], []
-        rhs = []
-        for r, j in enumerate(indices):
-            s = 1.0 if signs is None else signs[r]
-            for col, c in model.con_rows[j].items():
-                data.append(s * c)
-                ri.append(r)
-                ci.append(col)
-            rhs.append(s * model.con_rhs[j])
-        mat = sparse.csr_matrix(
-            (data, (ri, ci)), shape=(len(indices), model.n_vars)
-        )
-        return mat, np.array(rhs)
+    def block(on, n_rows):
+        r = pos[row[on]]
+        order = np.argsort(r, kind="stable")
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r, minlength=n_rows), out=indptr[1:])
+        data = (val[on] * sign[row[on]])[order]
+        return sparse.csr_matrix((data, col[on][order], indptr), shape=(n_rows, model.n_vars))
 
-    A_eq, b_eq = build(eq_idx)
-    A_ub, b_ub = build(ub_idx, ub_sign)
-    return eq_idx, ub_idx, ub_sign, A_eq, b_eq, A_ub, b_ub
+    on_eq = is_eq[row]
+    A_eq = block(on_eq, eq_idx.size)
+    A_ub = block(~on_eq, ub_idx.size)
+    return eq_idx, ub_idx, ub_sign, A_eq, rhs[eq_idx], A_ub, ub_sign * rhs[ub_idx]
 
 
 def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
@@ -227,17 +316,15 @@ def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
     """
     eq_idx, ub_idx, ub_sign, A_eq, b_eq, A_ub, b_ub = _matrices(model)
     c = np.array(model.obj)
-    bounds = [
-        (None if lo == -math.inf else lo, None if hi == math.inf else hi)
-        for lo, hi in zip(model.lb, model.ub)
-    ]
+    lbv = np.array(model.lb, dtype=float)
+    ubv = np.array(model.ub, dtype=float)
     res = linprog(
         c,
         A_ub=A_ub if len(ub_idx) else None,
         b_ub=b_ub if len(ub_idx) else None,
         A_eq=A_eq if len(eq_idx) else None,
         b_eq=b_eq if len(eq_idx) else None,
-        bounds=bounds,
+        bounds=np.column_stack((lbv, ubv)),
         method="highs",
     )
     if res.status == 2:
@@ -250,18 +337,16 @@ def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
     x = np.asarray(res.x)
     primal = dict(zip(model.var_names, x.tolist()))
 
-    duals: dict[str, float] = {}
+    y = np.zeros(model.n_cons)
     if len(eq_idx):
-        for r, j in enumerate(eq_idx):
-            duals[model.con_names[j]] = float(res.eqlin.marginals[r])
+        y[eq_idx] = res.eqlin.marginals
     if len(ub_idx):
-        for r, j in enumerate(ub_idx):
-            # negated ">=" rows: dual of the original row flips sign back
-            duals[model.con_names[j]] = float(ub_sign[r] * res.ineqlin.marginals[r])
+        # negated ">=" rows: dual of the original row flips sign back
+        y[ub_idx] = ub_sign * res.ineqlin.marginals
+    duals = dict(zip(model.con_names, y.tolist()))
 
     zl = np.asarray(res.lower.marginals) if model.n_vars else np.zeros(0)
     zu = np.asarray(res.upper.marginals) if model.n_vars else np.zeros(0)
-    reduced = dict(zip(model.var_names, (zl + zu).tolist()))
 
     # certificates
     feas = 0.0
@@ -269,8 +354,6 @@ def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
         feas = max(feas, float(np.max(np.abs(A_eq @ x - b_eq))))
     if len(ub_idx):
         feas = max(feas, float(np.max(np.maximum(A_ub @ x - b_ub, 0.0))))
-    lbv = np.array([lo if lo != -math.inf else -np.inf for lo in model.lb])
-    ubv = np.array([hi if hi != math.inf else np.inf for hi in model.ub])
     with np.errstate(invalid="ignore"):
         bnd_viol = np.maximum(lbv - x, 0.0) + np.maximum(x - ubv, 0.0)
     bnd_viol = np.where(np.isfinite(bnd_viol), bnd_viol, 0.0)
@@ -314,7 +397,6 @@ def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
         objective=float(res.fun) + model.obj_offset,
         primal=primal,
         duals=duals,
-        reduced_costs=reduced,
         certificates=certs,
     )
 
@@ -329,10 +411,9 @@ def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
     for v, lo, hi in zip(model.var_names, model.lb, model.ub):
         elastic.add_var(v, lb=lo, ub=hi)
     slack_of: dict[str, str] = {}
-    for name, row, sense, rhs in zip(
-        model.con_names, model.con_rows, model.con_sense, model.con_rhs
+    for name, coeffs, sense, rhs in zip(
+        model.con_names, _row_dicts(model), model.con_sense, model.con_rhs
     ):
-        coeffs = {model.var_names[j]: c for j, c in row.items()}
         if sense in (GE, EQ):
             sp = elastic.add_var(f"__sp[{name}]", lb=0.0, obj=1.0)
             coeffs[sp] = 1.0

@@ -106,14 +106,7 @@ def stochastic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL) -> Policy
                 coeffs[var] = c
         model.add_constr(row.name, coeffs, row.sense, rhs)
     for scen in instance.scenario_set.scenarios:
-        rts = rtm_structure(instance, scen, suffix=f"@{scen.id}")
-        pi = scen.probability
-        for v, obj in rts.var_obj.items():
-            model.add_var(v, obj=pi * obj)
-        for v, obj in rts.da_obj.items():
-            model.add_obj(v, pi * obj)
-        for row in rts.rows:
-            model.add_row(row)
+        rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
     sol = solve(model, tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")

@@ -121,6 +121,14 @@ def test_cli_evaluate_bid_file(tmp_path):
     assert json.loads(result.output)["s_usd"] == pytest.approx(1100.0)
 
 
+def test_cli_evaluate_malformed_bid_file_exits_4(tmp_path):
+    bids = tmp_path / "bids.csv"
+    mio.save_bids([BidCurve("w1", 0, ((0.0, -5.0),))], bids)
+    result = run_cli("-i", "t1", "evaluate", "--bids", str(bids))
+    assert result.exit_code == 4
+    assert "negative quantity" in result.output
+
+
 def test_cli_myd_and_std(tmp_path):
     myd = run_cli("-i", "t1", "-o", str(tmp_path), "--json", "myd")
     std = run_cli("-i", "t1", "--json", "std")

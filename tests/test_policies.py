@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from market_coord.dam import BidSetError
 from market_coord.model import BidCurve, VreUnit
 from market_coord.policies import (
     compare,
@@ -40,6 +41,25 @@ def test_score_is_deterministic(sys3):
     a = evaluate_bids(sys3, bids)
     b = evaluate_bids(sys3, bids)
     assert a.s_total == pytest.approx(b.s_total, rel=1e-12)
+
+
+def _first_curve(segments):
+    return lambda inst, bids: [dataclasses.replace(bids[0], segments=segments)] + bids[1:]
+
+
+@pytest.mark.parametrize("malform", [
+    _first_curve(((0.0, -1.0),)),
+    lambda inst, bids: bids + [BidCurve("ghost", inst.hours[0], ((0.0, 1.0),))],
+    lambda inst, bids: _first_curve(((0.0, inst.vre_units[0].capacity + 1.0),))(inst, bids),
+    lambda inst, bids: [dataclasses.replace(b, segments=((30.0, 1.0), (10.0, 1.0)))
+                        for b in bids],
+    lambda inst, bids: bids + [BidCurve(inst.vre_units[0].id, 99, ((0.0, 1.0),))],
+], ids=["negative-quantity", "unknown-owner", "above-capacity", "decreasing-prices",
+        "unknown-hour"])
+def test_malformed_bid_set_rejected_as_bad_input(sys5, malform):
+    bids = malform(sys5, myopic_bids(sys5))
+    with pytest.raises(BidSetError):
+        evaluate_bids(sys5, bids)
 
 
 def test_no_vre_instance_score_ignores_bids(t1):

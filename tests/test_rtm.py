@@ -3,9 +3,10 @@ import dataclasses
 
 import pytest
 
+from market_coord import io as mio, rtm
 from market_coord.dam import clear_dam
 from market_coord.model import BidCurve
-from market_coord.policies import myopic_bids
+from market_coord.policies import evaluate_bids, myopic_bids
 from market_coord.rtm import clear_rtm, expected_rt_cost, thread_count
 from conftest import single_scenario, zero_bid
 
@@ -111,16 +112,58 @@ def test_unknown_scenario_id_raises(t1, t1_myd_da):
         clear_rtm(t1, t1_myd_da, "s99")
 
 
-def test_threaded_fanout_matches_sequential(sys5):
-    da, _ = clear_dam(sys5, zero_bid(sys5))
-    seq, _ = expected_rt_cost(sys5, da, threads=1)
-    par, _ = expected_rt_cost(sys5, da, threads=3)
-    assert par == pytest.approx(seq, rel=1e-12)
+def test_threaded_fanout_matches_sequential():
+    # fresh instances: the threaded run starts without a real-time template
+    cold = mio.bundled_instance("sys5")
+    da, _ = clear_dam(cold, zero_bid(cold))
+    par = expected_rt_cost(cold, da, threads=3)
+    other = mio.bundled_instance("sys5")
+    assert expected_rt_cost(other, da, threads=1) == par
 
 
 def test_thread_count_honors_environment(monkeypatch):
     monkeypatch.setenv("MARKET_COORD_THREADS", "3")
     assert thread_count() == 3
     assert thread_count(2) == 2
+    monkeypatch.setenv("MARKET_COORD_THREADS", "two")
+    with pytest.raises(ValueError, match="MARKET_COORD_THREADS"):
+        thread_count()
     monkeypatch.delenv("MARKET_COORD_THREADS")
     assert thread_count() >= 1
+
+
+def test_template_built_once_and_warm_scores_bitwise_equal():
+    inst = mio.bundled_instance("sys5")
+    bids = myopic_bids(inst)
+    cold = evaluate_bids(inst, bids)
+    template = rtm._template(inst)
+    warm = evaluate_bids(inst, bids)
+    assert rtm._template(inst) is template
+    assert warm.s_total == cold.s_total
+    assert warm.rt_dispatches == cold.rt_dispatches
+
+
+def _spike(instance):
+    return single_scenario(instance, {("w1", 0): 10.0}, {("b1", 0): 200.0})
+
+
+def _pricier(instance):
+    return dataclasses.replace(
+        instance, system=dataclasses.replace(instance.system, voll=2000.0)
+    )
+
+
+@pytest.mark.parametrize("prepare, change", [
+    (lambda inst: inst, _spike),
+    (_spike, _pricier),
+], ids=["scenarios", "voll"])
+def test_replaced_instance_scored_from_its_own_template(prepare, change):
+    base = prepare(mio.bundled_instance("t1"))
+    bids = myopic_bids(base)
+    before = evaluate_bids(base, bids)
+    changed = change(base)
+    scored = evaluate_bids(changed, bids)
+    assert rtm._template(changed) is not rtm._template(base)
+    assert scored.s_total != before.s_total
+    fresh = change(prepare(mio.bundled_instance("t1")))
+    assert scored.s_total == evaluate_bids(fresh, bids).s_total
