@@ -18,9 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .dam import DaSchedule, dam_structure, wname
+import numpy as np
+
+from .dam import DamStructure, DaSchedule, dam_structure, wname
 from .lp import GE, LE, EQ, LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
-from .model import BidCurve, Instance, expected_vre
+from .model import BidCurve, Instance
 from .policies import PolicyResult, evaluate_bids, myopic_bids
 
 __all__ = [
@@ -58,14 +60,6 @@ class BidPricesConfig:
     def seg_count(self) -> int:
         return len(self.prices)
 
-    def table(self, instance: Instance) -> dict[tuple[str, int, int], float]:
-        return {
-            (k.id, t, s): p
-            for k in instance.vre_units
-            for t in instance.hours
-            for s, p in enumerate(self.prices)
-        }
-
 
 @dataclass(frozen=True)
 class McCormickBounds:
@@ -97,8 +91,9 @@ def build_relaxed_bid(
 ) -> tuple[LpModel, "RelaxedContext"]:
     cfg = _as_prices(prices)
     lam_bar = bounds.resolved(instance)
-    price_table = cfg.table(instance)
-    structure = dam_structure(instance, cfg.seg_count, price_table)
+    block = dam_structure(instance, cfg.seg_count)
+    bid_cost = block.cost.copy()
+    bid_cost[block.pw_cols] = [cfg.prices[s] for _k, _t, s in block.keys]
     model = LpModel(name="relaxed-bid")
 
     # upper level: bid quantities, per segment and in total within capacity
@@ -114,39 +109,27 @@ def build_relaxed_bid(
             )
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
-    for v in structure.var_obj:
-        model.add_var(v, obj=structure.true_obj[v])
-    for row in structure.rows:
-        model.add_row(row)
+    primal_at = model.n_vars
+    model.add_vars(block.cols, block.cost)
+    model.add_rows(block.rows, block.coupled, block.sense, block.rhs, block.cols + block.w_cols)
 
-    # lower-level duals; cap-row duals get the McCormick box
-    dual_of: dict[str, str] = {}
-    for row in structure.rows:
-        y = f"y[{row.name}]"
-        if row.sense == GE:
-            model.add_var(y, lb=0.0)
-        elif row.sense == LE:
-            lb = -lam_bar if row.name in structure.cap_rows else -math.inf
-            model.add_var(y, lb=lb, ub=0.0)
-        else:
-            model.add_var(y)
-        dual_of[row.name] = y
+    # lower-level duals y: >= 0 on ">=" rows, <= 0 on "<=" rows, free on "="
+    # rows; cap-row duals get the McCormick box
+    sense = np.array(block.sense)
+    lb = np.where(sense == GE, 0.0, -math.inf)
+    lb[block.cap_rows] = -lam_bar
+    duals = [f"y[{r}]" for r in block.rows]
+    dual_at = model.n_vars
+    model.add_vars(duals, np.zeros(len(duals)), lb, np.where(sense == LE, 0.0, math.inf))
 
-    # dual feasibility: one equality per lower-level primal variable
-    columns: dict[str, dict[str, float]] = {v: {} for v in structure.var_obj}
-    for row in structure.rows:
-        y = dual_of[row.name]
-        for var, c in row.coeffs.items():
-            if var in columns:
-                columns[var][y] = columns[var].get(y, 0.0) + c
-    for v, col in columns.items():
-        model.add_constr(f"dual[{v}]", col, EQ, structure.var_obj[v])
+    # dual feasibility: A^T y = c, one row per lower-level primal variable
+    model.add_rows([f"dual[{v}]" for v in block.cols], block.A.T, [EQ] * len(block.cols),
+                   bid_cost, duals)
 
     # auxiliaries for the dual-objective products, with their envelopes
     aux_terms: list[str] = []
-    for row_name, (k, t, s) in structure.cap_rows.items():
-        y = dual_of[row_name]
-        w = wname(k, t, s)
+    for (k, t, s), w, r in zip(block.keys, block.w_cols, block.cap_rows.tolist()):
+        y = duals[r]
         w_bar = instance.vre(k).capacity
         v = model.add_var(f"v[{k},{t},{s}]")
         aux_terms.append(v)
@@ -159,16 +142,9 @@ def build_relaxed_bid(
 
     # strong duality: lower primal objective equals the dual objective,
     # with each product replaced by its auxiliary
-    sd: dict[str, float] = {}
-    for v, c in structure.var_obj.items():
-        if c:
-            sd[v] = sd.get(v, 0.0) + c
-    for row in structure.rows:
-        if row.rhs:
-            y = dual_of[row.name]
-            sd[y] = sd.get(y, 0.0) - row.rhs
-    for v in aux_terms:
-        sd[v] = sd.get(v, 0.0) - 1.0
+    sd = {v: c for v, c in zip(block.cols, bid_cost.tolist()) if c}
+    sd.update((y, -b) for y, b in zip(duals, block.rhs.tolist()) if b)
+    sd.update(dict.fromkeys(aux_terms, -1.0))
     model.add_constr("strong_duality", sd, EQ, 0.0)
 
     # re-dispatch blocks, coupled to the shared day-ahead schedule
@@ -177,16 +153,29 @@ def build_relaxed_bid(
     for scen in instance.scenario_set.scenarios:
         rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
 
-    ctx = RelaxedContext(cfg=cfg, structure=structure, dual_of=dual_of, lam_bar=lam_bar)
+    ctx = RelaxedContext(
+        cfg=cfg,
+        structure=block,
+        bid_cost=bid_cost,
+        lam_bar=lam_bar,
+        quantities=slice(0, primal_at),
+        primal=slice(primal_at, dual_at),
+        duals=slice(dual_at, dual_at + len(duals)),
+    )
     return model, ctx
 
 
 @dataclass
 class RelaxedContext:
     cfg: BidPricesConfig
-    structure: object
-    dual_of: dict[str, str]
+    structure: DamStructure
+    bid_cost: np.ndarray  # lower-level cost of each structure column
     lam_bar: float
+    # columns of the relaxed LP: W in structure.keys order, the lower-level
+    # primal in structure.cols order, and one dual per structure row
+    quantities: slice
+    primal: slice
+    duals: slice
 
 
 @dataclass
@@ -244,32 +233,23 @@ def solve_bid(
     model.add_constr("relaxed_opt_cap", obj_coeffs, LE, cap)
     for idx in range(model.n_vars):
         model.obj[idx] = 0.0
-    for k in instance.vre_units:
-        for t in instance.hours:
-            for s, price in enumerate(cfg.prices):
-                model.add_obj(wname(k.id, t, s), price + 1e-3 + 1e-6 * s)
+    for (_k, _t, s), w in zip(ctx.structure.keys, ctx.structure.w_cols):
+        model.add_obj(w, cfg.prices[s] + 1e-3 + 1e-6 * s)
     refined = solve(model, tol)
     if refined.status is LpStatus.OPTIMAL:
         sol = refined
 
-    quantities = {
-        (k.id, t, s): sol.primal[wname(k.id, t, s)]
-        for k in instance.vre_units
-        for t in instance.hours
-        for s in range(cfg.seg_count)
-    }
+    z = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
+    w, y = z[ctx.quantities], z[ctx.duals]
+    quantities = dict(zip(ctx.structure.keys, w.tolist()))
     bids = _bids_from_quantities(instance, cfg.prices, quantities)
     result = evaluate_bids(instance, bids, tol, policy=policy_name)
 
     # lower-level strong-duality residual with the true bilinear products
     structure = ctx.structure
-    primal_obj = sum(c * sol.primal[v] for v, c in structure.var_obj.items())
-    dual_obj = 0.0
-    for row in structure.rows:
-        dual_obj += row.rhs * sol.primal[ctx.dual_of[row.name]]
-    for row_name, (k, t, s) in structure.cap_rows.items():
-        dual_obj += sol.primal[ctx.dual_of[row_name]] * sol.primal[wname(k, t, s)]
-    residual = abs(primal_obj - dual_obj)
+    primal_obj = ctx.bid_cost @ z[ctx.primal]
+    dual_obj = structure.rhs @ y + y[structure.cap_rows] @ w
+    residual = float(abs(primal_obj - dual_obj))
 
     return BilevelSolution(
         quantities=quantities,

@@ -1,18 +1,26 @@
 """Day-ahead market clearing.
 
 The DAM is a single LP over conventional dispatch, relaxed unit commitment,
-VRE bid-segment dispatch, and DC power flow. The builder produces a symbolic
-structure in which VRE bid quantities appear as named coupling coefficients;
-`build_dam` substitutes concrete bid curves, while the bilevel module keeps
-the quantities as decision variables of the single-level reformulation.
+VRE bid-segment dispatch, and DC power flow. Bid quantities enter it only
+through the rhs of the segment cap rows, and bid prices only through the
+cost of the segment dispatch variables. Each instance therefore carries one
+sparse block per segment count, built on first use: the matrix over the
+market's own variables, the coupling to the quantities `W[k,t,s]`, the true
+(zero-VRE-cost) costs, the row senses and the rhs. `build_dam` fixes the
+quantities as `rhs - W @ q` and writes the prices into a copy of the costs;
+the bilevel module keeps the quantities as decision variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy import sparse
+
 from .lp import EQ, GE, LE, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL
 from .lp import diagnose_infeasibility, solve
-from .model import BidCurve, Instance, validate_bid_curve
+from .lp import split_rows, substitute
+from .model import BidCurve, Instance, cached, validate_bid_curve
 
 __all__ = [
     "DamStructure",
@@ -21,7 +29,6 @@ __all__ = [
     "DamInfeasibleError",
     "BidSetError",
     "dam_structure",
-    "bids_by_key",
     "build_dam",
     "clear_dam",
     "wname",
@@ -64,46 +71,53 @@ def _th(n: str, t: int) -> str:
     return f"thDA[{n},{t}]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DamStructure:
-    """Symbolic day-ahead LP: rows may reference bid-quantity names W[k,t,s]."""
+    """Bid-independent sparse form of the day-ahead LP for one segment count."""
 
-    var_obj: dict[str, float]  # objective with bid costs
-    true_obj: dict[str, float]  # objective with zero VRE cost
-    rows: list[Row]
-    cap_rows: dict[str, tuple[str, int, int]]  # row name -> (k, t, s)
-    seg_count: int
+    cols: list[str]  # the market's own variables
+    cost: np.ndarray  # true cost of each column: zero on the pW columns
+    keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment
+    pw_cols: np.ndarray  # column of pW at each key, where the bid price goes
+    w_cols: list[str]  # W[k,t,s] at each key
+    rows: list[str]
+    sense: list[str]
+    rhs: np.ndarray  # with every quantity at zero
+    A: sparse.coo_matrix  # rows x cols
+    W: sparse.coo_matrix  # rows x w_cols, entries in row order
+    coupled: sparse.coo_matrix  # [A | W]
+    cap_rows: np.ndarray  # cap row of each key
+    bus_keys: list[tuple[str, int]]
+    bal_rows: np.ndarray  # balance row of each bus_keys entry
 
 
-def dam_structure(
-    instance: Instance, seg_count: int, prices: dict[tuple[str, int, int], float]
-) -> DamStructure:
+def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
+    """The instance's day-ahead block for `seg_count` segments per curve.
+
+    Built on first use and stored on the instance; it holds no bid prices.
+    """
+    return cached(instance, f"_dam_block[{seg_count}]", lambda: _build_block(instance, seg_count))
+
+
+def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     net = instance.network
     hours = instance.hours
     ss = instance.scenario_set
 
-    var_obj: dict[str, float] = {}
-    true_obj: dict[str, float] = {}
+    cost: dict[str, float] = {}
     rows: list[Row] = []
-    cap_rows: dict[str, tuple[str, int, int]] = {}
+    keys = [(k.id, t, s) for k in instance.vre_units for t in hours for s in range(seg_count)]
 
     for g in instance.units:
         for t in hours:
-            var_obj[_pc(g.id, t)] = g.variable_cost
-            var_obj[_u(g.id, t)] = g.no_load_cost
-            var_obj[_c(g.id, t)] = 1.0
-    for k in instance.vre_units:
-        for t in hours:
-            for s in range(seg_count):
-                var_obj[_pw(k.id, t, s)] = prices[(k.id, t, s)]
+            cost[_pc(g.id, t)] = g.variable_cost
+            cost[_u(g.id, t)] = g.no_load_cost
+            cost[_c(g.id, t)] = 1.0
+    for key in keys:
+        cost[_pw(*key)] = 0.0
     for n in net.buses:
         for t in hours:
-            var_obj[_th(n, t)] = 0.0
-    true_obj = {v: c for v, c in var_obj.items()}
-    for k in instance.vre_units:
-        for t in hours:
-            for s in range(seg_count):
-                true_obj[_pw(k.id, t, s)] = 0.0
+            cost[_th(n, t)] = 0.0
 
     for t in hours:
         for n in net.buses:
@@ -128,13 +142,12 @@ def dam_structure(
             rows.append(Row(f"da_flow_ub[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), LE, ln.capacity))
             rows.append(Row(f"da_flow_lb[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), GE, -ln.capacity))
 
-    for k in instance.vre_units:
-        for t in hours:
-            for s in range(seg_count):
-                rows.append(Row(f"da_pw_lb[{k.id},{t},{s}]", {_pw(k.id, t, s): 1.0}, GE, 0.0))
-                name = f"da_pw_cap[{k.id},{t},{s}]"
-                rows.append(Row(name, {_pw(k.id, t, s): 1.0, wname(k.id, t, s): -1.0}, LE, 0.0))
-                cap_rows[name] = (k.id, t, s)
+    cap_rows = []
+    for k, t, s in keys:
+        rows.append(Row(f"da_pw_lb[{k},{t},{s}]", {_pw(k, t, s): 1.0}, GE, 0.0))
+        cap_rows.append(len(rows))
+        rows.append(Row(f"da_pw_cap[{k},{t},{s}]",
+                        {_pw(k, t, s): 1.0, wname(k, t, s): -1.0}, LE, 0.0))
 
     for g in instance.units:
         for idx, t in enumerate(hours):
@@ -166,7 +179,27 @@ def dam_structure(
                                 {_pc(g.id, t): 1.0, _pc(g.id, prev): -1.0,
                                  _u(g.id, t): -g.ramp_up}, LE, 0.0))
 
-    return DamStructure(var_obj, true_obj, rows, cap_rows, seg_count)
+    w_cols = [wname(*key) for key in keys]
+    A, W = split_rows(rows, list(cost), w_cols)
+    col = {v: j for j, v in enumerate(cost)}
+    row_of = {row.name: r for r, row in enumerate(rows)}
+    bus_keys = [(n, t) for n in net.buses for t in hours]
+    return DamStructure(
+        cols=list(cost),
+        cost=np.array(list(cost.values()), dtype=float),
+        keys=keys,
+        pw_cols=np.array([col[_pw(*key)] for key in keys], dtype=np.int64),
+        w_cols=w_cols,
+        rows=[row.name for row in rows],
+        sense=[row.sense for row in rows],
+        rhs=np.array([row.rhs for row in rows], dtype=float),
+        A=A,
+        W=W,
+        coupled=sparse.hstack([A, W], format="coo"),
+        cap_rows=np.array(cap_rows, dtype=np.int64),
+        bus_keys=bus_keys,
+        bal_rows=np.array([row_of[f"da_bal[{n},{t}]"] for n, t in bus_keys], dtype=np.int64),
+    )
 
 
 @dataclass
@@ -192,36 +225,33 @@ class DaDuals:
     balance: dict[tuple[str, int], float]  # the LMP
 
 
-def bids_by_key(bids) -> dict[tuple[str, int], BidCurve]:
-    return {(b.owner, b.hour): b for b in bids}
-
-
-def _check_bids(instance: Instance, bids) -> tuple[int, dict, dict]:
-    """Valid curves, one per (VRE, hour), uniform segment count; returns
-    (S, prices, qtys)."""
-    table = bids_by_key(bids)
+def _check_bids(instance: Instance, bids) -> tuple[int, np.ndarray, np.ndarray]:
+    """Valid curves, exactly one per (VRE, hour), uniform segment count;
+    returns (S, prices, quantities), both in (unit, hour, segment) order."""
     hours = set(instance.hours)
+    table: dict[tuple[str, int], BidCurve] = {}
     errors = []
-    for bid in table.values():
+    for bid in bids:
         errors += validate_bid_curve(bid, instance)
         if bid.hour not in hours:
             errors.append(f"bid ({bid.owner},{bid.hour}): unknown hour {bid.hour}")
+        if (bid.owner, bid.hour) in table:
+            errors.append(f"bid ({bid.owner},{bid.hour}): duplicate curve")
+        table[(bid.owner, bid.hour)] = bid
     if errors:
         raise BidSetError("malformed bid set: " + "; ".join(errors))
     seg_counts = {len(b.segments) for b in table.values()}
     if len(seg_counts) > 1:
         raise BidSetError(f"inconsistent segment counts: {sorted(seg_counts)}")
     seg_count = seg_counts.pop() if seg_counts else 1
-    prices: dict[tuple[str, int, int], float] = {}
-    qtys: dict[tuple[str, int, int], float] = {}
+    segments: list[tuple[float, float]] = []
     for k in instance.vre_units:
         for t in instance.hours:
             bid = table.get((k.id, t))
             if bid is None:
                 raise BidSetError(f"missing bid curve for ({k.id}, {t})")
-            for s, (price, qty) in enumerate(bid.segments):
-                prices[(k.id, t, s)] = price
-                qtys[(k.id, t, s)] = qty
+            segments += bid.segments
+    prices, qtys = np.array(segments, dtype=float).reshape(-1, 2).T
     return seg_count, prices, qtys
 
 
@@ -234,37 +264,33 @@ def build_dam(
     exploratory runs; the market formulation itself has none.
     """
     seg_count, prices, qtys = _check_bids(instance, bids)
-    structure = dam_structure(instance, seg_count, prices)
+    block = dam_structure(instance, seg_count)
+    cost = block.cost.copy()
+    cost[block.pw_cols] = prices
     model = LpModel(name="dam")
-    for v, obj in structure.var_obj.items():
-        model.add_var(v, obj=obj)
-    shed_vars: dict[str, dict[str, float]] = {}
+    model.add_vars(block.cols, cost)
+    A, cols = block.A, block.cols
     if da_slack:
-        for n in instance.network.buses:
-            for t in instance.hours:
-                load = instance.scenario_set.da_load.get((n, t), 0.0)
-                if load > 0:
-                    v = model.add_var(f"lshDA[{n},{t}]", lb=0.0, ub=load,
-                                      obj=instance.system.voll)
-                    shed_vars[f"da_bal[{n},{t}]"] = {v: 1.0}
-    for row in structure.rows:
-        coeffs = {}
-        rhs = row.rhs
-        for var, c in row.coeffs.items():
-            if var.startswith("W["):
-                key = structure.cap_rows.get(row.name)
-                rhs -= c * qtys[key]
-            else:
-                coeffs[var] = c
-        coeffs.update(shed_vars.get(row.name, {}))
-        model.add_constr(row.name, coeffs, row.sense, rhs)
-    return model, structure
+        # one shedding column per loaded bus and hour, in its balance row
+        load = np.array([instance.scenario_set.da_load.get(key, 0.0) for key in block.bus_keys])
+        loaded = np.flatnonzero(load > 0)
+        shed = [f"lshDA[{n},{t}]" for n, t in (block.bus_keys[i] for i in loaded)]
+        for v, ub in zip(shed, load[loaded].tolist()):
+            model.add_var(v, lb=0.0, ub=ub, obj=instance.system.voll)
+        in_balance = sparse.coo_matrix(
+            (np.ones(len(shed)), (block.bal_rows[loaded], np.arange(len(shed)))),
+            shape=(len(block.rows), len(shed)),
+        )
+        A, cols = sparse.hstack([A, in_balance], format="coo"), cols + shed
+    model.add_rows(block.rows, A, block.sense, substitute(block.rhs, block.W, qtys), cols)
+    return model, block
 
 
 def _schedule_from(instance: Instance, structure: DamStructure,
                    primal: dict[str, float], objective: float) -> DaSchedule:
     hours = instance.hours
-    f_true = sum(c * primal[v] for v, c in structure.true_obj.items())
+    x = np.fromiter(primal.values(), dtype=float, count=len(structure.cols))
+    f_true = sum((structure.cost * x).tolist())
     shed = {}
     for v, val in primal.items():
         if v.startswith("lshDA["):
@@ -275,21 +301,12 @@ def _schedule_from(instance: Instance, structure: DamStructure,
         p_conventional={(g.id, t): primal[_pc(g.id, t)] for g in instance.units for t in hours},
         commitment={(g.id, t): primal[_u(g.id, t)] for g in instance.units for t in hours},
         startup_cost={(g.id, t): primal[_c(g.id, t)] for g in instance.units for t in hours},
-        p_vre={(k.id, t, s): primal[_pw(k.id, t, s)]
-               for k in instance.vre_units for t in hours
-               for s in range(structure.seg_count)},
+        p_vre={key: primal[_pw(*key)] for key in structure.keys},
         angle={(n, t): primal[_th(n, t)] for n in instance.network.buses for t in hours},
         f_da_bid=objective,
         f_da_true=f_true,
         var_values=dict(primal),
         shed=shed,
-    )
-
-
-def _duals_from(instance: Instance, duals: dict[str, float]) -> DaDuals:
-    return DaDuals(
-        balance={(n, t): duals[f"da_bal[{n},{t}]"]
-                 for n in instance.network.buses for t in instance.hours},
     )
 
 
@@ -311,4 +328,5 @@ def clear_dam(
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
     schedule = _schedule_from(instance, structure, sol.primal, sol.objective)
-    return schedule, _duals_from(instance, sol.duals)
+    y = np.fromiter(sol.duals.values(), dtype=float, count=model.n_cons)
+    return schedule, DaDuals(balance=dict(zip(structure.bus_keys, y[structure.bal_rows].tolist())))

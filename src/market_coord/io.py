@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from .model import (
 )
 
 __all__ = [
-    "RunConfig",
     "ParseError",
     "load_instance",
     "save_instance",
@@ -42,20 +40,6 @@ BUNDLED = ("t1", "sys3", "sys5")
 
 class ParseError(ValueError):
     """Malformed input file; message names the file and offending field."""
-
-
-@dataclass
-class RunConfig:
-    """CLI-level run settings."""
-
-    instance_path: str
-    scenarios_path: str
-    output_dir: str = "."
-    prices: tuple[float, ...] = (0.0,)
-    threads: int | None = None
-    seed: int = 0
-    json_output: bool = False
-    da_slack: bool = False
 
 
 def _require(mapping: dict, key: str, where: str):

@@ -27,6 +27,8 @@ __all__ = [
     "solve",
     "diagnose_infeasibility",
     "certificate_log",
+    "split_rows",
+    "substitute",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -117,8 +119,12 @@ class LpModel:
         self.obj.append(obj)
         return name
 
-    def add_vars(self, names: Sequence[str], obj) -> None:
-        """Append free variables `names` with objective coefficients `obj`."""
+    def add_vars(self, names: Sequence[str], obj, lb=-math.inf, ub=math.inf) -> None:
+        """Append variables `names` with objective coefficients `obj`.
+
+        `lb` and `ub` are one bound for all of them or one bound each; the
+        default is free.
+        """
         obj = np.asarray(obj, dtype=float)
         if obj.shape != (len(names),):
             raise ValueError(f"{len(names)} variables but {obj.shape} objective coefficients")
@@ -126,16 +132,13 @@ class LpModel:
             raise ValueError("non-finite objective coefficient")
         self._extend_index(self._var_index, names, "variable")
         self.var_names.extend(names)
-        self.lb.extend([-math.inf] * len(names))
-        self.ub.extend([math.inf] * len(names))
+        self.lb.extend(np.broadcast_to(np.asarray(lb, dtype=float), obj.shape).tolist())
+        self.ub.extend(np.broadcast_to(np.asarray(ub, dtype=float), obj.shape).tolist())
         self.obj.extend(obj.tolist())
 
     def add_obj(self, name: str, coeff: float) -> None:
         """Accumulate an objective coefficient onto an existing variable."""
         self.obj[self._var_index[name]] += coeff
-
-    def has_var(self, name: str) -> bool:
-        return name in self._var_index
 
     def add_constr(self, name: str, coeffs: dict[str, float], sense: str, rhs: float) -> str:
         if name in self._con_index:
@@ -216,9 +219,6 @@ class LpModel:
             shape=(self.n_cons, self.n_vars),
         )
 
-    def add_row(self, row: Row) -> str:
-        return self.add_constr(row.name, row.coeffs, row.sense, row.rhs)
-
     def to_lp_text(self) -> str:
         """Dump in a readable LP-like text format (debugging aid)."""
         lines = [f"\\ model {self.name}", "Minimize"]
@@ -237,6 +237,45 @@ class LpModel:
             lines.append(f" {lo:g} <= {v} <= {hi:g}")
         lines.append("End")
         return "\n".join(lines)
+
+
+def split_rows(rows: Sequence[Row], cols: Sequence[str], outside: Sequence[str]):
+    """The coefficients of `rows` as two sparse matrices, `(A, D)`.
+
+    `A` is over `cols`, the block's own variables, and `D` over `outside`, the
+    variables the rows couple to; every coefficient names one of the two.
+    Explicit zeros are dropped, and the entries of both are in row order.
+    """
+    own_at = {v: j for j, v in enumerate(cols)}
+    outside_at = {v: j for j, v in enumerate(outside)}
+    own: list[tuple[int, int, float]] = []
+    coupled: list[tuple[int, int, float]] = []
+    for r, row in enumerate(rows):
+        for var, c in row.coeffs.items():
+            if c == 0.0:
+                continue
+            if var in own_at:
+                own.append((r, own_at[var], c))
+            else:
+                coupled.append((r, outside_at[var], c))
+
+    def matrix(entries, n_cols):
+        r, c, v = zip(*entries) if entries else ((), (), ())
+        return sparse.coo_matrix((v, (r, c)), shape=(len(rows), n_cols))
+
+    return matrix(own, len(cols)), matrix(coupled, len(outside))
+
+
+def substitute(rhs: np.ndarray, D: sparse.coo_matrix, x) -> np.ndarray:
+    """`rhs - D @ x`: the rhs once the coupled variables are fixed at `x`.
+
+    Subtracted term by term in the order of D's entries, which `split_rows`
+    keeps in row order, so each rhs is bitwise what substituting the values
+    into each row in turn gives.
+    """
+    out = rhs.copy()
+    np.subtract.at(out, D.row, D.data * np.asarray(x, dtype=float)[D.col])
+    return out
 
 
 @dataclass

@@ -8,7 +8,7 @@ concurrent solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 __all__ = [
     "Line",
@@ -152,6 +152,22 @@ class Instance:
     @property
     def hours(self) -> tuple[int, ...]:
         return self.scenario_set.hours
+
+
+T = TypeVar("T")
+
+
+def cached(instance: Instance, key: str, build: Callable[[], T]) -> T:
+    """The value stored on `instance` under `key`, made by `build()` on first use.
+
+    It is kept in the instance's own __dict__, as functools.cached_property
+    does, so it lives exactly as long as the instance; an instance made by
+    dataclasses.replace starts without it and builds its own.
+    """
+    value = instance.__dict__.get(key)
+    if value is None:
+        value = instance.__dict__[key] = build()
+    return value
 
 
 @dataclass

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import DaDuals, DaSchedule, bids_by_key, clear_dam, dam_structure, wname
-from .lp import LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
+from .dam import DaDuals, DaSchedule, clear_dam, dam_structure
+from .lp import LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve, substitute
 from .model import BidCurve, Instance, expected_vre
 from .rtm import RtDispatch, expected_rt_cost, rtm_structure
 
@@ -91,26 +91,19 @@ def stochastic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL) -> Policy
     The day-ahead VRE variable is a single implicit zero-price segment
     bounded by installed capacity; there is no bid curve.
     """
-    prices = {(k.id, t, 0): 0.0 for k in instance.vre_units for t in instance.hours}
-    structure = dam_structure(instance, 1, prices)
+    block = dam_structure(instance, 1)
+    caps = [k.capacity for k in instance.vre_units for t in instance.hours]
     model = LpModel(name="std")
-    for v, obj in structure.true_obj.items():
-        model.add_var(v, obj=obj)
-    caps = {wname(k.id, t, 0): k.capacity for k in instance.vre_units for t in instance.hours}
-    for row in structure.rows:
-        coeffs, rhs = {}, row.rhs
-        for var, c in row.coeffs.items():
-            if var in caps:
-                rhs -= c * caps[var]
-            else:
-                coeffs[var] = c
-        model.add_constr(row.name, coeffs, row.sense, rhs)
+    model.add_vars(block.cols, block.cost)
+    model.add_rows(block.rows, block.A, block.sense, substitute(block.rhs, block.W, caps),
+                   block.cols)
     for scen in instance.scenario_set.scenarios:
         rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
     sol = solve(model, tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")
-    f_da_true = sum(c * sol.primal[v] for v, c in structure.true_obj.items())
+    x = np.fromiter(sol.primal.values(), dtype=float, count=len(block.cols))
+    f_da_true = sum((block.cost * x).tolist())
     return PolicyResult(
         policy="StD",
         s_total=sol.objective,

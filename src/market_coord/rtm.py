@@ -20,7 +20,8 @@ from scipy import sparse
 
 from .dam import DaSchedule
 from .lp import EQ, GE, LE, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL, solve
-from .model import Instance, Scenario
+from .lp import split_rows, substitute
+from .model import Instance, Scenario, cached
 
 __all__ = [
     "RtDispatch",
@@ -215,30 +216,12 @@ def _build_template(instance: Instance) -> _Template:
             load_at.append((len(rows), (n, t)))
             rows.append(Row(f"rt_sh_ub[{n},{t}]", {_sh(n, t): 1.0}, LE, 0.0))
 
-    # split each row into real-time and day-ahead coefficients; explicit
-    # zeros are dropped
+    A, D = split_rows(rows, list(cost), list(da_obj))
     col = {v: j for j, v in enumerate(cost)}
-    da_col = {v: j for j, v in enumerate(da_obj)}
-    a_entries: list[tuple[int, int, float]] = []
-    d_entries: list[tuple[int, int, float]] = []
-    for r, row in enumerate(rows):
-        for var, c in row.coeffs.items():
-            if c == 0.0:
-                continue
-            if var in col:
-                a_entries.append((r, col[var], c))
-            else:
-                d_entries.append((r, da_col[var], c))
-
-    def matrix(entries, n_cols):
-        r, c, v = zip(*entries) if entries else ((), (), ())
-        return sparse.coo_matrix((v, (r, c)), shape=(len(rows), n_cols))
 
     def columns(name, keys):
         return np.array([col[name(*key)] for key in keys], dtype=np.int64)
 
-    A = matrix(a_entries, len(col))
-    D = matrix(d_entries, len(da_col))
     unit_keys = [(g.id, t) for g in instance.units for t in hours]
     vre_keys = [(k.id, t) for k in instance.vre_units for t in hours]
     bus_keys = [(n, t) for n in net.buses for t in hours]
@@ -273,20 +256,9 @@ def _build_template(instance: Instance) -> _Template:
     )
 
 
-_TEMPLATE_KEY = "_rtm_template"
-
-
 def _template(instance: Instance) -> _Template:
-    """The instance's real-time template, built on first use.
-
-    It is stored in the instance's own __dict__, as functools.cached_property
-    does, so it lives exactly as long as the instance; an instance made by
-    dataclasses.replace starts without one and builds its own.
-    """
-    tpl = instance.__dict__.get(_TEMPLATE_KEY)
-    if tpl is None:
-        tpl = instance.__dict__[_TEMPLATE_KEY] = _build_template(instance)
-    return tpl
+    """The instance's real-time template, built on first use."""
+    return cached(instance, "_rtm_template", lambda: _build_template(instance))
 
 
 @dataclass(frozen=True)
@@ -343,13 +315,9 @@ def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpM
     block = rtm_structure(instance, _find_scenario(instance, scenario_id))
     tpl = block.template
     x = np.array([da.var_values[v] for v in tpl.da_cols])
-    # rhs = block.rhs - D @ x, subtracted term by term in each row's order so
-    # that it equals substituting the schedule into each row in turn
-    rhs = block.rhs.copy()
-    np.subtract.at(rhs, tpl.D.row, tpl.D.data * x[tpl.D.col])
     model = LpModel(name=f"rtm[{scenario_id}]")
     model.add_vars(tpl.cols, tpl.cost)
-    model.add_rows(tpl.rows, tpl.A, tpl.sense, rhs, tpl.cols)
+    model.add_rows(tpl.rows, tpl.A, tpl.sense, substitute(block.rhs, tpl.D, x), tpl.cols)
     return model, block, sum((tpl.da_obj * x).tolist())
 
 

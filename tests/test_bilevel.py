@@ -1,4 +1,5 @@
 """Bid-quantity optimization: relaxation structure, extraction, verifiers."""
+import numpy as np
 import pytest
 
 from market_coord.bilevel import (
@@ -13,10 +14,10 @@ from market_coord.bilevel import (
     verify_theorem1,
     vre_profit,
 )
-from market_coord.dam import DaSchedule
+from market_coord.dam import DaSchedule, build_dam
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve
-from market_coord.policies import evaluate_bids, myopic, stochastic
+from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
 
 SIX_SEGMENT = (0.0, 2.0, 22.0, 30.0, 32.0, 350.0)
 
@@ -43,6 +44,42 @@ def test_relaxed_model_structure_t1(t1):
     assert "strong_duality" in model.con_names
     assert "w_total[w1,0]" in model.con_names
     assert ctx.lam_bar == pytest.approx(1000.0)  # defaults to VoLL
+
+
+@pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
+def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
+    inst = bundled[name]
+    prices = (0.0, 20.0)
+    bids = [BidCurve(b.owner, b.hour, ((prices[0], b.segments[0][1] / 3),
+                                       (prices[1], b.segments[0][1] / 2)))
+            for b in myopic_bids(inst)]
+    dam, block = build_dam(inst, bids)
+    relaxed, ctx = build_relaxed_bid(inst, prices)
+    assert ctx.structure is block
+    row_at = {r: i for i, r in enumerate(relaxed.con_names)}
+    col_at = {v: j for j, v in enumerate(relaxed.var_names)}
+    matrix = relaxed._matrix()
+    cols = [col_at[v] for v in block.cols]
+    w_cols = [col_at[v] for v in block.w_cols]
+    y_cols = [col_at[f"y[{r}]"] for r in block.rows]
+
+    # the lower level with W fixed at the bid quantities is the day-ahead LP
+    rows = [row_at[r] for r in block.rows]
+    lower = matrix[rows]
+    assert lower.nnz == lower[:, cols].nnz + lower[:, w_cols].nnz
+    assert [relaxed.con_sense[i] for i in rows] == dam.con_sense
+    assert (lower[:, cols] != dam._matrix()).nnz == 0
+    q = np.array([seg[1] for b in bids for seg in b.segments])
+    fixed = np.array(relaxed.con_rhs)[rows] - lower[:, w_cols] @ q
+    assert fixed.tolist() == dam.con_rhs
+
+    # dual feasibility reads A^T y = c, c the day-ahead LP's bid cost
+    dual_rows = [row_at[f"dual[{v}]"] for v in block.cols]
+    dual = matrix[dual_rows]
+    assert dual.nnz == dual[:, y_cols].nnz
+    assert (dual[:, y_cols] != dam._matrix().T).nnz == 0
+    assert [relaxed.con_sense[i] for i in dual_rows] == ["="] * len(block.cols)
+    assert [relaxed.con_rhs[i] for i in dual_rows] == dam.obj
 
 
 def test_relaxed_objective_lower_bounds_the_oracle_optimum(t1):

@@ -3,9 +3,11 @@ import dataclasses
 
 import pytest
 
-from market_coord.dam import BidSetError, DamInfeasibleError, build_dam, clear_dam
+from market_coord import io as mio
+from market_coord.dam import BidSetError, DamInfeasibleError, build_dam, clear_dam, dam_structure
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve, ScenarioSet
+from market_coord.policies import evaluate_bids, myopic_bids
 from conftest import zero_bid
 
 
@@ -126,3 +128,26 @@ def test_multi_hour_lmp_at_marginal_unit(sys3):
     for t in sys3.hours:
         lmps = [duals.balance[(n, t)] for n in sys3.network.buses]
         assert max(lmps) >= 15.0 - 1e-6
+
+
+def _two_segment(instance, prices):
+    """Myopic quantities split evenly over two segments at `prices`."""
+    return [BidCurve(b.owner, b.hour, tuple((p, b.segments[0][1] / 2) for p in prices))
+            for b in myopic_bids(instance)]
+
+
+def test_cached_block_keeps_no_bid_prices():
+    inst = mio.bundled_instance("sys3")
+    a, b = _two_segment(inst, (0.0, 10.0)), _two_segment(inst, (25.0, 60.0))
+    first = evaluate_bids(inst, a)
+    block = dam_structure(inst, 2)
+    other = evaluate_bids(inst, b)
+    again = evaluate_bids(inst, a)
+    assert dam_structure(inst, 2) is block
+    assert not block.cost[block.pw_cols].any()
+    assert other.da.f_da_bid != first.da.f_da_bid
+    fresh = evaluate_bids(mio.bundled_instance("sys3"), a)
+    for result in (again, fresh):
+        assert result.s_total == first.s_total
+        assert result.da.f_da_bid == first.da.f_da_bid
+        assert result.da.var_values == first.da.var_values

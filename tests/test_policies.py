@@ -54,8 +54,9 @@ def _first_curve(segments):
     lambda inst, bids: [dataclasses.replace(b, segments=((30.0, 1.0), (10.0, 1.0)))
                         for b in bids],
     lambda inst, bids: bids + [BidCurve(inst.vre_units[0].id, 99, ((0.0, 1.0),))],
+    lambda inst, bids: bids + [dataclasses.replace(bids[0], segments=((0.0, 1.0),))],
 ], ids=["negative-quantity", "unknown-owner", "above-capacity", "decreasing-prices",
-        "unknown-hour"])
+        "unknown-hour", "duplicate-curve"])
 def test_malformed_bid_set_rejected_as_bad_input(sys5, malform):
     bids = malform(sys5, myopic_bids(sys5))
     with pytest.raises(BidSetError):

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from market_coord import io as mio, rtm
-from market_coord.dam import clear_dam
+from market_coord.dam import clear_dam, dam_structure
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic_bids
 from market_coord.rtm import clear_rtm, expected_rt_cost, thread_count
@@ -153,10 +153,17 @@ def _pricier(instance):
     )
 
 
+def _heavier(instance):
+    ss = instance.scenario_set
+    return dataclasses.replace(instance, scenario_set=dataclasses.replace(
+        ss, da_load={key: load + 5.0 for key, load in ss.da_load.items()}))
+
+
 @pytest.mark.parametrize("prepare, change", [
     (lambda inst: inst, _spike),
     (_spike, _pricier),
-], ids=["scenarios", "voll"])
+    (lambda inst: inst, _heavier),
+], ids=["scenarios", "voll", "da-load"])
 def test_replaced_instance_scored_from_its_own_template(prepare, change):
     base = prepare(mio.bundled_instance("t1"))
     bids = myopic_bids(base)
@@ -164,6 +171,7 @@ def test_replaced_instance_scored_from_its_own_template(prepare, change):
     changed = change(base)
     scored = evaluate_bids(changed, bids)
     assert rtm._template(changed) is not rtm._template(base)
+    assert dam_structure(changed, 1) is not dam_structure(base, 1)
     assert scored.s_total != before.s_total
     fresh = change(prepare(mio.bundled_instance("t1")))
     assert scored.s_total == evaluate_bids(fresh, bids).s_total
