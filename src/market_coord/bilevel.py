@@ -24,6 +24,7 @@ from .dam import DamStructure, DaSchedule, dam_structure, wname
 from .lp import GE, LE, EQ, LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
 from .model import BidCurve, Instance
 from .policies import PolicyResult, evaluate_bids, myopic_bids
+from .rtm import append_scenarios
 
 __all__ = [
     "BidPricesConfig",
@@ -110,8 +111,7 @@ def build_relaxed_bid(
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
     primal_at = model.n_vars
-    model.add_vars(block.cols, block.cost)
-    model.add_rows(block.rows, block.coupled, block.sense, block.rhs, block.cols + block.w_cols)
+    block.append_to(model)
 
     # lower-level duals y: >= 0 on ">=" rows, <= 0 on "<=" rows, free on "="
     # rows; cap-row duals get the McCormick box
@@ -128,7 +128,7 @@ def build_relaxed_bid(
 
     # auxiliaries for the dual-objective products, with their envelopes
     aux_terms: list[str] = []
-    for (k, t, s), w, r in zip(block.keys, block.w_cols, block.cap_rows.tolist()):
+    for (k, t, s), w, r in zip(block.keys, block.d_cols, block.cap_rows.tolist()):
         y = duals[r]
         w_bar = instance.vre(k).capacity
         v = model.add_var(f"v[{k},{t},{s}]")
@@ -148,10 +148,7 @@ def build_relaxed_bid(
     model.add_constr("strong_duality", sd, EQ, 0.0)
 
     # re-dispatch blocks, coupled to the shared day-ahead schedule
-    from .rtm import rtm_structure
-
-    for scen in instance.scenario_set.scenarios:
-        rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
+    append_scenarios(instance, model)
 
     ctx = RelaxedContext(
         cfg=cfg,
@@ -233,7 +230,7 @@ def solve_bid(
     model.add_constr("relaxed_opt_cap", obj_coeffs, LE, cap)
     for idx in range(model.n_vars):
         model.obj[idx] = 0.0
-    for (_k, _t, s), w in zip(ctx.structure.keys, ctx.structure.w_cols):
+    for (_k, _t, s), w in zip(ctx.structure.keys, ctx.structure.d_cols):
         model.add_obj(w, cfg.prices[s] + 1e-3 + 1e-6 * s)
     refined = solve(model, tol)
     if refined.status is LpStatus.OPTIMAL:

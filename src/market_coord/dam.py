@@ -4,22 +4,24 @@ The DAM is a single LP over conventional dispatch, relaxed unit commitment,
 VRE bid-segment dispatch, and DC power flow. Bid quantities enter it only
 through the rhs of the segment cap rows, and bid prices only through the
 cost of the segment dispatch variables. Each instance therefore carries one
-sparse block per segment count, built on first use: the matrix over the
-market's own variables, the coupling to the quantities `W[k,t,s]`, the true
-(zero-VRE-cost) costs, the row senses and the rhs. `build_dam` fixes the
-quantities as `rhs - W @ q` and writes the prices into a copy of the costs;
-the bilevel module keeps the quantities as decision variables.
+`lp.Block` per segment count, built on first use: the matrix over the
+market's own variables, the coupling `D` to the quantities `W[k,t,s]`, the
+true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
+it with the quantities fixed (`rhs - D @ q`) and the prices written into a
+copy of the costs; the bilevel module appends it with the quantities kept as
+decision variables. Its network rows come from `network_rows`, which the
+real-time market shares.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from .lp import EQ, GE, LE, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL
+from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL
 from .lp import diagnose_infeasibility, solve
-from .lp import split_rows, substitute
 from .model import BidCurve, Instance, cached, validate_bid_curve
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "dam_structure",
     "build_dam",
     "clear_dam",
+    "network_rows",
     "wname",
 ]
 
@@ -51,44 +54,66 @@ def wname(k: str, t: int, s: int) -> str:
     return f"W[{k},{t},{s}]"
 
 
-def _pc(i: str, t: int) -> str:
-    return f"pC[{i},{t}]"
-
-
-def _u(i: str, t: int) -> str:
-    return f"uDA[{i},{t}]"
-
-
-def _c(i: str, t: int) -> str:
-    return f"cDA[{i},{t}]"
-
-
 def _pw(k: str, t: int, s: int) -> str:
     return f"pW[{k},{t},{s}]"
 
 
-def _th(n: str, t: int) -> str:
-    return f"thDA[{n},{t}]"
+def hourly(var: str) -> Callable[[str, int], str]:
+    """The name of variable `var` at a (unit or bus, hour) key."""
+    return lambda i, t: f"{var}[{i},{t}]"
+
+
+_pc, _u, _c, _th = map(hourly, ("pC", "uDA", "cDA", "thDA"))
+
+
+def network_rows(instance: Instance, market: str, angle: Callable[[str, int], str],
+                 injection: Callable) -> tuple[list[Row], dict[tuple[str, int], int]]:
+    """The DC network rows of one market, hour by hour.
+
+    Each hour has one balance row per bus (the coefficients and rhs that
+    `injection(bus, hour)` returns, less the net outflow through the B-theta
+    terms on the `angle` variables), the reference angle row and both limits
+    of every line. Returns the rows and the balance row of each (bus, hour),
+    bus by bus.
+    """
+    net = instance.network
+    rows: list[Row] = []
+    at: dict[tuple[str, int], int] = {}
+    for t in instance.hours:
+        for n in net.buses:
+            coeffs, rhs = injection(n, t)
+            for _, ln, sign in net.incident_lines(n):
+                b = 1.0 / ln.reactance
+                fr, to = angle(ln.from_bus, t), angle(ln.to_bus, t)
+                # flow (from -> to) leaves the sending end
+                coeffs[fr] = coeffs.get(fr, 0.0) - sign * b
+                coeffs[to] = coeffs.get(to, 0.0) + sign * b
+            at[(n, t)] = len(rows)
+            rows.append(Row(f"{market}_bal[{n},{t}]", coeffs, EQ, rhs))
+        rows.append(Row(f"{market}_ref[{t}]", {angle(net.slack_bus, t): 1.0}, EQ, 0.0))
+        for ln in net.lines:
+            b = 1.0 / ln.reactance
+            flow = {angle(ln.from_bus, t): b, angle(ln.to_bus, t): -b}
+            line = f"{ln.from_bus},{ln.to_bus},{t}"
+            rows.append(Row(f"{market}_flow_ub[{line}]", dict(flow), LE, ln.capacity))
+            rows.append(Row(f"{market}_flow_lb[{line}]", dict(flow), GE, -ln.capacity))
+    return rows, {(n, t): at[(n, t)] for n in net.buses for t in instance.hours}
 
 
 @dataclass(frozen=True)
-class DamStructure:
-    """Bid-independent sparse form of the day-ahead LP for one segment count."""
+class DamStructure(Block):
+    """Bid-independent block of the day-ahead LP for one segment count.
 
-    cols: list[str]  # the market's own variables
-    cost: np.ndarray  # true cost of each column: zero on the pW columns
+    Its coupled columns are the bid quantities `W[k,t,s]`, one per key.
+    """
+
     keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment
-    pw_cols: np.ndarray  # column of pW at each key, where the bid price goes
-    w_cols: list[str]  # W[k,t,s] at each key
-    rows: list[str]
-    sense: list[str]
-    rhs: np.ndarray  # with every quantity at zero
-    A: sparse.coo_matrix  # rows x cols
-    W: sparse.coo_matrix  # rows x w_cols, entries in row order
-    coupled: sparse.coo_matrix  # [A | W]
     cap_rows: np.ndarray  # cap row of each key
-    bus_keys: list[tuple[str, int]]
-    bal_rows: np.ndarray  # balance row of each bus_keys entry
+
+    @property
+    def pw_cols(self) -> np.ndarray:
+        """Column of pW at each key, where the bid price goes."""
+        return self.outputs["p_vre"][1]
 
 
 def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
@@ -100,12 +125,10 @@ def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
 
 
 def _build_block(instance: Instance, seg_count: int) -> DamStructure:
-    net = instance.network
     hours = instance.hours
     ss = instance.scenario_set
 
     cost: dict[str, float] = {}
-    rows: list[Row] = []
     keys = [(k.id, t, s) for k in instance.vre_units for t in hours for s in range(seg_count)]
 
     for g in instance.units:
@@ -115,32 +138,17 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             cost[_c(g.id, t)] = 1.0
     for key in keys:
         cost[_pw(*key)] = 0.0
-    for n in net.buses:
+    for n in instance.network.buses:
         for t in hours:
             cost[_th(n, t)] = 0.0
 
-    for t in hours:
-        for n in net.buses:
-            coeffs: dict[str, float] = {}
-            for g in instance.units:
-                if g.bus == n:
-                    coeffs[_pc(g.id, t)] = 1.0
-            for k in instance.vre_units:
-                if k.bus == n:
-                    for s in range(seg_count):
-                        coeffs[_pw(k.id, t, s)] = 1.0
-            for _, ln, sign in net.incident_lines(n):
-                b = 1.0 / ln.reactance
-                # flow (from -> to) leaves the sending end
-                coeffs[_th(ln.from_bus, t)] = coeffs.get(_th(ln.from_bus, t), 0.0) - sign * b
-                coeffs[_th(ln.to_bus, t)] = coeffs.get(_th(ln.to_bus, t), 0.0) + sign * b
-            rows.append(Row(f"da_bal[{n},{t}]", coeffs, EQ, ss.da_load.get((n, t), 0.0)))
-        rows.append(Row(f"da_ref[{t}]", {_th(net.slack_bus, t): 1.0}, EQ, 0.0))
-        for ln in net.lines:
-            b = 1.0 / ln.reactance
-            flow = {_th(ln.from_bus, t): b, _th(ln.to_bus, t): -b}
-            rows.append(Row(f"da_flow_ub[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), LE, ln.capacity))
-            rows.append(Row(f"da_flow_lb[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), GE, -ln.capacity))
+    def injection(n, t):
+        coeffs = {_pc(g.id, t): 1.0 for g in instance.units if g.bus == n}
+        coeffs.update((_pw(k.id, t, s), 1.0) for k in instance.vre_units if k.bus == n
+                      for s in range(seg_count))
+        return coeffs, ss.da_load.get((n, t), 0.0)
+
+    rows, balance = network_rows(instance, "da", _th, injection)
 
     cap_rows = []
     for k, t, s in keys:
@@ -179,26 +187,18 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
                                 {_pc(g.id, t): 1.0, _pc(g.id, prev): -1.0,
                                  _u(g.id, t): -g.ramp_up}, LE, 0.0))
 
-    w_cols = [wname(*key) for key in keys]
-    A, W = split_rows(rows, list(cost), w_cols)
-    col = {v: j for j, v in enumerate(cost)}
-    row_of = {row.name: r for r, row in enumerate(rows)}
-    bus_keys = [(n, t) for n in net.buses for t in hours]
-    return DamStructure(
-        cols=list(cost),
-        cost=np.array(list(cost.values()), dtype=float),
+    unit_keys = [(g.id, t) for g in instance.units for t in hours]
+    return DamStructure.from_rows(
+        rows, cost, {wname(*key): 0.0 for key in keys}, balance,
+        {
+            "p_conventional": (unit_keys, _pc),
+            "commitment": (unit_keys, _u),
+            "startup_cost": (unit_keys, _c),
+            "p_vre": (keys, _pw),
+            "angle": (list(balance), _th),
+        },
         keys=keys,
-        pw_cols=np.array([col[_pw(*key)] for key in keys], dtype=np.int64),
-        w_cols=w_cols,
-        rows=[row.name for row in rows],
-        sense=[row.sense for row in rows],
-        rhs=np.array([row.rhs for row in rows], dtype=float),
-        A=A,
-        W=W,
-        coupled=sparse.hstack([A, W], format="coo"),
         cap_rows=np.array(cap_rows, dtype=np.int64),
-        bus_keys=bus_keys,
-        bal_rows=np.array([row_of[f"da_bal[{n},{t}]"] for n, t in bus_keys], dtype=np.int64),
     )
 
 
@@ -213,7 +213,6 @@ class DaSchedule:
     angle: dict[tuple[str, int], float]
     f_da_bid: float
     f_da_true: float
-    var_values: dict[str, float] = field(default_factory=dict, repr=False)
     shed: dict[tuple[str, int], float] = field(default_factory=dict)
 
     def vre_total(self, k: str, t: int) -> float:
@@ -255,59 +254,37 @@ def _check_bids(instance: Instance, bids) -> tuple[int, np.ndarray, np.ndarray]:
     return seg_count, prices, qtys
 
 
+def _loaded(instance: Instance, block: DamStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The bus_keys entries with day-ahead load, and that load."""
+    load = np.array([instance.scenario_set.da_load.get(key, 0.0) for key in block.bus_keys])
+    loaded = np.flatnonzero(load > 0)
+    return loaded, load[loaded]
+
+
 def build_dam(
     instance: Instance, bids, da_slack: bool = False
 ) -> tuple[LpModel, DamStructure]:
     """Instantiate the day-ahead LP for a concrete set of bid curves.
 
-    `da_slack` adds a VoLL-priced shedding variable per bus/hour for
-    exploratory runs; the market formulation itself has none.
+    `da_slack` adds a VoLL-priced shedding variable per loaded bus/hour, in
+    its balance row, for exploratory runs; the market formulation itself has
+    none.
     """
     seg_count, prices, qtys = _check_bids(instance, bids)
     block = dam_structure(instance, seg_count)
     cost = block.cost.copy()
     cost[block.pw_cols] = prices
     model = LpModel(name="dam")
-    model.add_vars(block.cols, cost)
-    A, cols = block.A, block.cols
+    block.append_to(model, qtys, cost=cost)
     if da_slack:
-        # one shedding column per loaded bus and hour, in its balance row
-        load = np.array([instance.scenario_set.da_load.get(key, 0.0) for key in block.bus_keys])
-        loaded = np.flatnonzero(load > 0)
+        loaded, load = _loaded(instance, block)
         shed = [f"lshDA[{n},{t}]" for n, t in (block.bus_keys[i] for i in loaded)]
-        for v, ub in zip(shed, load[loaded].tolist()):
-            model.add_var(v, lb=0.0, ub=ub, obj=instance.system.voll)
-        in_balance = sparse.coo_matrix(
+        model.add_vars(shed, np.full(len(shed), instance.system.voll), 0.0, load)
+        model.add_coeffs(sparse.coo_matrix(
             (np.ones(len(shed)), (block.bal_rows[loaded], np.arange(len(shed)))),
-            shape=(len(block.rows), len(shed)),
-        )
-        A, cols = sparse.hstack([A, in_balance], format="coo"), cols + shed
-    model.add_rows(block.rows, A, block.sense, substitute(block.rhs, block.W, qtys), cols)
+            shape=(model.n_cons, len(shed)),
+        ), shed)
     return model, block
-
-
-def _schedule_from(instance: Instance, structure: DamStructure,
-                   primal: dict[str, float], objective: float) -> DaSchedule:
-    hours = instance.hours
-    x = np.fromiter(primal.values(), dtype=float, count=len(structure.cols))
-    f_true = sum((structure.cost * x).tolist())
-    shed = {}
-    for v, val in primal.items():
-        if v.startswith("lshDA["):
-            n, t = v[6:-1].rsplit(",", 1)
-            shed[(n, int(t))] = val
-            f_true += instance.system.voll * val
-    return DaSchedule(
-        p_conventional={(g.id, t): primal[_pc(g.id, t)] for g in instance.units for t in hours},
-        commitment={(g.id, t): primal[_u(g.id, t)] for g in instance.units for t in hours},
-        startup_cost={(g.id, t): primal[_c(g.id, t)] for g in instance.units for t in hours},
-        p_vre={key: primal[_pw(*key)] for key in structure.keys},
-        angle={(n, t): primal[_th(n, t)] for n in instance.network.buses for t in hours},
-        f_da_bid=objective,
-        f_da_true=f_true,
-        var_values=dict(primal),
-        shed=shed,
-    )
 
 
 def clear_dam(
@@ -317,7 +294,7 @@ def clear_dam(
     da_slack: bool = False,
 ) -> tuple[DaSchedule, DaDuals]:
     """Solve the day-ahead market and return the schedule with its duals."""
-    model, structure = build_dam(instance, bids, da_slack=da_slack)
+    model, block = build_dam(instance, bids, da_slack=da_slack)
     sol = solve(model, tol)
     if sol.status is LpStatus.INFEASIBLE:
         diags = diagnose_infeasibility(model)
@@ -327,6 +304,14 @@ def clear_dam(
         )
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
-    schedule = _schedule_from(instance, structure, sol.primal, sol.objective)
+    x = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
     y = np.fromiter(sol.duals.values(), dtype=float, count=model.n_cons)
-    return schedule, DaDuals(balance=dict(zip(structure.bus_keys, y[structure.bal_rows].tolist())))
+    n = len(block.cols)
+    f_true = sum((block.cost * x[:n]).tolist())
+    shed = {}
+    if da_slack:  # the shedding columns follow the block's
+        shed = dict(zip([block.bus_keys[i] for i in _loaded(instance, block)[0]], x[n:].tolist()))
+        for val in shed.values():
+            f_true += instance.system.voll * val
+    schedule = DaSchedule(**block.read(x), f_da_bid=sol.objective, f_da_true=f_true, shed=shed)
+    return schedule, DaDuals(balance=block.balance_duals(y))

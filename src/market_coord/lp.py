@@ -18,6 +18,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 __all__ = [
+    "Block",
     "LpModel",
     "LpSolution",
     "LpStatus",
@@ -28,7 +29,6 @@ __all__ = [
     "diagnose_infeasibility",
     "certificate_log",
     "split_rows",
-    "substitute",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -73,8 +73,8 @@ class LpModel:
     """Sparse LP in named-variable / named-constraint form (minimization).
 
     Constraint coefficients live in one coordinate list (row, column, value)
-    in the order they were added; `add_constr` appends one row and `add_rows`
-    a whole sparse block.
+    in the order they were added; `add_constr` appends one row, `add_rows`
+    a whole sparse block and `add_coeffs` terms to existing rows.
     """
 
     def __init__(self, name: str = "lp"):
@@ -91,7 +91,6 @@ class LpModel:
         self._row = array("q")
         self._col = array("q")
         self._val = array("d")
-        self.obj_offset: float = 0.0
 
     @property
     def n_vars(self) -> int:
@@ -132,8 +131,8 @@ class LpModel:
             raise ValueError("non-finite objective coefficient")
         self._extend_index(self._var_index, names, "variable")
         self.var_names.extend(names)
-        self.lb.extend(np.broadcast_to(np.asarray(lb, dtype=float), obj.shape).tolist())
-        self.ub.extend(np.broadcast_to(np.asarray(ub, dtype=float), obj.shape).tolist())
+        self.lb.extend(_bounds(lb, len(names)))
+        self.ub.extend(_bounds(ub, len(names)))
         self.obj.extend(obj.tolist())
 
     def add_obj(self, name: str, coeff: float) -> None:
@@ -164,45 +163,51 @@ class LpModel:
         self._val.extend(row.values())
         return name
 
-    def add_rows(
-        self,
-        names: Sequence[str],
-        matrix,
-        sense: Sequence[str],
-        rhs,
-        columns: Sequence[str],
-    ) -> None:
-        """Append one constraint per row of the sparse `matrix`.
+    def add_rows(self, names: Sequence[str], matrix: sparse.coo_matrix, sense: Sequence[str],
+                 rhs, columns: Sequence[str]) -> None:
+        """Append one constraint per row of the sparse COO `matrix`.
 
         Row i reads `sum_j matrix[i, j] * columns[j]  sense[i]  rhs[i]`, where
         `columns` names an existing variable for each matrix column. Rows keep
         their order and explicit zeros are dropped, as in `add_constr`.
         """
-        block = sparse.coo_matrix(matrix)
         rhs = np.asarray(rhs, dtype=float)
-        if block.shape != (len(names), len(columns)):
+        if matrix.shape != (len(names), len(columns)):
             raise ValueError(
-                f"block of shape {block.shape} for {len(names)} rows "
+                f"block of shape {matrix.shape} for {len(names)} rows "
                 f"and {len(columns)} columns"
             )
         if len(sense) != len(names) or rhs.shape != (len(names),):
             raise ValueError("one sense and one rhs per row required")
         if not set(sense) <= set(_SENSES):
             raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
-        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(block.data))):
+        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(matrix.data))):
             raise ValueError("non-finite rhs or coefficient in row block")
-        col_of = np.fromiter(
-            (self._var_index[v] for v in columns), dtype=np.int64, count=len(columns)
-        )
         start = len(self.con_names)
         self._extend_index(self._con_index, names, "constraint")
         self.con_names.extend(names)
         self.con_sense.extend(sense)
         self.con_rhs.extend(rhs.tolist())
-        keep = block.data != 0.0
-        self._row.frombytes((block.row[keep].astype(np.int64) + start).tobytes())
-        self._col.frombytes(col_of[block.col[keep]].tobytes())
-        self._val.frombytes(block.data[keep].astype(float).tobytes())
+        self._append(matrix, columns, start)
+
+    def add_coeffs(self, matrix: sparse.coo_matrix, columns: Sequence[str]) -> None:
+        """Add the sparse COO `matrix`, one row per existing constraint, to the
+        coefficients of the variables `columns`; explicit zeros are dropped."""
+        if matrix.shape != (self.n_cons, len(columns)):
+            raise ValueError(f"block of shape {matrix.shape} for {self.n_cons} rows "
+                             f"and {len(columns)} columns")
+        if not np.all(np.isfinite(matrix.data)):
+            raise ValueError("non-finite coefficient in block")
+        self._append(matrix, columns, 0)
+
+    def _append(self, matrix: sparse.coo_matrix, columns: Sequence[str], first_row: int) -> None:
+        col_of = np.fromiter(
+            (self._var_index[v] for v in columns), dtype=np.int64, count=len(columns)
+        )
+        keep = matrix.data != 0.0
+        self._row.frombytes((matrix.row[keep].astype(np.int64) + first_row).tobytes())
+        self._col.frombytes(col_of[matrix.col[keep]].tobytes())
+        self._val.frombytes(matrix.data[keep].astype(float).tobytes())
 
     @staticmethod
     def _extend_index(index: dict[str, int], names: Sequence[str], kind: str) -> None:
@@ -266,16 +271,108 @@ def split_rows(rows: Sequence[Row], cols: Sequence[str], outside: Sequence[str])
     return matrix(own, len(cols)), matrix(coupled, len(outside))
 
 
-def substitute(rhs: np.ndarray, D: sparse.coo_matrix, x) -> np.ndarray:
-    """`rhs - D @ x`: the rhs once the coupled variables are fixed at `x`.
+def _bounds(bound, n: int) -> list[float]:
+    """`n` variable bounds from one bound for all or one bound each."""
+    if np.isscalar(bound):
+        return [float(bound)] * n
+    return np.broadcast_to(np.asarray(bound, dtype=float), (n,)).tolist()
 
-    Subtracted term by term in the order of D's entries, which `split_rows`
-    keeps in row order, so each rhs is bitwise what substituting the values
-    into each row in turn gives.
+
+@dataclass(frozen=True)
+class Block:
+    """One market's LP in sparse form, built once and appended to models.
+
+    Row i reads `A[i] x + D[i] z  sense[i]  rhs[i]`, where `x` are the
+    block's own columns `cols` and `z` the columns `d_cols` it is coupled to,
+    which belong to another block. `append_to` either fixes `z` at given
+    values or keeps it as variables of the model.
     """
-    out = rhs.copy()
-    np.subtract.at(out, D.row, D.data * np.asarray(x, dtype=float)[D.col])
-    return out
+
+    cols: list[str]
+    cost: np.ndarray  # objective coefficient of each own column
+    rows: list[str]
+    sense: list[str]
+    rhs: np.ndarray  # with every coupled column at zero
+    A: sparse.coo_matrix  # rows x cols
+    d_cols: list[str]
+    d_cost: np.ndarray  # objective coefficient of each coupled column
+    D: sparse.coo_matrix  # rows x d_cols, entries in row order
+    coupled: sparse.coo_matrix  # [A | D]
+    bus_keys: list[tuple[str, int]]
+    bal_rows: np.ndarray  # balance row of each bus_keys entry
+    outputs: dict[str, tuple[list, np.ndarray]]  # result field -> (keys, column of each)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row], cost: dict[str, float],
+                  d_cost: dict[str, float], balance: dict[tuple[str, int], int],
+                  outputs: dict, **extra):
+        """The block of `rows`, built once.
+
+        `cost` and `d_cost` give the objective coefficient of each own and
+        each coupled column, in column order; `balance` the balance row of
+        each (bus, hour); `outputs` maps each result field to its keys and
+        the function naming the column of a key.
+        """
+        cols, d_cols = list(cost), list(d_cost)
+        A, D = split_rows(rows, cols, d_cols)
+        col = {v: j for j, v in enumerate(cols)}
+        return cls(
+            cols=cols,
+            cost=np.array(list(cost.values()), dtype=float),
+            rows=[row.name for row in rows],
+            sense=[row.sense for row in rows],
+            rhs=np.array([row.rhs for row in rows], dtype=float),
+            A=A,
+            d_cols=d_cols,
+            d_cost=np.array(list(d_cost.values()), dtype=float),
+            D=D,
+            coupled=sparse.hstack([A, D], format="coo"),
+            bus_keys=list(balance),
+            bal_rows=np.array(list(balance.values()), dtype=np.int64),
+            outputs={
+                field: (keys, np.array([col[name(*key)] for key in keys], dtype=np.int64))
+                for field, (keys, name) in outputs.items()
+            },
+            **extra,
+        )
+
+    def append_to(self, model: LpModel, fixed=None, rhs=None, cost=None,
+                  suffix: str = "", weight: float = 1.0) -> float:
+        """Append the block's columns and rows to `model`.
+
+        With `fixed`, the coupled columns are substituted at those values and
+        their cost, a constant, is returned. Without, they stay variables of
+        `model`, their cost joins its objective and 0.0 is returned. `rhs`
+        and `cost` replace the block's own, `suffix` ends every column and
+        row name, and every cost is scaled by `weight`.
+        """
+        rhs = self.rhs if rhs is None else rhs
+        cost = self.cost if cost is None else cost
+        cols = [v + suffix for v in self.cols] if suffix else self.cols
+        rows = [r + suffix for r in self.rows] if suffix else self.rows
+        d_cost = weight * self.d_cost
+        model.add_vars(cols, weight * cost)
+        if fixed is not None:
+            fixed = np.asarray(fixed, dtype=float)
+            # rhs - D @ fixed, subtracted term by term in row order, as
+            # substituting the values into each row in turn does
+            rhs = rhs.copy()
+            np.subtract.at(rhs, self.D.row, self.D.data * fixed[self.D.col])
+            model.add_rows(rows, self.A, self.sense, rhs, cols)
+            return sum((d_cost * fixed).tolist())
+        for v, c in zip(self.d_cols, d_cost.tolist()):
+            model.add_obj(v, c)
+        model.add_rows(rows, self.coupled, self.sense, rhs, cols + self.d_cols)
+        return 0.0
+
+    def read(self, x: np.ndarray) -> dict[str, dict]:
+        """Each result field as {key: value} from the primal `x`."""
+        return {field: dict(zip(keys, x[cols].tolist()))
+                for field, (keys, cols) in self.outputs.items()}
+
+    def balance_duals(self, y: np.ndarray) -> dict[tuple[str, int], float]:
+        """The dual of each (bus, hour) balance row, its LMP, from the duals `y`."""
+        return dict(zip(self.bus_keys, y[self.bal_rows].tolist()))
 
 
 @dataclass
@@ -433,7 +530,7 @@ def solve(model: LpModel, tol: ToleranceConfig = DEFAULT_TOL) -> LpSolution:
         )
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        objective=float(res.fun) + model.obj_offset,
+        objective=float(res.fun),
         primal=primal,
         duals=duals,
         certificates=certs,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dam import DaDuals, DaSchedule, clear_dam, dam_structure
-from .lp import LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve, substitute
+from .lp import LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
 from .model import BidCurve, Instance, expected_vre
-from .rtm import RtDispatch, expected_rt_cost, rtm_structure
+from .rtm import RtDispatch, append_scenarios, expected_rt_cost
 
 __all__ = [
     "PolicyResult",
@@ -94,11 +94,8 @@ def stochastic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL) -> Policy
     block = dam_structure(instance, 1)
     caps = [k.capacity for k in instance.vre_units for t in instance.hours]
     model = LpModel(name="std")
-    model.add_vars(block.cols, block.cost)
-    model.add_rows(block.rows, block.A, block.sense, substitute(block.rhs, block.W, caps),
-                   block.cols)
-    for scen in instance.scenario_set.scenarios:
-        rtm_structure(instance, scen, suffix=f"@{scen.id}").append_to(model, scen.probability)
+    block.append_to(model, caps)
+    append_scenarios(instance, model)
     sol = solve(model, tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")

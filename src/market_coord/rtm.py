@@ -2,12 +2,14 @@
 
 A scenario enters its real-time LP only through the right-hand side (its
 real-time load and realized VRE output), and so does the day-ahead schedule.
-Each instance therefore carries one sparse template, built on first use: the
-matrix over the real-time variables, the coupling matrix `D` over the
-day-ahead `pC`/`uDA`/`cDA` variables, the costs and the row senses.
-`rtm_structure` pairs it with one scenario's rhs. `clear_rtm` substitutes a
-fixed schedule as `rhs - D @ x_DA`; the stochastic and bilevel modules append
-the block with `D` kept, so the day-ahead variables are shared decisions.
+Each instance therefore carries one `lp.Block`, its template, built on first
+use: the matrix over the real-time variables, the coupling `D` to the
+day-ahead `pC`/`uDA`/`cDA` variables, the costs and the row senses. Its
+network rows come from `dam.network_rows`, as the day-ahead block's do.
+`rtm_structure` pairs the template with one scenario's rhs. `build_rtm`
+appends it with the day-ahead schedule fixed (`rhs - D @ x_DA`); the
+stochastic and bilevel modules append every scenario's block with `D` kept
+(`append_scenarios`), so the day-ahead variables are shared decisions.
 """
 from __future__ import annotations
 
@@ -16,11 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .dam import DaSchedule
-from .lp import EQ, GE, LE, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL, solve
-from .lp import split_rows, substitute
+from .dam import DaSchedule, hourly, network_rows
+from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL, solve
 from .model import Instance, Scenario, cached
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "rtm_structure",
     "build_rtm",
     "clear_rtm",
+    "append_scenarios",
     "expected_rt_cost",
     "thread_count",
 ]
@@ -38,69 +39,25 @@ class RtmError(RuntimeError):
     """RT infeasibility; should not occur given shedding and curtailment backstops."""
 
 
-def _ru(i, t):
-    return f"rU[{i},{t}]"
-
-
-def _rd(i, t):
-    return f"rD[{i},{t}]"
-
-
-def _urt(i, t):
-    return f"uRT[{i},{t}]"
-
-
-def _crt(i, t):
-    return f"cRT[{i},{t}]"
-
-
-def _cr(k, t):
-    return f"pCr[{k},{t}]"
-
-
-def _sh(n, t):
-    return f"lsh[{n},{t}]"
-
-
-def _th(n, t):
-    return f"thRT[{n},{t}]"
-
-
-def _pc(i, t):
-    return f"pC[{i},{t}]"
-
-
-def _uda(i, t):
-    return f"uDA[{i},{t}]"
-
-
-def _cda(i, t):
-    return f"cDA[{i},{t}]"
+_ru, _rd, _urt, _crt, _cr, _sh, _th = map(hourly, ("rU", "rD", "uRT", "cRT", "pCr", "lsh", "thRT"))
+_pc, _uda, _cda = map(hourly, ("pC", "uDA", "cDA"))  # the day-ahead columns
 
 
 @dataclass(frozen=True)
-class _Template:
-    """Scenario-independent sparse form of an instance's real-time LP."""
+class _Template(Block):
+    """Scenario-independent block of an instance's real-time LP.
 
-    cols: list[str]  # real-time variables
-    cost: np.ndarray  # re-dispatch cost of each real-time variable
-    rows: list[str]
-    sense: list[str]
-    A: sparse.coo_matrix  # rows x real-time variables
-    da_cols: list[str]  # day-ahead variables the rows couple to
-    D: sparse.coo_matrix  # rows x day-ahead variables, entries in row order
-    coupled: sparse.coo_matrix  # [A | D]
-    da_obj: np.ndarray  # coefficient of each day-ahead variable in f_RT
-    rhs: np.ndarray  # the scenario-independent part of the rhs
+    Its coupled columns are the day-ahead `pC`/`uDA`/`cDA` variables, and
+    `d_cost` their coefficients in f_RT.
+    """
+
     load_rows: np.ndarray  # rows whose rhs is the real-time load at load_keys
     load_keys: list[tuple[str, int]]
     vre_rows: np.ndarray  # rows whose rhs gains vre_sign * output at vre_keys
     vre_keys: list[tuple[str, int]]
     vre_sign: np.ndarray
-    # RtDispatch field -> (keys, column of each key)
-    outputs: dict[str, tuple[list, np.ndarray]]
-    bus_keys: list[tuple[str, int]]
-    bal_rows: np.ndarray  # balance row of each bus_keys entry
+    # DaSchedule field -> (keys, position of each key in d_cols)
+    schedule: dict[str, tuple[list, np.ndarray]]
 
     def scenario_rhs(self, scenario: Scenario) -> np.ndarray:
         rhs = self.rhs.copy()
@@ -110,17 +67,21 @@ class _Template:
         np.add.at(rhs, self.vre_rows, self.vre_sign * vre)
         return rhs
 
+    def day_ahead(self, da: DaSchedule) -> np.ndarray:
+        """The coupled columns' values in the schedule `da`."""
+        x = np.empty(len(self.d_cols))
+        for name, (keys, at) in self.schedule.items():
+            values = getattr(da, name)
+            x[at] = [values[key] for key in keys]
+        return x
+
 
 def _build_template(instance: Instance) -> _Template:
-    net = instance.network
     hours = instance.hours
     voll = instance.system.voll
 
     cost: dict[str, float] = {}
     da_obj: dict[str, float] = {}
-    rows: list[Row] = []
-    load_at: list[tuple[int, tuple[str, int]]] = []
-    vre_at: list[tuple[int, tuple[str, int], float]] = []
 
     for g in instance.units:
         for t in hours:
@@ -134,37 +95,29 @@ def _build_template(instance: Instance) -> _Template:
     for k in instance.vre_units:
         for t in hours:
             cost[_cr(k.id, t)] = 0.0
-    for n in net.buses:
+    for n in instance.network.buses:
         for t in hours:
             cost[_sh(n, t)] = voll
             cost[_th(n, t)] = 0.0
 
-    for t in hours:
-        for n in net.buses:
-            coeffs: dict[str, float] = {}
-            load_at.append((len(rows), (n, t)))
-            for g in instance.units:
-                if g.bus == n:
-                    coeffs[_ru(g.id, t)] = 1.0
-                    coeffs[_rd(g.id, t)] = -1.0
-                    coeffs[_pc(g.id, t)] = 1.0  # DA coupling
-            for k in instance.vre_units:
-                if k.bus == n:
-                    coeffs[_cr(k.id, t)] = -1.0
-                    vre_at.append((len(rows), (k.id, t), -1.0))
-            coeffs[_sh(n, t)] = 1.0
-            for _, ln, sign in net.incident_lines(n):
-                b = 1.0 / ln.reactance
-                fr, to = _th(ln.from_bus, t), _th(ln.to_bus, t)
-                coeffs[fr] = coeffs.get(fr, 0.0) - sign * b
-                coeffs[to] = coeffs.get(to, 0.0) + sign * b
-            rows.append(Row(f"rt_bal[{n},{t}]", coeffs, EQ, 0.0))
-        rows.append(Row(f"rt_ref[{t}]", {_th(net.slack_bus, t): 1.0}, EQ, 0.0))
-        for ln in net.lines:
-            b = 1.0 / ln.reactance
-            flow = {_th(ln.from_bus, t): b, _th(ln.to_bus, t): -b}
-            rows.append(Row(f"rt_flow_ub[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), LE, ln.capacity))
-            rows.append(Row(f"rt_flow_lb[{ln.from_bus},{ln.to_bus},{t}]", dict(flow), GE, -ln.capacity))
+    def injection(n, t):
+        coeffs: dict[str, float] = {}
+        for g in instance.units:
+            if g.bus == n:
+                coeffs[_ru(g.id, t)] = 1.0
+                coeffs[_rd(g.id, t)] = -1.0
+                coeffs[_pc(g.id, t)] = 1.0  # DA coupling
+        for k in instance.vre_units:
+            if k.bus == n:
+                coeffs[_cr(k.id, t)] = -1.0
+        coeffs[_sh(n, t)] = 1.0
+        return coeffs, 0.0
+
+    rows, balance = network_rows(instance, "rt", _th, injection)
+    # a balance row's rhs is the load less the VRE output at its bus
+    load_at = [(r, key) for key, r in balance.items()]
+    vre_at = [(r, (k.id, t), -1.0) for (n, t), r in balance.items()
+              for k in instance.vre_units if k.bus == n]
 
     for g in instance.units:
         for idx, t in enumerate(hours):
@@ -210,49 +163,36 @@ def _build_template(instance: Instance) -> _Template:
             rows.append(Row(f"rt_cr_lb[{k.id},{t}]", {_cr(k.id, t): 1.0}, GE, 0.0))
             vre_at.append((len(rows), (k.id, t), 1.0))
             rows.append(Row(f"rt_cr_ub[{k.id},{t}]", {_cr(k.id, t): 1.0}, LE, 0.0))
-    for n in net.buses:
+    for n in instance.network.buses:
         for t in hours:
             rows.append(Row(f"rt_sh_lb[{n},{t}]", {_sh(n, t): 1.0}, GE, 0.0))
             load_at.append((len(rows), (n, t)))
             rows.append(Row(f"rt_sh_ub[{n},{t}]", {_sh(n, t): 1.0}, LE, 0.0))
 
-    A, D = split_rows(rows, list(cost), list(da_obj))
-    col = {v: j for j, v in enumerate(cost)}
-
-    def columns(name, keys):
-        return np.array([col[name(*key)] for key in keys], dtype=np.int64)
-
     unit_keys = [(g.id, t) for g in instance.units for t in hours]
     vre_keys = [(k.id, t) for k in instance.vre_units for t in hours]
-    bus_keys = [(n, t) for n in net.buses for t in hours]
-    row_of = {row.name: r for r, row in enumerate(rows)}
-    return _Template(
-        cols=list(cost),
-        cost=np.array(list(cost.values())),
-        rows=[row.name for row in rows],
-        sense=[row.sense for row in rows],
-        A=A,
-        da_cols=list(da_obj),
-        D=D,
-        coupled=sparse.hstack([A, D], format="coo"),
-        da_obj=np.array(list(da_obj.values())),
-        rhs=np.array([row.rhs for row in rows]),
+    bus_keys = list(balance)
+    d_at = {v: j for j, v in enumerate(da_obj)}
+    return _Template.from_rows(
+        rows, cost, da_obj, balance,
+        {
+            "r_up": (unit_keys, _ru),
+            "r_down": (unit_keys, _rd),
+            "commitment": (unit_keys, _urt),
+            "startup_cost": (unit_keys, _crt),
+            "curtailment": (vre_keys, _cr),
+            "shed": (bus_keys, _sh),
+            "angle": (bus_keys, _th),
+        },
         load_rows=np.array([r for r, _ in load_at], dtype=np.int64),
         load_keys=[key for _, key in load_at],
         vre_rows=np.array([r for r, _, _ in vre_at], dtype=np.int64),
         vre_keys=[key for _, key, _ in vre_at],
         vre_sign=np.array([sign for _, _, sign in vre_at]),
-        outputs={
-            "r_up": (unit_keys, columns(_ru, unit_keys)),
-            "r_down": (unit_keys, columns(_rd, unit_keys)),
-            "commitment": (unit_keys, columns(_urt, unit_keys)),
-            "startup_cost": (unit_keys, columns(_crt, unit_keys)),
-            "curtailment": (vre_keys, columns(_cr, vre_keys)),
-            "shed": (bus_keys, columns(_sh, bus_keys)),
-            "angle": (bus_keys, columns(_th, bus_keys)),
+        schedule={
+            name: (unit_keys, np.array([d_at[col(*key)] for key in unit_keys], dtype=np.int64))
+            for name, col in (("p_conventional", _pc), ("commitment", _uda), ("startup_cost", _cda))
         },
-        bus_keys=bus_keys,
-        bal_rows=np.array([row_of[f"rt_bal[{n},{t}]"] for n, t in bus_keys], dtype=np.int64),
     )
 
 
@@ -261,33 +201,19 @@ def _template(instance: Instance) -> _Template:
     return cached(instance, "_rtm_template", lambda: _build_template(instance))
 
 
-@dataclass(frozen=True)
-class RtBlock:
-    """One scenario's real-time LP: the instance's template and this rhs."""
-
-    template: _Template
-    rhs: np.ndarray
-    suffix: str
-
-    def append_to(self, model: LpModel, weight: float) -> None:
-        """Append the block, coupled to the day-ahead variables `model` holds.
-
-        Variable and row names carry the block's suffix; costs, including the
-        day-ahead terms of f_RT, are scaled by `weight`.
-        """
-        tpl = self.template
-        cols = [v + self.suffix for v in tpl.cols]
-        model.add_vars(cols, weight * tpl.cost)
-        for v, c in zip(tpl.da_cols, tpl.da_obj.tolist()):
-            model.add_obj(v, weight * c)
-        model.add_rows([r + self.suffix for r in tpl.rows], tpl.coupled, tpl.sense,
-                       self.rhs, cols + tpl.da_cols)
-
-
-def rtm_structure(instance: Instance, scenario: Scenario, suffix: str = "") -> RtBlock:
-    """The real-time block of one scenario; names get `suffix` when appended."""
+def rtm_structure(instance: Instance, scenario: Scenario) -> tuple[_Template, np.ndarray]:
+    """The real-time block of one scenario: the instance's template and its rhs."""
     tpl = _template(instance)
-    return RtBlock(tpl, tpl.scenario_rhs(scenario), suffix)
+    return tpl, tpl.scenario_rhs(scenario)
+
+
+def append_scenarios(instance: Instance, model: LpModel) -> None:
+    """Append every scenario's real-time block to `model`, which holds the
+    day-ahead variables they share; names carry `@<scenario id>` and costs,
+    including the day-ahead terms of f_RT, are weighted by probability."""
+    for scen in instance.scenario_set.scenarios:
+        tpl, rhs = rtm_structure(instance, scen)
+        tpl.append_to(model, rhs=rhs, suffix=f"@{scen.id}", weight=scen.probability)
 
 
 @dataclass
@@ -306,19 +232,16 @@ class RtDispatch:
     lmp: dict[tuple[str, int], float] = field(default_factory=dict)
 
 
-def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpModel, RtBlock, float]:
+def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpModel, _Template, float]:
     """RT LP for one scenario with the DA schedule substituted into the rhs.
 
-    Returns (model, block, objective offset); f_RT equals the LP objective
-    plus the offset, which carries the constant -C0 * uDA terms.
+    Returns (model, template, objective offset); f_RT equals the LP
+    objective plus the offset, which carries the constant -C0 * uDA terms.
     """
-    block = rtm_structure(instance, _find_scenario(instance, scenario_id))
-    tpl = block.template
-    x = np.array([da.var_values[v] for v in tpl.da_cols])
+    tpl, rhs = rtm_structure(instance, _find_scenario(instance, scenario_id))
     model = LpModel(name=f"rtm[{scenario_id}]")
-    model.add_vars(tpl.cols, tpl.cost)
-    model.add_rows(tpl.rows, tpl.A, tpl.sense, substitute(block.rhs, tpl.D, x), tpl.cols)
-    return model, block, sum((tpl.da_obj * x).tolist())
+    offset = tpl.append_to(model, tpl.day_ahead(da), rhs=rhs)
+    return model, tpl, offset
 
 
 def _find_scenario(instance: Instance, scenario_id: str) -> Scenario:
@@ -335,21 +258,20 @@ def clear_rtm(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RtDispatch:
     """Solve one scenario's re-dispatch; pure function of its inputs."""
-    model, block, offset = build_rtm(instance, da, scenario_id)
+    model, tpl, offset = build_rtm(instance, da, scenario_id)
     sol = solve(model, tol)
     if sol.status is not LpStatus.OPTIMAL:
         raise RtmError(
             f"real-time dispatch for scenario {scenario_id!r} ended "
             f"{sol.status.value}; shedding/curtailment backstops should prevent this"
         )
-    tpl = block.template
     x = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
     y = np.fromiter(sol.duals.values(), dtype=float, count=model.n_cons)
     return RtDispatch(
         scenario_id=scenario_id,
-        **{name: dict(zip(keys, x[cols].tolist())) for name, (keys, cols) in tpl.outputs.items()},
+        **tpl.read(x),
         f_rt=sol.objective + offset,
-        lmp=dict(zip(tpl.bus_keys, y[tpl.bal_rows].tolist())),
+        lmp=tpl.balance_duals(y),
     )
 
 

@@ -60,7 +60,7 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     col_at = {v: j for j, v in enumerate(relaxed.var_names)}
     matrix = relaxed._matrix()
     cols = [col_at[v] for v in block.cols]
-    w_cols = [col_at[v] for v in block.w_cols]
+    w_cols = [col_at[v] for v in block.d_cols]
     y_cols = [col_at[f"y[{r}]"] for r in block.rows]
 
     # the lower level with W fixed at the bid quantities is the day-ahead LP

@@ -149,5 +149,4 @@ def test_cached_block_keeps_no_bid_prices():
     fresh = evaluate_bids(mio.bundled_instance("sys3"), a)
     for result in (again, fresh):
         assert result.s_total == first.s_total
-        assert result.da.f_da_bid == first.da.f_da_bid
-        assert result.da.var_values == first.da.var_values
+        assert result.da == first.da  # every schedule field, both cost measures

@@ -1,13 +1,15 @@
 """Real-time re-dispatch: scenario costs, coupling rules, and backstops."""
 import dataclasses
 
+import numpy as np
 import pytest
 
-from market_coord import io as mio, rtm
+from market_coord import io as mio, policies, rtm
 from market_coord.dam import clear_dam, dam_structure
+from market_coord.lp import solve
 from market_coord.model import BidCurve
-from market_coord.policies import evaluate_bids, myopic_bids
-from market_coord.rtm import clear_rtm, expected_rt_cost, thread_count
+from market_coord.policies import evaluate_bids, myopic_bids, stochastic
+from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost, thread_count
 from conftest import single_scenario, zero_bid
 
 
@@ -141,6 +143,44 @@ def test_template_built_once_and_warm_scores_bitwise_equal():
     assert rtm._template(inst) is template
     assert warm.s_total == cold.s_total
     assert warm.rt_dispatches == cold.rt_dispatches
+
+
+@pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
+def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatch):
+    inst = bundled[name]
+    models = []
+    monkeypatch.setattr(policies, "solve", lambda model, tol: models.append(model) or solve(model, tol))
+    stochastic(inst)
+    (std,) = models
+    da, _ = clear_dam(inst, myopic_bids(inst))
+    row_at = {r: i for i, r in enumerate(std.con_names)}
+    col_at = {v: j for j, v in enumerate(std.var_names)}
+    matrix = std._matrix()
+
+    # the day-ahead schedule at the stochastic LP's day-ahead columns, which
+    # come first, as in the day-ahead block
+    x = np.zeros(std.n_vars)
+    for field in ("p_conventional", "commitment", "startup_cost"):
+        keys, cols = dam_structure(inst, 1).outputs[field]
+        x[cols] = [getattr(da, field)[key] for key in keys]
+
+    for scen in inst.scenario_set.scenarios:
+        rt, tpl, _ = build_rtm(inst, da, scen.id)
+        rows = [row_at[f"{r}@{scen.id}"] for r in tpl.rows]
+        cols = [col_at[f"{v}@{scen.id}"] for v in tpl.cols]
+        d_cols = [col_at[v] for v in tpl.d_cols]
+        block = matrix[rows]
+        assert block.nnz == block[:, cols].nnz + block[:, d_cols].nnz
+        assert [std.con_sense[i] for i in rows] == rt.con_sense
+        assert (block[:, cols] != rt._matrix()).nnz == 0
+
+        # fixing the day-ahead columns term by term, in the order the rows
+        # hold them, turns the scenario's rhs b_s into b_s - D x exactly
+        row, col, val = (np.array(a) for a in (std._row, std._col, std._val))
+        on = np.isin(row, rows) & np.isin(col, d_cols)
+        rhs = np.array(std.con_rhs)
+        np.subtract.at(rhs, row[on], val[on] * x[col[on]])
+        assert rhs[rows].tolist() == rt.con_rhs
 
 
 def _spike(instance):
