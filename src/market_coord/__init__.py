@@ -13,7 +13,7 @@ from .model import (
     expected_vre,
     validate,
 )
-from .lp import LpModel, LpSolution, LpStatus, SolverError, ToleranceConfig, solve
+from .lp import LpModel, LpSolution, LpStatus, SolverError, solve
 from .dam import DaDuals, DamInfeasibleError, DaSchedule, build_dam, clear_dam
 from .rtm import RtDispatch, build_rtm, clear_rtm, expected_rt_cost
 from .policies import (

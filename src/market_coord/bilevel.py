@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .dam import DamStructure, DaSchedule, dam_structure, wname
-from .lp import GE, LE, EQ, LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
+from .dam import DamStructure, DaSchedule, dam_structure
+from .lp import GE, LE, EQ, LpModel, LpStatus, solve
 from .model import BidCurve, Instance
 from .policies import PolicyResult, evaluate_bids, myopic_bids
 from .rtm import append_scenarios
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 THEOREM_TOL = 0.005  # relative; mirrors the reported multi- vs single-segment gap
+ORACLE_MAX_DIMS = 4  # (unit, hour, segment) dimensions the grid oracle enumerates at most
+# The terms of one key's McCormick rows mc1..mc4 (see build_relaxed_bid) in
+# row order: the row of each term and its factor, 0 for v, 1 for w, 2 for y
+_MC_ROW = np.array([0, 0, 1, 1, 2, 2, 2, 3])
+_MC_FACTOR = np.array([0, 1, 0, 2, 0, 1, 2, 0])
 
 
 @dataclass(frozen=True)
@@ -96,18 +102,19 @@ def build_relaxed_bid(
     bid_cost = block.cost.copy()
     bid_cost[block.pw_cols] = [cfg.prices[s] for _k, _t, s in block.keys]
     model = LpModel(name="relaxed-bid")
+    n_keys = len(block.keys)
+    w_bar = np.array([instance.vre(k).capacity for k, _t, _s in block.keys], dtype=float)
 
-    # upper level: bid quantities, per segment and in total within capacity
-    for k in instance.vre_units:
-        for t in instance.hours:
-            for s in range(cfg.seg_count):
-                model.add_var(wname(k.id, t, s), lb=0.0, ub=k.capacity)
-            model.add_constr(
-                f"w_total[{k.id},{t}]",
-                {wname(k.id, t, s): 1.0 for s in range(cfg.seg_count)},
-                LE,
-                k.capacity,
-            )
+    # upper level: bid quantities, per segment and in total within capacity;
+    # each (unit, hour) owns seg_count consecutive keys
+    totals = [(k, t) for k in instance.vre_units for t in instance.hours]
+    model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
+    model.add_rows(
+        [f"w_total[{k.id},{t}]" for k, t in totals],
+        sparse.coo_matrix((np.ones(n_keys), (np.repeat(np.arange(len(totals)), cfg.seg_count),
+                                             np.arange(n_keys))), shape=(len(totals), n_keys)),
+        [LE] * len(totals), [k.capacity for k, _t in totals], block.d_cols,
+    )
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
     primal_at = model.n_vars
@@ -126,26 +133,30 @@ def build_relaxed_bid(
     model.add_rows([f"dual[{v}]" for v in block.cols], block.A.T, [EQ] * len(block.cols),
                    bid_cost, duals)
 
-    # auxiliaries for the dual-objective products, with their envelopes
-    aux_terms: list[str] = []
-    for (k, t, s), w, r in zip(block.keys, block.d_cols, block.cap_rows.tolist()):
-        y = duals[r]
-        w_bar = instance.vre(k).capacity
-        v = model.add_var(f"v[{k},{t},{s}]")
-        aux_terms.append(v)
-        model.add_constr(f"mc1[{k},{t},{s}]", {v: 1.0, w: lam_bar}, GE, 0.0)
-        model.add_constr(f"mc2[{k},{t},{s}]", {v: 1.0, y: -w_bar}, GE, 0.0)
-        model.add_constr(
-            f"mc3[{k},{t},{s}]", {v: 1.0, w: lam_bar, y: -w_bar}, LE, lam_bar * w_bar
-        )
-        model.add_constr(f"mc4[{k},{t},{s}]", {v: 1.0}, LE, 0.0)
+    # auxiliaries v for the dual-objective products y * w, with their
+    # envelopes v + lam_bar w >= 0, v - w_bar y >= 0,
+    # v + lam_bar w - w_bar y <= lam_bar w_bar and v <= 0, key by key
+    tags = [f"{k},{t},{s}" for k, t, s in block.keys]
+    aux = [f"v[{tag}]" for tag in tags]
+    model.add_vars(aux, np.zeros(n_keys))
+    key = np.arange(n_keys)[:, None]
+    coeff = np.stack([np.ones(n_keys), np.full(n_keys, lam_bar), -w_bar])
+    rhs = np.zeros((n_keys, 4))
+    rhs[:, 2] = lam_bar * w_bar
+    model.add_rows(
+        [f"mc{i}[{tag}]" for tag in tags for i in range(1, 5)],
+        sparse.coo_matrix((coeff[_MC_FACTOR, key].ravel(),
+                           ((4 * key + _MC_ROW).ravel(), (_MC_FACTOR * n_keys + key).ravel())),
+                          shape=(4 * n_keys, 3 * n_keys)),
+        [GE, GE, LE, LE] * n_keys, rhs.ravel(),
+        aux + block.d_cols + [duals[r] for r in block.cap_rows.tolist()],
+    )
 
     # strong duality: lower primal objective equals the dual objective,
     # with each product replaced by its auxiliary
-    sd = {v: c for v, c in zip(block.cols, bid_cost.tolist()) if c}
-    sd.update((y, -b) for y, b in zip(duals, block.rhs.tolist()) if b)
-    sd.update(dict.fromkeys(aux_terms, -1.0))
-    model.add_constr("strong_duality", sd, EQ, 0.0)
+    sd = np.concatenate([bid_cost, -block.rhs, -np.ones(n_keys)])
+    model.add_rows(["strong_duality"], sparse.coo_matrix(sd[None, :]), [EQ], [0.0],
+                   block.cols + duals + aux)
 
     # re-dispatch blocks, coupled to the shared day-ahead schedule
     append_scenarios(instance, model)
@@ -206,13 +217,12 @@ def solve_bid(
     instance: Instance,
     prices,
     bounds: McCormickBounds = McCormickBounds(),
-    tol: ToleranceConfig = DEFAULT_TOL,
     policy_name: str = "BiD",
 ) -> BilevelSolution:
     """Optimize bid quantities for fixed prices and score them sequentially."""
     cfg = _as_prices(prices)
     model, ctx = build_relaxed_bid(instance, cfg, bounds)
-    sol = solve(model, tol)
+    sol = solve(model)
     if sol.status is LpStatus.INFEASIBLE:
         raise RuntimeError(
             "relaxed bid LP is infeasible; the dual bound box may be too tight"
@@ -225,22 +235,21 @@ def solve_bid(
     # with the objective pinned, preferring quantities in cheap segments and
     # the least total quantity; that vertex needs the least envelope slack.
     relaxed_objective = sol.objective
-    obj_coeffs = {v: c for v, c in zip(model.var_names, model.obj) if c}
     cap = relaxed_objective + 1e-7 * max(1.0, abs(relaxed_objective))
-    model.add_constr("relaxed_opt_cap", obj_coeffs, LE, cap)
-    for idx in range(model.n_vars):
-        model.obj[idx] = 0.0
+    model.add_rows(["relaxed_opt_cap"],
+                   sparse.coo_matrix(np.array(model.obj)[None, :]), [LE], [cap], model.var_names)
+    model.obj = [0.0] * model.n_vars
     for (_k, _t, s), w in zip(ctx.structure.keys, ctx.structure.d_cols):
         model.add_obj(w, cfg.prices[s] + 1e-3 + 1e-6 * s)
-    refined = solve(model, tol)
+    refined = solve(model)
     if refined.status is LpStatus.OPTIMAL:
         sol = refined
 
-    z = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
+    z = sol.primal
     w, y = z[ctx.quantities], z[ctx.duals]
     quantities = dict(zip(ctx.structure.keys, w.tolist()))
     bids = _bids_from_quantities(instance, cfg.prices, quantities)
-    result = evaluate_bids(instance, bids, tol, policy=policy_name)
+    result = evaluate_bids(instance, bids, policy=policy_name)
 
     # lower-level strong-duality residual with the true bilinear products
     structure = ctx.structure
@@ -263,10 +272,9 @@ def solve_bid(
 def solve_bid_q(
     instance: Instance,
     bounds: McCormickBounds = McCormickBounds(),
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> BilevelSolution:
     """Quantity-only variant: one segment at zero price."""
-    return solve_bid(instance, (0.0,), bounds, tol, policy_name="BiD-q")
+    return solve_bid(instance, (0.0,), bounds, policy_name="BiD-q")
 
 
 @dataclass
@@ -293,12 +301,10 @@ def verify_theorem1(
     instance: Instance,
     prices,
     bounds: McCormickBounds = McCormickBounds(),
-    tol: ToleranceConfig = DEFAULT_TOL,
-    theorem_tol: float = THEOREM_TOL,
 ) -> TheoremReport:
     cfg = _as_prices(prices)
-    multi = solve_bid(instance, cfg, bounds, tol)
-    single = solve_bid_q(instance, bounds, tol)
+    multi = solve_bid(instance, cfg, bounds)
+    single = solve_bid_q(instance, bounds)
     scale = max(1.0, abs(single.s_bid))
     gap = abs(multi.s_bid - single.s_bid) / scale
     has_zero = any(abs(p) < 1e-12 for p in cfg.prices)
@@ -307,8 +313,8 @@ def verify_theorem1(
         s_bid_q=single.s_bid,
         relative_gap=gap,
         has_zero_segment=has_zero,
-        tolerance=theorem_tol,
-        passed=(gap <= theorem_tol) if has_zero else None,
+        tolerance=THEOREM_TOL,
+        passed=(gap <= THEOREM_TOL) if has_zero else None,
     )
 
 
@@ -333,14 +339,12 @@ def oracle_grid_search(
     instance: Instance,
     prices,
     grid_step: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_dims: int = 4,
 ) -> tuple[list[BidCurve], float]:
     """Exhaustive quantity search; the independent ground truth for solve_bid.
 
     Enumerates every grid point of [0, capacity] per (unit, hour, segment)
     dimension, scoring each with the sequential pipeline. Intended for tiny
-    instances only; guarded by `max_dims`.
+    instances only; guarded by `ORACLE_MAX_DIMS`.
     """
     cfg = _as_prices(prices)
     dims = [
@@ -349,9 +353,9 @@ def oracle_grid_search(
         for t in instance.hours
         for s in range(cfg.seg_count)
     ]
-    if len(dims) > max_dims:
+    if len(dims) > ORACLE_MAX_DIMS:
         raise ValueError(
-            f"grid search over {len(dims)} dimensions exceeds the guard of {max_dims}"
+            f"grid search over {len(dims)} dimensions exceeds the guard of {ORACLE_MAX_DIMS}"
         )
     if grid_step <= 0:
         raise ValueError("grid step must be > 0")
@@ -379,7 +383,7 @@ def oracle_grid_search(
         if not ok:
             continue
         bids = _bids_from_quantities(instance, cfg.prices, q)
-        s_val = evaluate_bids(instance, bids, tol).s_total
+        s_val = evaluate_bids(instance, bids).s_total
         if s_val < best_s - 1e-12:
             best_s = s_val
             best_q = q
@@ -451,18 +455,17 @@ def price_sweep(
     instance: Instance,
     price_points,
     bounds: McCormickBounds = McCormickBounds(),
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SweepTable:
     """Score MyD-at-price and BiD-at-price over single-segment price points."""
     table = SweepTable()
     for price in price_points:
-        bid_sol = solve_bid(instance, (price,), bounds, tol)
+        bid_sol = solve_bid(instance, (price,), bounds)
         myd_bids = [
             BidCurve(owner=b.owner, hour=b.hour,
                      segments=((price, b.segments[0][1]),))
             for b in myopic_bids(instance)
         ]
-        myd = evaluate_bids(instance, myd_bids, tol, policy="MyD")
+        myd = evaluate_bids(instance, myd_bids, policy="MyD")
         bid_res = bid_sol.policy_result
         da_lmp_b, rt_lmp_b = _load_weighted_lmps(instance, bid_res)
         da_lmp_m, rt_lmp_m = _load_weighted_lmps(instance, myd)

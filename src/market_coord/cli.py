@@ -51,9 +51,15 @@ def _emit(ctx_obj, payload: dict, human: str) -> None:
         click.echo(human)
 
 
-def _write_csv(outdir: str, name: str, header: list[str], rows) -> Path:
-    path = Path(outdir) / name
+def _output(obj, name: str) -> Path:
+    """The path of output file `name` in `--output`, which is made if missing."""
+    path = Path(obj["output"]) / name
     path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_csv(obj, name: str, header: list[str], rows) -> Path:
+    path = _output(obj, name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -69,7 +75,7 @@ def _write_csv(outdir: str, name: str, header: list[str], rows) -> Path:
 @click.option("--output", "-o", default=".", show_default=True,
               help="Directory for CSV outputs.")
 @click.option("--json", "json_out", is_flag=True, help="Machine-readable stdout.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Scenario fan-out width (MARKET_COORD_THREADS also honored).")
 @click.pass_context
 def main(ctx, instance, scenarios, output, json_out, threads):
@@ -101,12 +107,12 @@ def clear_da_cmd(obj, bids_path, da_slack):
     except DamInfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
-    _write_csv(obj["output"], "da_schedule.csv",
+    _write_csv(obj, "da_schedule.csv",
                ["unit_id", "hour", "p_mw", "commitment", "startup_usd"],
                [[i, t, da.p_conventional[(i, t)], da.commitment[(i, t)],
                  da.startup_cost[(i, t)]]
                 for (i, t) in sorted(da.p_conventional)])
-    _write_csv(obj["output"], "da_lmp.csv", ["bus", "hour", "lmp_usd_per_mwh"],
+    _write_csv(obj, "da_lmp.csv", ["bus", "hour", "lmp_usd_per_mwh"],
                [[n, t, duals.balance[(n, t)]] for (n, t) in sorted(duals.balance)])
     _emit(obj, {"f_da_bid_usd": da.f_da_bid, "f_da_true_usd": da.f_da_true},
           f"DAM cleared: f_DA(bid)=${da.f_da_bid:.2f}, f_DA(true)=${da.f_da_true:.2f}")
@@ -128,7 +134,7 @@ def clear_rt_cmd(obj, scenario, bids_path):
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
     disp = clear_rtm(inst, da, scenario)
-    _write_csv(obj["output"], f"rt_{scenario}.csv",
+    _write_csv(obj, f"rt_{scenario}.csv",
                ["unit_id", "hour", "r_up_mw", "r_down_mw"],
                [[i, t, disp.r_up[(i, t)], disp.r_down[(i, t)]]
                 for (i, t) in sorted(disp.r_up)])
@@ -161,7 +167,7 @@ def evaluate_cmd(obj, bids_path):
 def myd_cmd(obj):
     """Myopic policy: expected-forecast quantity at zero price."""
     result = policies.myopic(obj["instance"], threads=obj["threads"])
-    mio.save_bids(result.bids, Path(obj["output"]) / "myd_bids.csv")
+    mio.save_bids(result.bids, _output(obj, "myd_bids.csv"))
     _emit(obj, {"s_myd_usd": result.s_total},
           f"S_MyD=${result.s_total:.2f}")
 
@@ -183,8 +189,7 @@ def optimize_bid_cmd(obj, prices):
     """Optimize bid quantities for fixed segment prices (relaxed bilevel)."""
     inst = obj["instance"]
     sol = bilevel.solve_bid(inst, _parse_prices(prices))
-    path = Path(obj["output"]) / "optimized_bids.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _output(obj, "optimized_bids.csv")
     mio.save_bids(sol.bids, path)
     _emit(obj, {"s_bid_usd": sol.s_bid, "relaxed_objective_usd": sol.relaxed_objective,
                 "mccormick_gap_usd": sol.mccormick_gap,
@@ -209,8 +214,7 @@ def sweep_price_cmd(obj, start, stop, step):
         points.append(round(p, 9))
         p += step
     table = bilevel.price_sweep(obj["instance"], points)
-    path = Path(obj["output"]) / "price_sweep.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _output(obj, "price_sweep.csv")
     path.write_text(table.to_csv())
     _emit(obj, {"points": len(points), "sweep_csv": str(path)},
           f"swept {len(points)} prices; table written to {path}")
@@ -245,8 +249,7 @@ def verify_theorem1_cmd(obj, prices):
 def oracle_cmd(obj, step, prices):
     """Brute-force quantity grid search (tiny instances only)."""
     bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(prices), step)
-    path = Path(obj["output"]) / "oracle_bids.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _output(obj, "oracle_bids.csv")
     mio.save_bids(bids, path)
     _emit(obj, {"s_oracle_usd": best, "bids_csv": str(path)},
           f"oracle minimum S=${best:.2f}; bids written to {path}")
@@ -262,8 +265,7 @@ def compare_cmd(obj, prices):
     except DamInfeasibleError as exc:
         click.echo(f"infeasible: {exc}", err=True)
         sys.exit(EXIT_INFEASIBLE)
-    path = Path(obj["output"]) / "comparison.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _output(obj, "comparison.csv")
     path.write_text(table.to_csv())
     if obj["json"]:
         click.echo(table.to_json())

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL
+from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row
 from .lp import diagnose_infeasibility, solve
 from .model import BidCurve, Instance, cached, validate_bid_curve
 
@@ -290,12 +290,11 @@ def build_dam(
 def clear_dam(
     instance: Instance,
     bids,
-    tol: ToleranceConfig = DEFAULT_TOL,
     da_slack: bool = False,
 ) -> tuple[DaSchedule, DaDuals]:
     """Solve the day-ahead market and return the schedule with its duals."""
     model, block = build_dam(instance, bids, da_slack=da_slack)
-    sol = solve(model, tol)
+    sol = solve(model)
     if sol.status is LpStatus.INFEASIBLE:
         diags = diagnose_infeasibility(model)
         raise DamInfeasibleError(
@@ -304,8 +303,7 @@ def clear_dam(
         )
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
-    x = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
-    y = np.fromiter(sol.duals.values(), dtype=float, count=model.n_cons)
+    x = sol.primal
     n = len(block.cols)
     f_true = sum((block.cost * x[:n]).tolist())
     shed = {}
@@ -314,4 +312,4 @@ def clear_dam(
         for val in shed.values():
             f_true += instance.system.voll * val
     schedule = DaSchedule(**block.read(x), f_da_bid=sol.objective, f_da_true=f_true, shed=shed)
-    return schedule, DaDuals(balance=block.balance_duals(y))
+    return schedule, DaDuals(balance=block.balance_duals(sol.duals))

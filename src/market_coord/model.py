@@ -7,6 +7,7 @@ concurrent solves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -318,6 +319,8 @@ def validate_bid_curve(bid: BidCurve, instance: Instance) -> list[str]:
         cap = instance.vre(bid.owner).capacity
     except KeyError:
         return [f"bid references unknown VRE unit {bid.owner!r}"]
+    if not all(math.isfinite(v) for segment in bid.segments for v in segment):
+        return [f"bid ({bid.owner},{bid.hour}): non-finite price or quantity"]
     price_cap = instance.system.bid_price_cap
     prev = 0.0
     for s, (price, qty) in enumerate(bid.segments):

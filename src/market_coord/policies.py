@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dam import DaDuals, DaSchedule, clear_dam, dam_structure
-from .lp import LpModel, LpStatus, ToleranceConfig, DEFAULT_TOL, solve
+from .lp import LpModel, LpStatus, solve
 from .model import BidCurve, Instance, expected_vre
 from .rtm import RtDispatch, append_scenarios, expected_rt_cost
 
@@ -49,13 +49,12 @@ class PolicyResult:
 def evaluate_bids(
     instance: Instance,
     bids,
-    tol: ToleranceConfig = DEFAULT_TOL,
     policy: str = "custom",
     threads: int | None = None,
 ) -> PolicyResult:
     """Score a bid-curve set through the sequential DAM -> RTM pipeline."""
-    da, duals = clear_dam(instance, bids, tol)
-    e_rt, dispatches = expected_rt_cost(instance, da, tol, threads=threads)
+    da, duals = clear_dam(instance, bids)
+    e_rt, dispatches = expected_rt_cost(instance, da, threads=threads)
     return PolicyResult(
         policy=policy,
         s_total=da.f_da_true + e_rt,
@@ -78,14 +77,13 @@ def myopic_bids(instance: Instance) -> list[BidCurve]:
     ]
 
 
-def myopic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL,
-           threads: int | None = None) -> PolicyResult:
-    result = evaluate_bids(instance, myopic_bids(instance), tol, threads=threads)
+def myopic(instance: Instance, threads: int | None = None) -> PolicyResult:
+    result = evaluate_bids(instance, myopic_bids(instance), threads=threads)
     result.policy = "MyD"
     return result
 
 
-def stochastic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL) -> PolicyResult:
+def stochastic(instance: Instance) -> PolicyResult:
     """Joint DAM + RTM co-optimization over all scenarios (one LP).
 
     The day-ahead VRE variable is a single implicit zero-price segment
@@ -96,11 +94,10 @@ def stochastic(instance: Instance, tol: ToleranceConfig = DEFAULT_TOL) -> Policy
     model = LpModel(name="std")
     block.append_to(model, caps)
     append_scenarios(instance, model)
-    sol = solve(model, tol)
+    sol = solve(model)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")
-    x = np.fromiter(sol.primal.values(), dtype=float, count=len(block.cols))
-    f_da_true = sum((block.cost * x).tolist())
+    f_da_true = sum((block.cost * sol.primal[:len(block.cols)]).tolist())
     return PolicyResult(
         policy="StD",
         s_total=sol.objective,
@@ -148,16 +145,14 @@ class ComparisonTable:
 def compare(
     instance: Instance,
     bid_prices: tuple[float, ...] = (0.0,),
-    tol: ToleranceConfig = DEFAULT_TOL,
-    chain_tol: float = CHAIN_TOL,
 ) -> ComparisonTable:
     """Run MyD, BiD (at the given segment prices), and StD, and check
-    S_MyD >= S_BiD >= S_StD up to `chain_tol` relative."""
+    S_MyD >= S_BiD >= S_StD up to `CHAIN_TOL` relative."""
     from .bilevel import solve_bid  # late import: bilevel depends on this module
 
-    myd = myopic(instance, tol)
-    bid = solve_bid(instance, bid_prices, tol=tol)
-    std = stochastic(instance, tol)
+    myd = myopic(instance)
+    bid = solve_bid(instance, bid_prices)
+    std = stochastic(instance)
     rows = [
         ("MyD", myd.f_da_true, myd.expected_rt, myd.s_total),
         ("BiD", bid.policy_result.f_da_true, bid.policy_result.expected_rt, bid.s_bid),
@@ -169,7 +164,7 @@ def compare(
         (std.s_total - bid.s_bid) / scale,
         0.0,
     )
-    return ComparisonTable(rows=rows, chain_ok=violation <= chain_tol,
+    return ComparisonTable(rows=rows, chain_ok=violation <= CHAIN_TOL,
                            chain_violation=violation)
 
 

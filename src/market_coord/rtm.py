@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dam import DaSchedule, hourly, network_rows
-from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, ToleranceConfig, DEFAULT_TOL, solve
+from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, solve
 from .model import Instance, Scenario, cached
 
 __all__ = [
@@ -255,43 +255,47 @@ def clear_rtm(
     instance: Instance,
     da: DaSchedule,
     scenario_id: str,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RtDispatch:
     """Solve one scenario's re-dispatch; pure function of its inputs."""
     model, tpl, offset = build_rtm(instance, da, scenario_id)
-    sol = solve(model, tol)
+    sol = solve(model)
     if sol.status is not LpStatus.OPTIMAL:
         raise RtmError(
             f"real-time dispatch for scenario {scenario_id!r} ended "
             f"{sol.status.value}; shedding/curtailment backstops should prevent this"
         )
-    x = np.fromiter(sol.primal.values(), dtype=float, count=model.n_vars)
-    y = np.fromiter(sol.duals.values(), dtype=float, count=model.n_cons)
     return RtDispatch(
         scenario_id=scenario_id,
-        **tpl.read(x),
+        **tpl.read(sol.primal),
         f_rt=sol.objective + offset,
-        lmp=tpl.balance_duals(y),
+        lmp=tpl.balance_duals(sol.duals),
     )
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Scenario fan-out width; MARKET_COORD_THREADS overrides the default of 1."""
+    """Scenario fan-out width; MARKET_COORD_THREADS overrides the default of 1.
+
+    Raises ValueError, naming where the width came from, unless it is an
+    integer of at least 1.
+    """
     if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("MARKET_COORD_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"MARKET_COORD_THREADS must be an integer, got {env!r}") from None
+        source, value = "threads", requested
+    else:
+        env = os.environ.get("MARKET_COORD_THREADS")
+        if not env:
+            return 1
+        try:
+            source, value = "MARKET_COORD_THREADS", int(env)
+        except ValueError:
+            raise ValueError(f"MARKET_COORD_THREADS must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def expected_rt_cost(
     instance: Instance,
     da: DaSchedule,
-    tol: ToleranceConfig = DEFAULT_TOL,
     threads: int | None = None,
 ) -> tuple[float, list[RtDispatch]]:
     """Probability-weighted re-dispatch cost over all scenarios.
@@ -305,9 +309,9 @@ def expected_rt_cost(
     if workers > 1 and len(scenarios) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             dispatches = list(
-                pool.map(lambda s: clear_rtm(instance, da, s.id, tol), scenarios)
+                pool.map(lambda s: clear_rtm(instance, da, s.id), scenarios)
             )
     else:
-        dispatches = [clear_rtm(instance, da, s.id, tol) for s in scenarios]
+        dispatches = [clear_rtm(instance, da, s.id) for s in scenarios]
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

@@ -81,6 +81,35 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     assert [relaxed.con_sense[i] for i in dual_rows] == ["="] * len(block.cols)
     assert [relaxed.con_rhs[i] for i in dual_rows] == dam.obj
 
+    def row(name):
+        """Row `name` of the relaxed LP as (terms by column name, sense, rhs)."""
+        i = row_at[name]
+        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+        terms = {relaxed.var_names[j]: c
+                 for j, c in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())}
+        return terms, relaxed.con_sense[i], relaxed.con_rhs[i]
+
+    # upper level: W in [0, capacity], and one w_total row per (unit, hour)
+    lam = ctx.lam_bar
+    for k in inst.vre_units:
+        for t in inst.hours:
+            w = [f"W[{k.id},{t},{s}]" for s in range(len(prices))]
+            assert [(relaxed.lb[col_at[v]], relaxed.ub[col_at[v]]) for v in w] == \
+                [(0.0, k.capacity)] * len(prices)
+            assert row(f"w_total[{k.id},{t}]") == (dict.fromkeys(w, 1.0), "<=", k.capacity)
+    assert sum(r.startswith("w_total[") for r in relaxed.con_names) == \
+        len(inst.vre_units) * len(inst.hours)
+
+    # the four McCormick envelope rows of each key's product v = y * w
+    for (k, t, s), r in zip(block.keys, block.cap_rows.tolist()):
+        tag, cap = f"{k},{t},{s}", inst.vre(k).capacity
+        v, w, y = f"v[{tag}]", f"W[{tag}]", f"y[{block.rows[r]}]"
+        assert row(f"mc1[{tag}]") == ({v: 1.0, w: lam}, ">=", 0.0)
+        assert row(f"mc2[{tag}]") == ({v: 1.0, y: -cap}, ">=", 0.0)
+        assert row(f"mc3[{tag}]") == ({v: 1.0, w: lam, y: -cap}, "<=", lam * cap)
+        assert row(f"mc4[{tag}]") == ({v: 1.0}, "<=", 0.0)
+        assert row_at[f"mc4[{tag}]"] - row_at[f"mc1[{tag}]"] == 3
+
 
 def test_relaxed_objective_lower_bounds_the_oracle_optimum(t1):
     model, _ = build_relaxed_bid(t1, (0.0,))

@@ -129,12 +129,32 @@ def test_cli_evaluate_malformed_bid_file_exits_4(tmp_path):
     assert "negative quantity" in result.output
 
 
+@pytest.mark.parametrize("row", ["w1,0,0,0,nan", "w1,0,0,nan,10"])
+def test_cli_evaluate_nonfinite_bid_exits_4(tmp_path, row):
+    bids = tmp_path / "bids.csv"
+    bids.write_text(f"vre_id,hour,segment,price_usd_per_mwh,quantity_mw\n{row}\n")
+    result = run_cli("-i", "t1", "evaluate", "--bids", str(bids))
+    assert result.exit_code == 4, result.output
+    assert "non-finite price or quantity" in result.output
+
+
+@pytest.mark.parametrize("width", ["0", "-2"])
+def test_cli_thread_count_below_one_rejected(width):
+    result = run_cli("-i", "t1", "--threads", width, "myd")
+    assert result.exit_code == 2
+    assert "--threads" in result.output
+
+
 def test_cli_myd_and_std(tmp_path):
     myd = run_cli("-i", "t1", "-o", str(tmp_path), "--json", "myd")
     std = run_cli("-i", "t1", "--json", "std")
     assert json.loads(myd.output)["s_myd_usd"] == pytest.approx(1250.0)
     assert json.loads(std.output)["s_std_usd"] == pytest.approx(1100.0)
     assert (tmp_path / "myd_bids.csv").exists()
+    fresh = tmp_path / "new" / "nested"
+    again = run_cli("-i", "t1", "-o", str(fresh), "--json", "myd")
+    assert again.exit_code == 0, again.output
+    assert (fresh / "myd_bids.csv").exists()
 
 
 def test_cli_optimize_bid_six_segments(tmp_path):

@@ -55,8 +55,10 @@ def _first_curve(segments):
                         for b in bids],
     lambda inst, bids: bids + [BidCurve(inst.vre_units[0].id, 99, ((0.0, 1.0),))],
     lambda inst, bids: bids + [dataclasses.replace(bids[0], segments=((0.0, 1.0),))],
+    _first_curve(((0.0, float("nan")),)),
+    _first_curve(((float("inf"), 1.0),)),
 ], ids=["negative-quantity", "unknown-owner", "above-capacity", "decreasing-prices",
-        "unknown-hour", "duplicate-curve"])
+        "unknown-hour", "duplicate-curve", "nan-quantity", "inf-price"])
 def test_malformed_bid_set_rejected_as_bad_input(sys5, malform):
     bids = malform(sys5, myopic_bids(sys5))
     with pytest.raises(BidSetError):

@@ -130,6 +130,12 @@ def test_thread_count_honors_environment(monkeypatch):
     monkeypatch.setenv("MARKET_COORD_THREADS", "two")
     with pytest.raises(ValueError, match="MARKET_COORD_THREADS"):
         thread_count()
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("MARKET_COORD_THREADS", bad)
+        with pytest.raises(ValueError, match="MARKET_COORD_THREADS must be at least 1"):
+            thread_count()
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        thread_count(0)
     monkeypatch.delenv("MARKET_COORD_THREADS")
     assert thread_count() >= 1
 
@@ -149,7 +155,7 @@ def test_template_built_once_and_warm_scores_bitwise_equal():
 def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatch):
     inst = bundled[name]
     models = []
-    monkeypatch.setattr(policies, "solve", lambda model, tol: models.append(model) or solve(model, tol))
+    monkeypatch.setattr(policies, "solve", lambda model: models.append(model) or solve(model))
     stochastic(inst)
     (std,) = models
     da, _ = clear_dam(inst, myopic_bids(inst))
