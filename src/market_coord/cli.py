@@ -16,7 +16,7 @@ import click
 from . import bilevel, io as mio, policies
 from .dam import BidSetError, DamInfeasibleError, clear_dam
 from .model import Instance
-from .rtm import clear_rtm
+from .rtm import clear_rtm, thread_count
 
 EXIT_INFEASIBLE = 2
 EXIT_ASSERTION = 3
@@ -85,9 +85,12 @@ def main(ctx, instance, scenarios, output, json_out, threads):
         ctx.obj["instance"] = _load(instance, scenarios)
     except (mio.ParseError, FileNotFoundError, KeyError) as exc:
         raise click.ClickException(str(exc))
+    try:
+        ctx.obj["threads"] = thread_count(threads)
+    except ValueError as exc:  # a malformed MARKET_COORD_THREADS
+        _bad_input(exc)
     ctx.obj["output"] = output
     ctx.obj["json"] = json_out
-    ctx.obj["threads"] = threads
 
 
 @main.command("clear-da")

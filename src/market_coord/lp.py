@@ -1,9 +1,27 @@
-"""Thin LP layer over scipy's HiGHS backend with mandatory dual extraction.
+"""LP layer over HiGHS with mandatory dual extraction.
 
 A model is built in blocks: `LpModel.add_vars` appends columns,
 `LpModel.add_rows` a sparse block of rows and `LpModel.add_coeffs` terms to
 rows already there. `solve` returns the primal in column order and the duals
 in row order, as arrays.
+
+`linprog` is the one seam to the solver. It hands HiGHS, through scipy's
+bundled binding (`scipy.optimize._highspy._core`), the same LP and options as
+`scipy.optimize.linprog(method="highs")` does, without scipy's per-call input
+checks, option validation and per-column marginal loop. The seam keeps
+scipy's name and keyword shape, so a caller that wraps `lp.linprog` (the
+benchmark's traced run) sees the rows, columns and nonzeros of each solve as
+before.
+
+LPs that differ only in their rhs can share a basis: `solve(model,
+prices=rows)` keeps the optimal basis, and `solve(other, basis=, prices=rows)`
+re-optimizes from it with dual simplex, skipping presolve. A warm start may
+end at another optimal vertex than a solve from scratch, and where an LP has
+more than one optimal dual the reported prices would then depend on the
+start. So a warm result stands only where one solve with its basis matrix
+shows the duals at `prices` to be the LP's only optimal ones (then a solve
+from scratch reports them too, up to rounding); otherwise the LP is solved
+again from scratch.
 
 Sign convention (minimization): duals of ">="-constraints are >= 0, duals of
 "<="-constraints are <= 0, equality duals are free. Every optimal solve is
@@ -17,11 +35,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 __all__ = [
     "Block",
@@ -343,13 +362,15 @@ class LpCertificates:
 @dataclass
 class LpSolution:
     """Solver result; `primal` is in column order and `duals` in row order,
-    both None unless the status is optimal."""
+    all None unless the status is optimal. `basis` is HiGHS's optimal basis,
+    kept only when `solve` was given `prices`."""
 
     status: LpStatus
     objective: float | None = None
     primal: np.ndarray | None = None
     duals: np.ndarray | None = None
     certificates: LpCertificates | None = None
+    basis: _highs.HighsBasis | None = None
 
 
 # Optional global log of solve certificates, used by the acceptance suite to
@@ -393,44 +414,189 @@ def _matrices(model: LpModel):
     return eq_idx, ub_idx, ub_sign, A_eq, rhs[eq_idx], A_ub, ub_sign * rhs[ub_idx]
 
 
-def solve(model: LpModel) -> LpSolution:
+# scipy's options for `linprog(method="highs")`, set once: presolve on, no
+# output, dual simplex
+_OPTIONS = _highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+
+
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None, prices=()) -> SimpleNamespace:
+    """min c x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.
+
+    `bounds` is `(lb, ub)`, one array each. HiGHS gets the rows [A_ub; A_eq]
+    as one CSC matrix with duplicate entries summed, row bounds
+    (-inf, b_ub) and (b_eq, b_eq), and scipy's options, exactly as from
+    `scipy.optimize.linprog(method="highs")`. A fresh HiGHS object solves
+    each call, so the result depends on its inputs alone.
+
+    `prices` are rows of [A_ub; A_eq] whose duals the caller reports; with
+    them the result carries the optimal basis. With `basis`, the optimal
+    basis of an LP that differs from this one only in its rhs, the solve
+    starts from it. That result stands only if `_unique_duals` finds the
+    duals at `prices` to be the LP's only optimal ones; otherwise the LP is
+    solved again from scratch, so they are what a solve from scratch reports.
+
+    Returns HiGHS's model status and simplex iterations (`nit`, both solves
+    counted) and, when optimal, `x`, `fun`, the row duals `ineqlin` and
+    `eqlin`, the bound duals `lower` and `upper` and `basis`.
+    """
+    n_col = len(c)
+    blocks = [A for A in (A_ub, A_eq) if A is not None]
+    A = (sparse.vstack(blocks, format="csc") if blocks
+         else sparse.csc_matrix((0, n_col)))
+    A.sum_duplicates()
+    b_ub = np.zeros(0) if b_ub is None else b_ub
+    b_eq = np.zeros(0) if b_eq is None else b_eq
+    lb, ub = bounds
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
+    row_upper = np.concatenate((b_ub, b_eq))
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+
+    highs = _load(lp, basis)
+    if highs is None:
+        return SimpleNamespace(status=_highs.HighsModelStatus.kModelError, nit=0)
+    if basis is None:
+        del lp, A  # HiGHS holds its own copy of the model; free ours before it solves
+    highs.run()
+    nit = _iterations(highs)
+    if basis is not None and not _unique_duals(
+            highs, A, np.concatenate((lb, row_lower)), np.concatenate((ub, row_upper)),
+            np.asarray(prices, dtype=np.int64)):
+        highs = _load(lp)
+        highs.run()
+        nit += _iterations(highs)
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        return SimpleNamespace(status=status, nit=nit)
+    solution = highs.getSolution()
+    optimal = highs.getBasis()
+    y = np.array(solution.row_dual)
+    z = np.array(solution.col_dual)
+    # a bound's dual is the column dual where the column sits at that bound
+    at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=n_col)
+    return SimpleNamespace(
+        status=status, nit=nit,
+        x=np.array(solution.col_value),
+        fun=highs.getInfo().objective_function_value,
+        ineqlin=y[:len(b_ub)],
+        eqlin=y[len(b_ub):],
+        lower=np.where(at == _AT_LOWER, z, 0.0),
+        upper=np.where(at == _AT_UPPER, z, 0.0),
+        basis=optimal if len(prices) else None,
+    )
+
+
+def _load(lp: _highs.HighsLp, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
+    """A fresh HiGHS object holding `lp`, to start from `basis` if given;
+    None if HiGHS refuses the model."""
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return None
+    if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
+        raise ValueError(f"basis does not fit an LP of {lp.num_row_} rows "
+                         f"and {lp.num_col_} columns")
+    return highs
+
+
+def _iterations(highs: _highs._Highs) -> int:
+    info = highs.getInfo()
+    return info.simplex_iteration_count or info.ipm_iteration_count
+
+
+def _unique_duals(highs: _highs._Highs, A: sparse.csc_matrix, lower: np.ndarray,
+                  upper: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the solved LP is optimal and every optimal dual has HiGHS's
+    dual at each of `rows`; `lower` and `upper` bound the columns, then the
+    rows.
+
+    Any optimal dual differs from HiGHS's by B^-T d, where B is the optimal
+    basis matrix and d the reduced costs it gives the basic variables.
+    Complementary slackness makes d zero at each basic variable strictly
+    inside its bounds. So the duals at `rows` are unique if the columns of
+    B^-1 for `rows` are zero at every degenerate basic variable (one at a
+    bound). One solve with B tests them at once, for a combination with
+    random positive weights: nonzero entries cancel only for a set of
+    weights of measure zero.
+    """
+    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        return False
+    if not rows.size:
+        return True
+    x = np.array(highs.getSolution().col_value)
+    _, basic = highs.getBasicVariables()  # column j as j, row i as -1 - i
+    var = np.where(basic >= 0, basic, len(x) - 1 - basic)
+    value = np.concatenate((x, A @ x))[var]
+    tol = 1e-7 * (1.0 + np.abs(value))
+    degenerate = (value - lower[var] <= tol) | (upper[var] - value <= tol)
+    weights = np.zeros(A.shape[0])
+    weights[rows] = np.random.default_rng(0).uniform(1.0, 2.0, rows.size)
+    _, combined = highs.getBasisSolve(weights)
+    return not np.any(np.abs(combined[degenerate]) > 1e-9)
+
+
+def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
+          prices: Sequence[int] = ()) -> LpSolution:
     """Solve `model` and return primal/dual certificates.
 
-    Raises SolverError when HiGHS reports a numerical failure, or when an
-    "optimal" result violates the feasibility/duality-gap certificates.
-    Infeasible and unbounded are ordinary statuses, not errors.
+    `prices` are rows whose duals the caller reports; with them the solution
+    keeps its optimal basis. With `basis`, the optimal basis of an LP that
+    differs from `model` only in its rhs, HiGHS starts from it (ValueError
+    if the shapes differ), and the result is kept only where the duals at
+    `prices` are the model's only optimal ones; otherwise `model` is solved
+    from scratch (see `linprog`). Raises SolverError when HiGHS reports a
+    numerical failure, or when an "optimal" result violates the
+    feasibility/duality-gap certificates. Infeasible and unbounded are
+    ordinary statuses, not errors.
     """
     eq_idx, ub_idx, ub_sign, A_eq, b_eq, A_ub, b_ub = _matrices(model)
     c = np.array(model.obj)
     lbv = np.array(model.lb, dtype=float)
     ubv = np.array(model.ub, dtype=float)
+    # HiGHS's row order is [A_ub; A_eq]
+    highs_row = np.empty(model.n_cons, dtype=np.int64)
+    highs_row[ub_idx] = np.arange(len(ub_idx))
+    highs_row[eq_idx] = len(ub_idx) + np.arange(len(eq_idx))
     res = linprog(
         c,
         A_ub=A_ub if len(ub_idx) else None,
         b_ub=b_ub if len(ub_idx) else None,
         A_eq=A_eq if len(eq_idx) else None,
         b_eq=b_eq if len(eq_idx) else None,
-        bounds=np.column_stack((lbv, ubv)),
-        method="highs",
+        bounds=(lbv, ubv),
+        basis=basis,
+        prices=highs_row[np.asarray(prices, dtype=np.int64)],
     )
-    if res.status == 2:
+    if res.status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=LpStatus.INFEASIBLE)
-    if res.status == 3:
+    if res.status == _highs.HighsModelStatus.kUnbounded:
         return LpSolution(status=LpStatus.UNBOUNDED)
-    if res.status != 0:
-        raise SolverError(f"solver failure on {model.name!r}: {res.message}")
+    if res.status != _highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"solver failure on {model.name!r}: HiGHS status {res.status.name}")
 
-    x = np.asarray(res.x)
-
+    x = res.x
     y = np.zeros(model.n_cons)
-    if len(eq_idx):
-        y[eq_idx] = res.eqlin.marginals
-    if len(ub_idx):
-        # negated ">=" rows: dual of the original row flips sign back
-        y[ub_idx] = ub_sign * res.ineqlin.marginals
-
-    zl = np.asarray(res.lower.marginals) if model.n_vars else np.zeros(0)
-    zu = np.asarray(res.upper.marginals) if model.n_vars else np.zeros(0)
+    y[eq_idx] = res.eqlin
+    # negated ">=" rows: dual of the original row flips sign back
+    y[ub_idx] = ub_sign * res.ineqlin
+    zl, zu = res.lower, res.upper
 
     # certificates
     feas = 0.0
@@ -446,9 +612,9 @@ def solve(model: LpModel) -> LpSolution:
 
     dual_obj = 0.0
     if len(eq_idx):
-        dual_obj += float(b_eq @ res.eqlin.marginals)
+        dual_obj += float(b_eq @ res.eqlin)
     if len(ub_idx):
-        dual_obj += float(b_ub @ res.ineqlin.marginals)
+        dual_obj += float(b_ub @ res.ineqlin)
     finite_lb = np.isfinite(lbv)
     finite_ub = np.isfinite(ubv)
     dual_obj += float(np.sum(np.where(finite_lb, lbv, 0.0) * zl))
@@ -458,7 +624,7 @@ def solve(model: LpModel) -> LpSolution:
     comp = 0.0
     if len(ub_idx):
         slack = b_ub - A_ub @ x
-        comp = max(comp, float(np.max(np.abs(slack * res.ineqlin.marginals))))
+        comp = max(comp, float(np.max(np.abs(slack * res.ineqlin))))
     lb_slack = np.where(finite_lb, x - np.where(finite_lb, lbv, 0.0), 0.0)
     ub_slack = np.where(finite_ub, np.where(finite_ub, ubv, 0.0) - x, 0.0)
     if model.n_vars:
@@ -468,28 +634,33 @@ def solve(model: LpModel) -> LpSolution:
     certs = LpCertificates(primal_residual=feas, duality_gap=gap, complementarity=comp)
     if _certificate_log is not None:
         _certificate_log.append((model.name, certs))
-    if feas > FEAS_TOL:
+    # `not <=`, so that a NaN residual or gap fails too
+    if not feas <= FEAS_TOL:
         raise SolverError(f"{model.name!r}: primal residual {feas:.3e} exceeds {FEAS_TOL:g}")
-    if gap > GAP_TOL:
+    if not gap <= GAP_TOL:
         raise SolverError(f"{model.name!r}: duality gap {gap:.3e} exceeds {GAP_TOL:g}")
     return LpSolution(
         status=LpStatus.OPTIMAL,
         objective=float(res.fun),
-        # a copy, so that no part of linprog's result outlives this call:
-        # keeping its own `x` raised peak RSS on repeated relaxed bid LPs
-        # (6 buses, 10 scenarios) from about 150 to 163 MB
-        primal=x.copy(),
+        primal=x,
         duals=y,
         certificates=certs,
+        basis=res.basis,
     )
 
 
 def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
     """Name the constraints that cannot be met, via an elastic relaxation.
 
-    Adds nonnegative violation slacks to every row, minimizes the total
-    violation, and reports rows carrying slack above tolerance.
+    Columns whose lower bound exceeds their upper bound are named first, by
+    the amount they cross, and then alone, since no relaxation of the rows
+    can meet them. Otherwise adds nonnegative violation slacks to every row,
+    minimizes the total violation, and reports rows carrying slack above
+    tolerance.
     """
+    crossed = _worst((np.array(model.lb) - np.array(model.ub)).tolist(), model.var_names, top)
+    if crossed:
+        return crossed
     elastic = LpModel(name=f"{model.name}-elastic")
     elastic.add_vars(model.var_names, np.zeros(model.n_vars), model.lb, model.ub)
     elastic.add_rows(model.con_names, model._matrix().tocoo(), model.con_sense,
@@ -511,6 +682,11 @@ def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
         return ["elastic diagnosis failed"]
     viol = np.zeros(model.n_cons)
     np.add.at(viol, rows, sol.primal[model.n_vars:])
-    scored = sorted(((v, name) for v, name in zip(viol.tolist(), model.con_names) if v > 1e-7),
+    return _worst(viol.tolist(), model.con_names, top)
+
+
+def _worst(violation: list[float], names: list[str], top: int) -> list[str]:
+    """The `top` names with the largest violation above 1e-7, largest first."""
+    scored = sorted(((v, name) for v, name in zip(violation, names) if v > 1e-7),
                     reverse=True)
     return [f"{name} (violation {v:.4g})" for v, name in scored[:top]]

@@ -10,6 +10,18 @@ network rows come from `dam.network_rows`, as the day-ahead block's do.
 appends it with the day-ahead schedule fixed (`rhs - D @ x_DA`); the
 stochastic and bilevel modules append every scenario's block with `D` kept
 (`append_scenarios`), so the day-ahead variables are shared decisions.
+
+Since scenarios differ only in the rhs, the optimal basis of one scenario's
+LP stays dual feasible for every other. `expected_rt_cost` therefore solves
+the first scenario from scratch and re-optimizes each other one from that
+basis (`lp.solve(model, basis=, prices=)`), on a fresh HiGHS object each.
+Such a result is kept only where the scenario's LMPs are its LP's only
+optimal duals; where a bus and hour may price anywhere between two
+redispatch costs, the scenario is solved again from scratch. Every
+scenario's LMPs, f_RT and dispatch are thus a standalone `clear_rtm`'s
+(which always solves from scratch), up to rounding, whichever scenario comes
+first; a dispatch may differ only where the LP has more than one optimal
+primal, at equal f_RT.
 """
 from __future__ import annotations
 
@@ -257,19 +269,28 @@ def clear_rtm(
     scenario_id: str,
 ) -> RtDispatch:
     """Solve one scenario's re-dispatch; pure function of its inputs."""
+    return _redispatch(instance, da, scenario_id)[0]
+
+
+def _redispatch(instance: Instance, da: DaSchedule, scenario_id: str,
+                basis=None) -> tuple[RtDispatch, object]:
+    """One scenario's re-dispatch and its optimal basis, solved from `basis`
+    if given (the basis of another scenario's LP) where that leaves its
+    LMPs unique, and from scratch if not."""
     model, tpl, offset = build_rtm(instance, da, scenario_id)
-    sol = solve(model)
+    sol = solve(model, basis=basis, prices=tpl.bal_rows)
     if sol.status is not LpStatus.OPTIMAL:
         raise RtmError(
             f"real-time dispatch for scenario {scenario_id!r} ended "
             f"{sol.status.value}; shedding/curtailment backstops should prevent this"
         )
-    return RtDispatch(
+    dispatch = RtDispatch(
         scenario_id=scenario_id,
         **tpl.read(sol.primal),
         f_rt=sol.objective + offset,
         lmp=tpl.balance_duals(sol.duals),
     )
+    return dispatch, sol.basis
 
 
 def thread_count(requested: int | None = None) -> int:
@@ -300,18 +321,28 @@ def expected_rt_cost(
 ) -> tuple[float, list[RtDispatch]]:
     """Probability-weighted re-dispatch cost over all scenarios.
 
-    Scenario solves are independent; reduction runs in scenario order for
-    reproducible floating-point totals regardless of the fan-out width.
+    The first scenario is solved from scratch and every other one from its
+    optimal basis, which stays dual feasible since the scenarios' LPs differ
+    only in their rhs; a scenario whose LMPs that start leaves non-unique is
+    solved from scratch. Each scenario's result is therefore a function of
+    the schedule, the first scenario and its own data alone, and the
+    reduction runs in scenario order, so totals do not depend on the fan-out
+    width.
     """
     scenarios = instance.scenario_set.scenarios
     workers = thread_count(threads)
-    _template(instance)  # built here, so threads never race to build it
-    if workers > 1 and len(scenarios) > 1:
+    # solved before any thread starts, so that threads never race to build
+    # the template
+    first, basis = _redispatch(instance, da, scenarios[0].id)
+
+    def warm(scenario: Scenario) -> RtDispatch:
+        return _redispatch(instance, da, scenario.id, basis)[0]
+
+    if workers > 1 and len(scenarios) > 2:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            dispatches = list(
-                pool.map(lambda s: clear_rtm(instance, da, s.id), scenarios)
-            )
+            rest = list(pool.map(warm, scenarios[1:]))
     else:
-        dispatches = [clear_rtm(instance, da, s.id) for s in scenarios]
+        rest = [warm(s) for s in scenarios[1:]]
+    dispatches = [first, *rest]
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

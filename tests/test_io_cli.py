@@ -145,6 +145,18 @@ def test_cli_thread_count_below_one_rejected(width):
     assert "--threads" in result.output
 
 
+@pytest.mark.parametrize("width", ["-3", "two"])
+@pytest.mark.parametrize("command", ["myd", "evaluate"])
+def test_cli_malformed_thread_environment_is_bad_input(tmp_path, command, width):
+    bids = tmp_path / "bids.csv"
+    mio.save_bids([BidCurve("w1", 0, ((0.0, 10.0),))], bids)
+    args = ["evaluate", "--bids", str(bids)] if command == "evaluate" else ["myd"]
+    result = run_cli("-i", "t1", "-o", str(tmp_path), *args,
+                     env={"MARKET_COORD_THREADS": width})
+    assert result.exit_code == 4, result.output
+    assert "bad input: MARKET_COORD_THREADS" in result.output
+
+
 def test_cli_myd_and_std(tmp_path):
     myd = run_cli("-i", "t1", "-o", str(tmp_path), "--json", "myd")
     std = run_cli("-i", "t1", "--json", "std")

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from market_coord import lp
 from market_coord.lp import (
     EQ,
     GE,
     LE,
     LpModel,
     LpStatus,
+    SolverError,
     diagnose_infeasibility,
     solve,
 )
@@ -56,6 +58,12 @@ def test_diagnosis_reads_each_slack_of_its_own_row():
                      lb=0.0, ub=[2.0, 2.0, math.inf])
     assert solve(model).status is LpStatus.INFEASIBLE
     assert diagnose_infeasibility(model) == ["r0 (violation 6)", "r2 (violation 3)"]
+
+
+def test_diagnosis_names_crossed_column_bounds():
+    model = model_of({"x": 0.0}, lb=2.0, ub=1.0)
+    assert solve(model).status is LpStatus.INFEASIBLE
+    assert diagnose_infeasibility(model) == ["x (violation 1)"]
 
 
 def test_dual_signs_follow_min_convention():
@@ -130,3 +138,77 @@ def test_lp_text_dump_mentions_rows_and_bounds():
     text = model.to_lp_text()
     assert " r0: +1 x >= 1" in text
     assert " 0 <= x <= 2" in text
+
+
+def test_solve_from_the_optimal_basis_of_an_equal_shape():
+    # min x + 2y s.t. x + y >= b, x <= 4: the basis at b = 3 is optimal at b = 5
+    def at(b):
+        return model_of({"x": 1.0, "y": 2.0}, [[1.0, 1.0], [1.0, 0.0]], [GE, LE], [b, 4.0],
+                        lb=0.0)
+
+    cold = solve(at(5.0))
+    assert cold.basis is None  # kept only for a caller that names its prices
+    warm = solve(at(5.0), basis=solve(at(3.0), prices=[0]).basis, prices=[0])
+    assert warm.objective == cold.objective == pytest.approx(6.0)
+    assert warm.primal.tolist() == cold.primal.tolist()
+    assert warm.duals.tolist() == cold.duals.tolist()
+
+
+def test_warm_start_with_a_non_unique_price_solves_from_scratch(monkeypatch):
+    # at b = 4, x = 4 meets both rows: any price of row 0 in [1, 2] is
+    # optimal, so the basis of b = 3 is not trusted to pick the one a solve
+    # from scratch reports
+    def at(b):
+        return model_of({"x": 1.0, "y": 2.0}, [[1.0, 1.0], [1.0, 0.0]], [GE, LE], [b, 4.0],
+                        lb=0.0)
+
+    basis = solve(at(3.0), prices=[0]).basis
+    load, runs = lp._load, []
+
+    def counted(highs_lp, start=None):
+        runs.append(start)
+        return load(highs_lp, start)
+
+    monkeypatch.setattr(lp, "_load", counted)
+    warm = solve(at(4.0), basis=basis, prices=[0])
+    assert [start is basis for start in runs] == [True, False]
+    cold = solve(at(4.0))
+    assert warm.objective == cold.objective == pytest.approx(4.0)
+    assert warm.duals.tolist() == cold.duals.tolist()
+    # without a price to keep, the warm result stands
+    runs.clear()
+    solve(at(4.0), basis=basis)
+    assert len(runs) == 1
+
+
+def test_model_rejected_by_highs_is_a_solver_error():
+    # HiGHS refuses coefficients above 1e15; that is no infeasible market
+    with pytest.raises(SolverError, match="kModelError"):
+        solve(model_of({"x": 1.0}, [[1e16]], [GE], [1.0], lb=0.0))
+
+
+def test_basis_of_another_model_is_refused_or_only_a_start():
+    basis = solve(model_of({"x": 1.0}, [[1.0]], [GE], [3.0]), prices=[0]).basis
+    other = model_of({"x": 1.0, "y": 1.0}, [[1.0, 1.0], [1.0, 0.0]], [GE, GE], [2.0, 1.0])
+    with pytest.raises(ValueError, match="basis does not fit"):
+        solve(other, basis=basis)
+    # same shape, other costs and rows: the answer is still the model's optimum
+    same_shape = model_of({"x": 3.0, "y": -1.0}, [[1.0, -1.0], [0.0, 1.0]], [GE, LE],
+                          [-1.0, 2.0], lb=0.0)
+    warm = solve(same_shape, basis=solve(other, prices=[0]).basis)
+    assert warm.objective == pytest.approx(solve(same_shape).objective) == pytest.approx(-1.0)
+
+
+def test_highs_binding_has_what_the_seam_calls():
+    # lp.linprog uses scipy's private HiGHS binding; a scipy release that
+    # changes it should fail here rather than at the first solve
+    from scipy.optimize._highspy._core import HighsLp, HighsOptions, _Highs
+
+    for method in ("passOptions", "passModel", "setBasis", "run", "getModelStatus",
+                   "getInfo", "getSolution", "getBasis", "getBasicVariables", "getBasisSolve"):
+        assert callable(getattr(_Highs, method, None)), method
+    for obj, fields in ((HighsOptions(), ("presolve", "output_flag", "log_to_console",
+                                          "simplex_strategy")),
+                        (HighsLp(), ("num_col_", "num_row_", "a_matrix_", "col_cost_",
+                                     "col_lower_", "col_upper_", "row_lower_", "row_upper_"))):
+        assert [f for f in fields if not hasattr(obj, f)] == []

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from market_coord import io as mio, policies, rtm
+from market_coord import io as mio, lp, policies, rtm
+from market_coord.bilevel import _load_weighted_lmps, solve_bid, vre_profit
 from market_coord.dam import clear_dam, dam_structure
 from market_coord.lp import solve
 from market_coord.model import BidCurve
@@ -149,6 +150,78 @@ def test_template_built_once_and_warm_scores_bitwise_equal():
     assert rtm._template(inst) is template
     assert warm.s_total == cold.s_total
     assert warm.rt_dispatches == cold.rt_dispatches
+
+
+def _with_scenarios(instance, order):
+    ss = instance.scenario_set
+    return dataclasses.replace(instance, scenario_set=dataclasses.replace(
+        ss, scenarios=tuple(ss.scenarios[i] for i in order)))
+
+
+@pytest.mark.parametrize("name", ["sys3", "sys5"])
+def test_warm_scenarios_do_not_depend_on_solve_order(name):
+    # every scenario but the first starts from the first one's basis, so a
+    # dispatch is the same whichever scenarios were solved before it
+    inst = mio.bundled_instance(name)
+    da, _ = clear_dam(inst, myopic_bids(inst))
+    n = len(inst.scenario_set.scenarios)
+    forwards = expected_rt_cost(_with_scenarios(inst, range(n)), da)[1]
+    backwards = expected_rt_cost(_with_scenarios(inst, [0, *range(n - 1, 0, -1)]), da)[1]
+    by_id = {d.scenario_id: d for d in backwards}
+    for d in forwards:
+        assert d == by_id[d.scenario_id]
+        assert d.f_rt.hex() == by_id[d.scenario_id].f_rt.hex()
+
+
+@pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
+def test_warm_scenarios_match_a_cold_clear_rtm(bundled, name):
+    inst = bundled[name]
+    da, _ = clear_dam(inst, myopic_bids(inst))
+    total, warm = expected_rt_cost(inst, da)
+    for d in warm:
+        cold = clear_rtm(inst, da, d.scenario_id)
+        assert d.f_rt == pytest.approx(cold.f_rt, rel=1e-9, abs=1e-9)
+        assert d.lmp == pytest.approx(cold.lmp, rel=1e-9, abs=1e-9)
+    assert total == pytest.approx(sum(s.probability * clear_rtm(inst, da, s.id).f_rt
+                                      for s in inst.scenario_set.scenarios), rel=1e-9)
+
+
+def test_scenario_with_non_unique_prices_is_solved_from_scratch(bundled, monkeypatch):
+    # sys3's s2 has no redispatch at hour 1 under the myopic schedule, so
+    # any price between the down- and up-redispatch costs is optimal there:
+    # s2 is solved again from scratch, s3 keeps its warm start
+    inst = bundled["sys3"]
+    da, _ = clear_dam(inst, myopic_bids(inst))
+    load, starts = lp._load, []
+
+    def counted(highs_lp, basis=None):
+        starts.append(basis is not None)
+        return load(highs_lp, basis)
+
+    monkeypatch.setattr(lp, "_load", counted)
+    _, warm = expected_rt_cost(inst, da)
+    assert starts == [False, True, False, True]
+    monkeypatch.undo()
+    assert warm[1] == clear_rtm(inst, da, "s2")
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_reported_prices_do_not_depend_on_the_first_scenario(bundled, first):
+    # the first scenario's basis starts every other one; with another
+    # scenario first, the LMPs, the sweep's load-weighted real-time LMP and
+    # the VRE profits of a bid set must stay as they are
+    inst = bundled["sys3"]
+    n = len(inst.scenario_set.scenarios)
+    other = _with_scenarios(inst, [first, *(i for i in range(n) if i != first)])
+    for bids in (myopic_bids(inst), solve_bid(inst, (0.0,)).policy_result.bids):
+        res, res_other = evaluate_bids(inst, bids), evaluate_bids(other, bids)
+        lmps = {d.scenario_id: d.lmp for d in res.rt_dispatches}
+        for d in res_other.rt_dispatches:
+            assert d.lmp == pytest.approx(lmps[d.scenario_id], rel=1e-9, abs=1e-9)
+        assert (_load_weighted_lmps(other, res_other)
+                == pytest.approx(_load_weighted_lmps(inst, res), rel=1e-9, abs=1e-9))
+        assert (vre_profit(other, res_other)
+                == pytest.approx(vre_profit(inst, res), rel=1e-9, abs=1e-9))
 
 
 @pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
