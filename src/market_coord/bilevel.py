@@ -58,6 +58,8 @@ class BidPricesConfig:
     prices: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(p) for p in self.prices):
+            raise ValueError("segment prices must be finite")
         if any(b < a for a, b in zip(self.prices, self.prices[1:])):
             raise ValueError("segment prices must be nondecreasing")
         if self.prices and self.prices[0] < 0:

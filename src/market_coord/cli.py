@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 infeasible market problem, 3 failed assertion
-(benchmark chain or theorem check), 4 bad input (malformed bid file or bid set).
+(benchmark chain or theorem check), 4 bad input (a missing or malformed
+instance, bid file or bid set, or a bad option value such as a price list,
+grid step or scenario id). A value click itself refuses, such as
+`--threads 0`, is a usage error and exits 2.
 """
 from __future__ import annotations
 
@@ -33,14 +36,16 @@ def _load(instance: str, scenarios: str | None) -> Instance:
 
 
 def _parse_prices(text: str) -> tuple[float, ...]:
+    """The segment prices of a `--prices` list, checked as `solve_bid` checks
+    them; bad input unless they parse and pass."""
     try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise click.BadParameter(f"cannot parse price list {text!r}")
+        return bilevel.BidPricesConfig(tuple(float(p) for p in text.split(","))).prices
+    except ValueError as exc:
+        _bad_input(f"--prices {text!r}: {exc}")
 
 
-def _bad_input(exc: Exception) -> NoReturn:
-    click.echo(f"bad input: {exc}", err=True)
+def _bad_input(problem: Exception | str) -> NoReturn:
+    click.echo(f"bad input: {problem}", err=True)
     sys.exit(EXIT_BAD_INPUT)
 
 
@@ -67,7 +72,21 @@ def _write_csv(obj, name: str, header: list[str], rows) -> Path:
     return path
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends every command with exit 4 on a malformed file or bid set and
+    with exit 2 on an infeasible market."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (mio.ParseError, FileNotFoundError, BidSetError) as exc:
+            _bad_input(exc)
+        except DamInfeasibleError as exc:
+            click.echo(f"infeasible: {exc}", err=True)
+            sys.exit(EXIT_INFEASIBLE)
+
+
+@click.group(cls=_Main)
 @click.option("--instance", "-i", required=True,
               help="Instance JSON path or a bundled name (t1, sys3, sys5).")
 @click.option("--scenarios", "-s", default=None,
@@ -83,8 +102,8 @@ def main(ctx, instance, scenarios, output, json_out, threads):
     ctx.ensure_object(dict)
     try:
         ctx.obj["instance"] = _load(instance, scenarios)
-    except (mio.ParseError, FileNotFoundError, KeyError) as exc:
-        raise click.ClickException(str(exc))
+    except (ValueError, TypeError, KeyError, OSError) as exc:  # ParseError is a ValueError
+        _bad_input(exc)
     try:
         ctx.obj["threads"] = thread_count(threads)
     except ValueError as exc:  # a malformed MARKET_COORD_THREADS
@@ -102,14 +121,8 @@ def main(ctx, instance, scenarios, output, json_out, threads):
 def clear_da_cmd(obj, bids_path, da_slack):
     """Clear the day-ahead market and report schedules and LMPs."""
     inst = obj["instance"]
-    try:
-        bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
-        da, duals = clear_dam(inst, bids, da_slack=da_slack)
-    except (mio.ParseError, BidSetError) as exc:
-        _bad_input(exc)
-    except DamInfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
+    da, duals = clear_dam(inst, bids, da_slack=da_slack)
     _write_csv(obj, "da_schedule.csv",
                ["unit_id", "hour", "p_mw", "commitment", "startup_usd"],
                [[i, t, da.p_conventional[(i, t)], da.commitment[(i, t)],
@@ -128,14 +141,10 @@ def clear_da_cmd(obj, bids_path, da_slack):
 def clear_rt_cmd(obj, scenario, bids_path):
     """Clear one real-time scenario against the day-ahead schedule."""
     inst = obj["instance"]
-    try:
-        bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
-        da, _ = clear_dam(inst, bids)
-    except (mio.ParseError, BidSetError) as exc:
-        _bad_input(exc)
-    except DamInfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    if scenario not in [s.id for s in inst.scenario_set.scenarios]:
+        _bad_input(f"unknown scenario {scenario!r}")
+    bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
+    da, _ = clear_dam(inst, bids)
     disp = clear_rtm(inst, da, scenario)
     _write_csv(obj, f"rt_{scenario}.csv",
                ["unit_id", "hour", "r_up_mw", "r_down_mw"],
@@ -151,14 +160,7 @@ def clear_rt_cmd(obj, scenario, bids_path):
 def evaluate_cmd(obj, bids_path):
     """Score a bid-curve file through the sequential markets."""
     inst = obj["instance"]
-    try:
-        result = policies.evaluate_bids(inst, mio.load_bids(bids_path),
-                                        threads=obj["threads"])
-    except (mio.ParseError, BidSetError) as exc:
-        _bad_input(exc)
-    except DamInfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    result = policies.evaluate_bids(inst, mio.load_bids(bids_path), threads=obj["threads"])
     _emit(obj, {"s_usd": result.s_total, "f_da_true_usd": result.f_da_true,
                 "expected_rt_usd": result.expected_rt},
           f"S=${result.s_total:.2f} (DA ${result.f_da_true:.2f} "
@@ -210,7 +212,7 @@ def optimize_bid_cmd(obj, prices):
 def sweep_price_cmd(obj, start, stop, step):
     """Single-segment price sweep comparing BiD and MyD outcomes."""
     if step <= 0:
-        raise click.BadParameter("--step must be > 0")
+        _bad_input("--step must be > 0")
     points = []
     p = start
     while p <= stop + 1e-9:
@@ -251,7 +253,10 @@ def verify_theorem1_cmd(obj, prices):
 @click.pass_obj
 def oracle_cmd(obj, step, prices):
     """Brute-force quantity grid search (tiny instances only)."""
-    bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(prices), step)
+    try:
+        bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(prices), step)
+    except ValueError as exc:  # a grid step of 0 or below, or too many dimensions
+        _bad_input(exc)
     path = _output(obj, "oracle_bids.csv")
     mio.save_bids(bids, path)
     _emit(obj, {"s_oracle_usd": best, "bids_csv": str(path)},
@@ -263,11 +268,7 @@ def oracle_cmd(obj, step, prices):
 @click.pass_obj
 def compare_cmd(obj, prices):
     """Run MyD, BiD, StD and check the cost dominance chain."""
-    try:
-        table = policies.compare(obj["instance"], _parse_prices(prices))
-    except DamInfeasibleError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    table = policies.compare(obj["instance"], _parse_prices(prices))
     path = _output(obj, "comparison.csv")
     path.write_text(table.to_csv())
     if obj["json"]:

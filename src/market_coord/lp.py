@@ -5,13 +5,18 @@ A model is built in blocks: `LpModel.add_vars` appends columns,
 rows already there. `solve` returns the primal in column order and the duals
 in row order, as arrays.
 
-`linprog` is the one seam to the solver. It hands HiGHS, through scipy's
-bundled binding (`scipy.optimize._highspy._core`), the same LP and options as
-`scipy.optimize.linprog(method="highs")` does, without scipy's per-call input
-checks, option validation and per-column marginal loop. The seam keeps
-scipy's name and keyword shape, so a caller that wraps `lp.linprog` (the
-benchmark's traced run) sees the rows, columns and nonzeros of each solve as
-before.
+`solve` assembles each LP in one pass, from the model's coordinate triplets
+straight to HiGHS's column-wise arrays (`Colwise`): the "<=" and negated
+">=" rows first, then the "=" rows, entries sorted by column and row, and
+the values at one coordinate summed in the order added. `linprog`, the one
+seam to the solver, loads them with the array form of `passModel` in
+scipy's bundled HiGHS binding (`scipy.optimize._highspy._core`), which
+makes no Python object per entry. HiGHS so gets bit for bit the LP and
+options of `scipy.optimize.linprog(method="highs")`, without scipy's
+per-call checks and per-column marginal loop. The seam keeps scipy's name
+and keywords (`c`, `A_ub`, `A_eq`, `nit`) because the benchmark's traced run
+wraps `lp.linprog` by name and counts each solve's rows and nonzeros from
+`A_ub` and `A_eq`: two `RowSpan`s of one `Colwise` matrix.
 
 LPs that differ only in their rhs can share a basis: `solve(model,
 prices=rows)` keeps the optimal basis, and `solve(other, basis=, prices=rows)`
@@ -36,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -385,33 +390,58 @@ def certificate_log(enable: bool) -> list[tuple[str, LpCertificates]]:
     return _certificate_log if _certificate_log is not None else []
 
 
-def _matrices(model: LpModel):
-    """Split rows into equality and <= blocks (>= rows are negated)."""
-    sense = np.array(model.con_sense, dtype="<U2")
-    rhs = np.array(model.con_rhs, dtype=float)
-    is_eq = sense == EQ
-    eq_idx = np.flatnonzero(is_eq)
-    ub_idx = np.flatnonzero(~is_eq)
-    ub_sign = np.where(sense[ub_idx] == GE, -1.0, 1.0)
-    sign = np.ones(model.n_cons)
-    sign[ub_idx] = ub_sign
-    pos = np.empty(model.n_cons, dtype=np.int64)  # row within its block
-    pos[eq_idx] = np.arange(eq_idx.size)
-    pos[ub_idx] = np.arange(ub_idx.size)
-    row, col, val = np.array(model._row), np.array(model._col), np.array(model._val)
+@dataclass(frozen=True)
+class Colwise:
+    """A constraint matrix in HiGHS's column-wise arrays: column j holds the
+    entries `start[j]` up to `start[j + 1]`, each with its row in `index`,
+    ascending, and its `value`."""
 
-    def block(on, n_rows):
-        r = pos[row[on]]
-        order = np.argsort(r, kind="stable")
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r, minlength=n_rows), out=indptr[1:])
-        data = (val[on] * sign[row[on]])[order]
-        return sparse.csr_matrix((data, col[on][order], indptr), shape=(n_rows, model.n_vars))
+    shape: tuple[int, int]
+    start: np.ndarray  # int32
+    index: np.ndarray  # int32
+    value: np.ndarray
 
-    on_eq = is_eq[row]
-    A_eq = block(on_eq, eq_idx.size)
-    A_ub = block(~on_eq, ub_idx.size)
-    return eq_idx, ub_idx, ub_sign, A_eq, rhs[eq_idx], A_ub, ub_sign * rhs[ub_idx]
+    @classmethod
+    def of(cls, model: LpModel, highs_row: np.ndarray, sign: np.ndarray) -> Colwise:
+        """`model`'s coefficients with row i moved to `highs_row[i]` and
+        scaled by `sign[i]`; the values at one coordinate are summed one by
+        one in the order added, as scipy's `sum_duplicates` sums them."""
+        row, col = np.array(model._row), np.array(model._col)
+        value = np.array(model._val) * sign[row]
+        row = highs_row[row]
+        shape = (model.n_cons, model.n_vars)
+        order = np.argsort(col * shape[0] + row, kind="stable")
+        row, col, value = row[order], col[order], value[order]
+        first = np.ones(value.size, dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        if not first.all():
+            summed = np.zeros(np.count_nonzero(first))
+            np.add.at(summed, np.cumsum(first) - 1, value)
+            row, col, value = row[first], col[first], summed
+        start = np.zeros(shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=shape[1]), out=start[1:])
+        return cls(shape, start, row.astype(np.int32), value)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """`A @ x`, summed entry by entry in column order, as scipy's CSC
+        product sums it."""
+        per_entry = np.repeat(x, np.diff(self.start))
+        return np.bincount(self.index, self.value * per_entry, minlength=self.shape[0])
+
+    def split(self, m: int) -> tuple[RowSpan, RowSpan]:
+        """The rows before `m` and the rows from `m` on."""
+        n_row, n_col = self.shape
+        nnz = int(np.count_nonzero(self.index < m))
+        return (RowSpan(self, (m, n_col), nnz),
+                RowSpan(self, (n_row - m, n_col), self.value.size - nnz))
+
+
+class RowSpan(NamedTuple):
+    """Some of `matrix`'s rows, with scipy's `shape` and `nnz`."""
+
+    matrix: Colwise
+    shape: tuple[int, int]
+    nnz: int
 
 
 # scipy's options for `linprog(method="highs")`, set once: presolve on, no
@@ -421,79 +451,66 @@ _OPTIONS.presolve = "on"
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 _OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
 _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None, prices=()) -> SimpleNamespace:
+def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
+            prices=()) -> SimpleNamespace:
     """min c x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.
 
-    `bounds` is `(lb, ub)`, one array each. HiGHS gets the rows [A_ub; A_eq]
-    as one CSC matrix with duplicate entries summed, row bounds
-    (-inf, b_ub) and (b_eq, b_eq), and scipy's options, exactly as from
-    `scipy.optimize.linprog(method="highs")`. A fresh HiGHS object solves
-    each call, so the result depends on its inputs alone.
+    `A_ub` and `A_eq` are the leading and the trailing rows of one
+    `Colwise` matrix, and `bounds` is `(lb, ub)`, one array each. HiGHS gets
+    that matrix, row bounds (-inf, b_ub) and (b_eq, b_eq) and scipy's
+    options: what `scipy.optimize.linprog(method="highs")` gives it for the
+    same rows. A fresh HiGHS object solves each call, so the result depends
+    on its inputs alone.
 
-    `prices` are rows of [A_ub; A_eq] whose duals the caller reports; with
-    them the result carries the optimal basis. With `basis`, the optimal
-    basis of an LP that differs from this one only in its rhs, the solve
-    starts from it. That result stands only if `_unique_duals` finds the
-    duals at `prices` to be the LP's only optimal ones; otherwise the LP is
-    solved again from scratch, so they are what a solve from scratch reports.
+    `prices` are rows whose duals the caller reports; with them the result
+    carries the optimal basis. With `basis`, the optimal basis of an LP that
+    differs from this one only in its rhs, the solve starts from it. That
+    result stands only if `_unique_duals` finds the duals at `prices` to be
+    the LP's only optimal ones; otherwise the LP is solved again from
+    scratch, so they are what a solve from scratch reports.
 
     Returns HiGHS's model status and simplex iterations (`nit`, both solves
     counted) and, when optimal, `x`, `fun`, the row duals `ineqlin` and
     `eqlin`, the bound duals `lower` and `upper` and `basis`.
     """
-    n_col = len(c)
-    blocks = [A for A in (A_ub, A_eq) if A is not None]
-    A = (sparse.vstack(blocks, format="csc") if blocks
-         else sparse.csc_matrix((0, n_col)))
-    A.sum_duplicates()
-    b_ub = np.zeros(0) if b_ub is None else b_ub
-    b_eq = np.zeros(0) if b_eq is None else b_eq
+    A = A_ub.matrix
+    n_row, n_col = A.shape
     lb, ub = bounds
-
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
     row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
     row_upper = np.concatenate((b_ub, b_eq))
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
+    # passModel's array form; HiGHS refuses an empty integrality array
+    model = (n_col, n_row, A.value.size, _COLWISE, _MINIMIZE, 0.0, c, lb, ub, row_lower,
+             row_upper, A.start, A.index, A.value, np.zeros(n_col, dtype=np.int32))
 
-    highs = _load(lp, basis)
+    highs = _load(model, basis)
     if highs is None:
         return SimpleNamespace(status=_highs.HighsModelStatus.kModelError, nit=0)
-    if basis is None:
-        del lp, A  # HiGHS holds its own copy of the model; free ours before it solves
     highs.run()
     nit = _iterations(highs)
-    if basis is not None and not _unique_duals(
-            highs, A, np.concatenate((lb, row_lower)), np.concatenate((ub, row_upper)),
-            np.asarray(prices, dtype=np.int64)):
-        highs = _load(lp)
+    optimum = _optimum(highs)
+    if basis is not None and (optimum is None or not _unique_duals(
+            highs, optimum[0], A, np.concatenate((lb, row_lower)),
+            np.concatenate((ub, row_upper)), np.asarray(prices, dtype=np.int64))):
+        highs = _load(model)
         highs.run()
         nit += _iterations(highs)
+        optimum = _optimum(highs)
     status = highs.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
+    if optimum is None:
         return SimpleNamespace(status=status, nit=nit)
-    solution = highs.getSolution()
+    x, y, z = optimum
     optimal = highs.getBasis()
-    y = np.array(solution.row_dual)
-    z = np.array(solution.col_dual)
     # a bound's dual is the column dual where the column sits at that bound
     at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=n_col)
     return SimpleNamespace(
-        status=status, nit=nit,
-        x=np.array(solution.col_value),
+        status=status, nit=nit, x=x,
         fun=highs.getInfo().objective_function_value,
         ineqlin=y[:len(b_ub)],
         eqlin=y[len(b_ub):],
@@ -503,16 +520,16 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, basis=None, prices=()) -> Simp
     )
 
 
-def _load(lp: _highs.HighsLp, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
-    """A fresh HiGHS object holding `lp`, to start from `basis` if given;
-    None if HiGHS refuses the model."""
+def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
+    """A fresh HiGHS object holding `model`, the arguments of `passModel`'s
+    array form, to start from `basis` if given; None if HiGHS refuses it."""
     highs = _highs._Highs()
     highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    if highs.passModel(*model) == _highs.HighsStatus.kError:
         return None
     if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
-        raise ValueError(f"basis does not fit an LP of {lp.num_row_} rows "
-                         f"and {lp.num_col_} columns")
+        raise ValueError(f"basis does not fit an LP of {highs.getNumRow()} rows "
+                         f"and {highs.getNumCol()} columns")
     return highs
 
 
@@ -521,11 +538,21 @@ def _iterations(highs: _highs._Highs) -> int:
     return info.simplex_iteration_count or info.ipm_iteration_count
 
 
-def _unique_duals(highs: _highs._Highs, A: sparse.csc_matrix, lower: np.ndarray,
+def _optimum(highs: _highs._Highs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The primal, the row duals and the column duals of a solved LP, or
+    None unless it is optimal."""
+    if highs.getModelStatus() != _OPTIMAL:
+        return None
+    solution = highs.getSolution()
+    return (np.array(solution.col_value), np.array(solution.row_dual),
+            np.array(solution.col_dual))
+
+
+def _unique_duals(highs: _highs._Highs, x: np.ndarray, A: Colwise, lower: np.ndarray,
                   upper: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the solved LP is optimal and every optimal dual has HiGHS's
-    dual at each of `rows`; `lower` and `upper` bound the columns, then the
-    rows.
+    """Whether every optimal dual of the LP that `highs` solved to the
+    optimum `x` has HiGHS's dual at each of `rows`; `lower` and `upper`
+    bound the columns, then the rows.
 
     Any optimal dual differs from HiGHS's by B^-T d, where B is the optimal
     basis matrix and d the reduced costs it gives the basic variables.
@@ -536,11 +563,8 @@ def _unique_duals(highs: _highs._Highs, A: sparse.csc_matrix, lower: np.ndarray,
     random positive weights: nonzero entries cancel only for a set of
     weights of measure zero.
     """
-    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-        return False
     if not rows.size:
         return True
-    x = np.array(highs.getSolution().col_value)
     _, basic = highs.getBasicVariables()  # column j as j, row i as -1 - i
     var = np.where(basic >= 0, basic, len(x) - 1 - basic)
     value = np.concatenate((x, A @ x))[var]
@@ -566,70 +590,49 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     feasibility/duality-gap certificates. Infeasible and unbounded are
     ordinary statuses, not errors.
     """
-    eq_idx, ub_idx, ub_sign, A_eq, b_eq, A_ub, b_ub = _matrices(model)
-    c = np.array(model.obj)
+    # HiGHS's rows: the "<=" and negated ">=" rows, then the "=" rows, each
+    # in model order
+    sense = np.array(model.con_sense, dtype="<U2")
+    is_eq = sense == EQ
+    order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
+    highs_row = np.argsort(order)  # HiGHS row of each model row
+    m = model.n_cons - int(np.count_nonzero(is_eq))
+    sign = np.where(sense == GE, -1.0, 1.0)
+    A = Colwise.of(model, highs_row, sign)
+    b = (sign * np.array(model.con_rhs, dtype=float))[order]
     lbv = np.array(model.lb, dtype=float)
     ubv = np.array(model.ub, dtype=float)
-    # HiGHS's row order is [A_ub; A_eq]
-    highs_row = np.empty(model.n_cons, dtype=np.int64)
-    highs_row[ub_idx] = np.arange(len(ub_idx))
-    highs_row[eq_idx] = len(ub_idx) + np.arange(len(eq_idx))
-    res = linprog(
-        c,
-        A_ub=A_ub if len(ub_idx) else None,
-        b_ub=b_ub if len(ub_idx) else None,
-        A_eq=A_eq if len(eq_idx) else None,
-        b_eq=b_eq if len(eq_idx) else None,
-        bounds=(lbv, ubv),
-        basis=basis,
-        prices=highs_row[np.asarray(prices, dtype=np.int64)],
-    )
+    A_ub, A_eq = A.split(m)
+    res = linprog(np.array(model.obj), A_ub=A_ub, b_ub=b[:m], A_eq=A_eq, b_eq=b[m:],
+                  bounds=(lbv, ubv), basis=basis,
+                  prices=highs_row[np.asarray(prices, dtype=np.int64)])
     if res.status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=LpStatus.INFEASIBLE)
     if res.status == _highs.HighsModelStatus.kUnbounded:
         return LpSolution(status=LpStatus.UNBOUNDED)
-    if res.status != _highs.HighsModelStatus.kOptimal:
+    if res.status != _OPTIMAL:
         raise SolverError(f"solver failure on {model.name!r}: HiGHS status {res.status.name}")
 
     x = res.x
-    y = np.zeros(model.n_cons)
-    y[eq_idx] = res.eqlin
+    y_highs = np.concatenate((res.ineqlin, res.eqlin))
     # negated ">=" rows: dual of the original row flips sign back
-    y[ub_idx] = ub_sign * res.ineqlin
+    y = sign * y_highs[highs_row]
     zl, zu = res.lower, res.upper
 
-    # certificates
-    feas = 0.0
-    if len(eq_idx):
-        feas = max(feas, float(np.max(np.abs(A_eq @ x - b_eq))))
-    if len(ub_idx):
-        feas = max(feas, float(np.max(np.maximum(A_ub @ x - b_ub, 0.0))))
+    # certificates, over HiGHS's rows: one product A @ x
+    residual = A @ x - b
+    finite_lb, finite_ub = np.isfinite(lbv), np.isfinite(ubv)
+    lbf, ubf = np.where(finite_lb, lbv, 0.0), np.where(finite_ub, ubv, 0.0)
     with np.errstate(invalid="ignore"):
         bnd_viol = np.maximum(lbv - x, 0.0) + np.maximum(x - ubv, 0.0)
-    bnd_viol = np.where(np.isfinite(bnd_viol), bnd_viol, 0.0)
-    if model.n_vars:
-        feas = max(feas, float(np.max(bnd_viol)))
-
-    dual_obj = 0.0
-    if len(eq_idx):
-        dual_obj += float(b_eq @ res.eqlin)
-    if len(ub_idx):
-        dual_obj += float(b_ub @ res.ineqlin)
-    finite_lb = np.isfinite(lbv)
-    finite_ub = np.isfinite(ubv)
-    dual_obj += float(np.sum(np.where(finite_lb, lbv, 0.0) * zl))
-    dual_obj += float(np.sum(np.where(finite_ub, ubv, 0.0) * zu))
+    feas = float(max(np.max(np.maximum(residual[:m], 0.0), initial=0.0),
+                     np.max(np.abs(residual[m:]), initial=0.0),
+                     np.max(bnd_viol, where=np.isfinite(bnd_viol), initial=0.0)))
+    dual_obj = float(b @ y_highs) + float(np.sum(lbf * zl)) + float(np.sum(ubf * zu))
     gap = abs(res.fun - dual_obj) / max(1.0, abs(res.fun))
-
-    comp = 0.0
-    if len(ub_idx):
-        slack = b_ub - A_ub @ x
-        comp = max(comp, float(np.max(np.abs(slack * res.ineqlin))))
-    lb_slack = np.where(finite_lb, x - np.where(finite_lb, lbv, 0.0), 0.0)
-    ub_slack = np.where(finite_ub, np.where(finite_ub, ubv, 0.0) - x, 0.0)
-    if model.n_vars:
-        comp = max(comp, float(np.max(np.abs(lb_slack * zl))))
-        comp = max(comp, float(np.max(np.abs(ub_slack * zu))))
+    comp = float(max(np.max(np.abs(residual[:m] * res.ineqlin), initial=0.0),
+                     np.max(np.abs(np.where(finite_lb, x - lbf, 0.0) * zl), initial=0.0),
+                     np.max(np.abs(np.where(finite_ub, ubf - x, 0.0) * zu), initial=0.0)))
 
     certs = LpCertificates(primal_residual=feas, duality_gap=gap, complementarity=comp)
     if _certificate_log is not None:
@@ -639,14 +642,8 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
         raise SolverError(f"{model.name!r}: primal residual {feas:.3e} exceeds {FEAS_TOL:g}")
     if not gap <= GAP_TOL:
         raise SolverError(f"{model.name!r}: duality gap {gap:.3e} exceeds {GAP_TOL:g}")
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        objective=float(res.fun),
-        primal=x,
-        duals=y,
-        certificates=certs,
-        basis=res.basis,
-    )
+    return LpSolution(status=LpStatus.OPTIMAL, objective=float(res.fun), primal=x, duals=y,
+                      certificates=certs, basis=res.basis)
 
 
 def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:

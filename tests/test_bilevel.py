@@ -30,6 +30,13 @@ def test_price_config_rejects_bad_vectors():
     assert BidPricesConfig(prices=(0.0, 2.0)).seg_count == 2
 
 
+@pytest.mark.parametrize("prices", [(float("nan"),), (0.0, float("nan")), (0.0, float("inf"))])
+def test_price_config_rejects_non_finite_prices(prices):
+    # a NaN passes both ordering checks, since every comparison with it is false
+    with pytest.raises(ValueError, match="finite"):
+        BidPricesConfig(prices=prices)
+
+
 def test_nonpositive_dual_bound_rejected(t1):
     with pytest.raises(ValueError):
         build_relaxed_bid(t1, (0.0,), McCormickBounds(dual_bound=0.0))

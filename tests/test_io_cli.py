@@ -1,6 +1,7 @@
 """File formats, round trips, and the command-line interface."""
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,34 @@ def test_cli_bad_price_list_rejected():
 def test_cli_unknown_instance_errors():
     result = run_cli("-i", "missing.json", "myd")
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["optimize-bid", "--prices", "abc"], "could not convert"),
+    (["optimize-bid", "--prices", "5,3"], "nondecreasing"),
+    (["optimize-bid", "--prices", "nan"], "finite"),
+    (["verify-theorem1", "--prices", "-1,0"], "nonnegative"),
+    (["sweep-price", "--from", "0", "--to", "10", "--step", "0"], "--step"),
+    (["oracle", "--step", "0"], "grid step"),
+    (["oracle", "--step", "10", "--prices", "0,1,2,3,4"], "exceeds the guard"),
+    (["clear-rt", "--scenario", "nope"], "unknown scenario 'nope'"),
+    (["-i", "missing.json", "myd"], "missing.json"),
+])
+def test_cli_bad_input_exits_4(tmp_path, args, message):
+    instance = [] if args[0] == "-i" else ["-i", "t1"]
+    result = run_cli(*instance, "-o", str(tmp_path), *args)
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("field, value",
+                         [("voll_usd_per_mwh", "abc"), ("price_cap_usd_per_mwh", [])])
+def test_cli_malformed_instance_value_is_bad_input(tmp_path, field, value):
+    doc = json.loads((DATA / "t1.json").read_text())
+    doc["system"][field] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
+    result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "myd")
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output

@@ -212,3 +212,85 @@ def test_highs_binding_has_what_the_seam_calls():
                         (HighsLp(), ("num_col_", "num_row_", "a_matrix_", "col_cost_",
                                      "col_lower_", "col_upper_", "row_lower_", "row_upper_"))):
         assert [f for f in fields if not hasattr(obj, f)] == []
+    # the seam loads each LP through passModel's array form, which wants an
+    # integrality entry per column
+    from scipy.optimize._highspy._core import HighsStatus
+    one = (np.array([1.0]), np.array([0.0]), np.array([np.inf]), np.array([1.0]),
+           np.array([np.inf]), np.array([0, 1], dtype=np.int32), np.array([0], dtype=np.int32),
+           np.array([1.0]))
+    for integrality, status in ((np.zeros(1, dtype=np.int32), HighsStatus.kOk),
+                                (np.zeros(0, dtype=np.int32), HighsStatus.kError)):
+        highs = _Highs()
+        highs.passOptions(lp._OPTIONS)
+        assert highs.passModel(1, 1, 1, lp._COLWISE, lp._MINIMIZE, 0.0, *one,
+                               integrality) == status
+
+
+def scipy_reference(model):
+    """What `scipy.optimize.linprog(method="highs")` hands HiGHS for `model`:
+    [A_ub; A_eq] as one CSC matrix with duplicates summed, ">=" rows negated
+    into A_ub, and the row bounds."""
+    row, col, val = (np.array(a) for a in (model._row, model._col, model._val))
+    sense, rhs = np.array(model.con_sense), np.array(model.con_rhs)
+    sign = np.where(sense == GE, -1.0, 1.0)
+    blocks, b = [], []
+    for rows in (np.flatnonzero(sense != EQ), np.flatnonzero(sense == EQ)):
+        at = np.full(model.n_cons, -1)
+        at[rows] = np.arange(rows.size)
+        on = np.isin(row, rows)
+        blocks.append(sparse.csr_matrix((val[on] * sign[row[on]], (at[row[on]], col[on])),
+                                        shape=(rows.size, model.n_vars)))
+        b.append(sign[rows] * rhs[rows])
+    A = sparse.vstack(blocks, format="csc")
+    A.sum_duplicates()
+    return A, np.concatenate((np.full(b[0].size, -np.inf), b[1])), np.concatenate(b)
+
+
+def three_terms_at_one_coordinate():
+    # 0.1, 0.2 and 0.3 at (r0, x): (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    model = model_of({"x": 1.0, "y": 1.0}, [[0.1, 1.0], [1.0, 1.0]], [GE, EQ], [1.0, 2.0],
+                     lb=0.0)
+    for extra in (0.2, 0.3):
+        model.add_coeffs(sparse.coo_matrix(([extra], ([0], [0])), shape=(2, 1)), ["x"])
+    return model
+
+
+ASSEMBLED = {
+    "mixed": lambda: model_of({"x": 1.0, "y": -1.0, "z": 2.0},
+                              [[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0],
+                               [0.0, 0.0, 3.0], [2.0, 0.0, 0.5], [0.0, -4.0, 1.0]],
+                              [GE, LE, EQ, GE, LE, EQ], [1.0, 4.0, 3.0, 0.5, 5.0, -1.0],
+                              lb=0.0, ub=[5.0, 6.0, math.inf]),
+    "all equality": lambda: model_of({"x": 1.0, "y": 1.0}, [[1.0, -1.0], [3.0, 1.0]],
+                                     [EQ, EQ], [1.0, 7.0]),
+    "all inequality": lambda: model_of({"x": 1.0, "y": 1.0}, [[1.0, 2.0], [3.0, -1.0]],
+                                       [LE, GE], [8.0, -2.0], lb=0.0),
+    "no rows": lambda: model_of({"x": 1.0, "y": -1.0}, lb=0.0, ub=3.0),
+    "three terms at one coordinate": three_terms_at_one_coordinate,
+}
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_highs_gets_scipys_matrix_and_row_bounds(name, monkeypatch):
+    model = ASSEMBLED[name]()
+    held, load = [], lp._load
+    monkeypatch.setattr(lp, "_load", lambda arrays, basis=None: held.append(load(arrays, basis))
+                        or held[-1])
+    solve(model)
+    loaded = held[0].getLp()
+    A, row_lower, row_upper = scipy_reference(model)
+
+    def bits(a, dtype=float):
+        return np.asarray(a, dtype=dtype).tobytes()
+
+    assert (loaded.num_row_, loaded.num_col_) == A.shape
+    assert bits(loaded.a_matrix_.start_, np.int64) == bits(A.indptr, np.int64)
+    assert bits(loaded.a_matrix_.index_, np.int64) == bits(A.indices, np.int64)
+    assert bits(loaded.a_matrix_.value_) == bits(A.data)
+    assert bits(loaded.row_lower_) == bits(row_lower)
+    assert bits(loaded.row_upper_) == bits(row_upper)
+    for field, values in (("col_cost_", model.obj), ("col_lower_", model.lb),
+                          ("col_upper_", model.ub)):
+        assert bits(getattr(loaded, field)) == bits(values), field
+    if name == "three terms at one coordinate":
+        assert A.nnz == 4 and -((0.1 + 0.2) + 0.3) in A.data.tolist()
