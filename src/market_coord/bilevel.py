@@ -122,17 +122,27 @@ def build_relaxed_bid(
     primal_at = model.n_vars
     block.append_to(model)
 
-    # lower-level duals y: >= 0 on ">=" rows, <= 0 on "<=" rows, free on "="
-    # rows; cap-row duals get the McCormick box
-    sense = np.array(block.sense)
+    # lower-level duals, one per row and one per finite column bound, which
+    # acts as a row: >= 0 on ">=" rows and lower bounds, <= 0 on "<=" rows
+    # and upper bounds, free on "=" rows; cap-row duals get the McCormick box
+    at_lb, at_ub = (np.flatnonzero(np.isfinite(b)) for b in (block.lb, block.ub))
+    bounded = np.concatenate([at_lb, at_ub])
+    sense = np.array(block.sense + [GE] * at_lb.size + [LE] * at_ub.size)
+    dual_rhs = np.concatenate([block.rhs, block.lb[at_lb], block.ub[at_ub]])
     lb = np.where(sense == GE, 0.0, -math.inf)
     lb[block.cap_rows] = -lam_bar
-    duals = [f"y[{r}]" for r in block.rows]
+    duals = ([f"y[{r}]" for r in block.rows] + [f"zl[{block.cols[j]}]" for j in at_lb]
+             + [f"zu[{block.cols[j]}]" for j in at_ub])
     dual_at = model.n_vars
     model.add_vars(duals, np.zeros(len(duals)), lb, np.where(sense == LE, 0.0, math.inf))
 
-    # dual feasibility: A^T y = c, one row per lower-level primal variable
-    model.add_rows([f"dual[{v}]" for v in block.cols], block.A.T, [EQ] * len(block.cols),
+    # dual feasibility: A^T y + z = c, one row per lower-level primal variable
+    A, z_at = block.A, len(block.rows) + np.arange(bounded.size)
+    transposed = sparse.coo_matrix(
+        (np.concatenate([A.data, np.ones(bounded.size)]),
+         (np.concatenate([A.col, bounded]), np.concatenate([A.row, z_at]))),
+        shape=(len(block.cols), len(duals)))
+    model.add_rows([f"dual[{v}]" for v in block.cols], transposed, [EQ] * len(block.cols),
                    bid_cost, duals)
 
     # auxiliaries v for the dual-objective products y * w, with their
@@ -156,7 +166,7 @@ def build_relaxed_bid(
 
     # strong duality: lower primal objective equals the dual objective,
     # with each product replaced by its auxiliary
-    sd = np.concatenate([bid_cost, -block.rhs, -np.ones(n_keys)])
+    sd = np.concatenate([bid_cost, -dual_rhs, -np.ones(n_keys)])
     model.add_rows(["strong_duality"], sparse.coo_matrix(sd[None, :]), [EQ], [0.0],
                    block.cols + duals + aux)
 
@@ -168,6 +178,7 @@ def build_relaxed_bid(
         structure=block,
         bid_cost=bid_cost,
         lam_bar=lam_bar,
+        dual_rhs=dual_rhs,
         quantities=slice(0, primal_at),
         primal=slice(primal_at, dual_at),
         duals=slice(dual_at, dual_at + len(duals)),
@@ -181,8 +192,10 @@ class RelaxedContext:
     structure: DamStructure
     bid_cost: np.ndarray  # lower-level cost of each structure column
     lam_bar: float
+    dual_rhs: np.ndarray  # each dual's coefficient in the dual objective, W at zero
     # columns of the relaxed LP: W in structure.keys order, the lower-level
-    # primal in structure.cols order, and one dual per structure row
+    # primal in structure.cols order, and the duals: one per structure row,
+    # then one per finite column bound
     quantities: slice
     primal: slice
     duals: slice
@@ -256,7 +269,7 @@ def solve_bid(
     # lower-level strong-duality residual with the true bilinear products
     structure = ctx.structure
     primal_obj = ctx.bid_cost @ z[ctx.primal]
-    dual_obj = structure.rhs @ y + y[structure.cap_rows] @ w
+    dual_obj = ctx.dual_rhs @ y + y[structure.cap_rows] @ w
     residual = float(abs(primal_obj - dual_obj))
 
     return BilevelSolution(

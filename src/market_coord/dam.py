@@ -9,11 +9,14 @@ market's own variables, the coupling `D` to the quantities `W[k,t,s]`, the
 true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
 it with the quantities fixed (`rhs - D @ q`) and the prices written into a
 copy of the costs; the bilevel module appends it with the quantities kept as
-decision variables. Its network rows come from `network_rows`, which the
-real-time market shares.
+decision variables. Each column carries its bounds, declared with its cost,
+so no row bounds a single variable. Its network rows come from
+`network_rows` and its unit rows from `unit_rows`, which the real-time
+market shares.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,6 +37,7 @@ __all__ = [
     "build_dam",
     "clear_dam",
     "network_rows",
+    "unit_rows",
     "wname",
 ]
 
@@ -64,6 +68,12 @@ def hourly(var: str) -> Callable[[str, int], str]:
 
 
 _pc, _u, _c, _th = map(hourly, ("pC", "uDA", "cDA", "thDA"))
+FREE, NONNEG = (-math.inf, math.inf), (0.0, math.inf)
+
+
+def angle_bounds(instance: Instance, bus: str) -> tuple[float, float]:
+    """Free, but the slack bus's angle, the reference, is fixed at 0."""
+    return (0.0, 0.0) if bus == instance.network.slack_bus else FREE
 
 
 def network_rows(instance: Instance, market: str, angle: Callable[[str, int], str],
@@ -72,9 +82,8 @@ def network_rows(instance: Instance, market: str, angle: Callable[[str, int], st
 
     Each hour has one balance row per bus (the coefficients and rhs that
     `injection(bus, hour)` returns, less the net outflow through the B-theta
-    terms on the `angle` variables), the reference angle row and both limits
-    of every line. Returns the rows and the balance row of each (bus, hour),
-    bus by bus.
+    terms on the `angle` variables) and both limits of every line. Returns
+    the rows and the balance row of each (bus, hour), bus by bus.
     """
     net = instance.network
     rows: list[Row] = []
@@ -90,7 +99,6 @@ def network_rows(instance: Instance, market: str, angle: Callable[[str, int], st
                 coeffs[to] = coeffs.get(to, 0.0) + sign * b
             at[(n, t)] = len(rows)
             rows.append(Row(f"{market}_bal[{n},{t}]", coeffs, EQ, rhs))
-        rows.append(Row(f"{market}_ref[{t}]", {angle(net.slack_bus, t): 1.0}, EQ, 0.0))
         for ln in net.lines:
             b = 1.0 / ln.reactance
             flow = {angle(ln.from_bus, t): b, angle(ln.to_bus, t): -b}
@@ -98,6 +106,38 @@ def network_rows(instance: Instance, market: str, angle: Callable[[str, int], st
             rows.append(Row(f"{market}_flow_ub[{line}]", dict(flow), LE, ln.capacity))
             rows.append(Row(f"{market}_flow_lb[{line}]", dict(flow), GE, -ln.capacity))
     return rows, {(n, t): at[(n, t)] for n in net.buses for t in instance.hours}
+
+
+def unit_rows(instance: Instance, market: str, output: Callable, commit: Callable,
+              startup: Callable) -> list[Row]:
+    """Each conventional unit's p_max/p_min, start-up and ramp rows in one
+    market, hour by hour, the first hour's from `p_init` and `u_init`.
+
+    `output(unit, hour)` and `startup(unit, hour)` return the coefficients
+    of the unit's output and start-up cost, and `commit` names its
+    commitment column.
+    """
+    rows: list[Row] = []
+    for g in instance.units:
+        prev = None
+        for t in instance.hours:
+            out, u, at = output(g.id, t), commit(g.id, t), f"[{g.id},{t}]"
+            su = {**startup(g.id, t), u: -g.startup_cost}
+            rows.append(Row(f"{market}_p_ub{at}", {**out, u: -g.p_max}, LE, 0.0))
+            rows.append(Row(f"{market}_p_lb{at}", {**out, u: -g.p_min}, GE, 0.0))
+            if prev is None:
+                rows.append(Row(f"{market}_su{at}", su, GE, -g.startup_cost * g.u_init))
+                rows.append(Row(f"{market}_ramp_up{at}", {**out, u: -g.ramp_up}, LE, g.p_init))
+                rows.append(Row(f"{market}_ramp_dn{at}", out, GE,
+                                g.p_init - g.ramp_down * g.u_init))
+            else:
+                u_prev = commit(g.id, prev)
+                delta = {**out, **{v: -c for v, c in output(g.id, prev).items()}}
+                rows.append(Row(f"{market}_su{at}", {**su, u_prev: g.startup_cost}, GE, 0.0))
+                rows.append(Row(f"{market}_ramp_up{at}", {**delta, u: -g.ramp_up}, LE, 0.0))
+                rows.append(Row(f"{market}_ramp_dn{at}", {**delta, u_prev: g.ramp_down}, GE, 0.0))
+            prev = t
+    return rows
 
 
 @dataclass(frozen=True)
@@ -128,19 +168,19 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     hours = instance.hours
     ss = instance.scenario_set
 
-    cost: dict[str, float] = {}
+    columns: dict[str, tuple[float, float, float]] = {}
     keys = [(k.id, t, s) for k in instance.vre_units for t in hours for s in range(seg_count)]
 
     for g in instance.units:
         for t in hours:
-            cost[_pc(g.id, t)] = g.variable_cost
-            cost[_u(g.id, t)] = g.no_load_cost
-            cost[_c(g.id, t)] = 1.0
+            columns[_pc(g.id, t)] = (g.variable_cost, *FREE)
+            columns[_u(g.id, t)] = (g.no_load_cost, 0.0, 1.0)
+            columns[_c(g.id, t)] = (1.0, *NONNEG)
     for key in keys:
-        cost[_pw(*key)] = 0.0
+        columns[_pw(*key)] = (0.0, *NONNEG)
     for n in instance.network.buses:
         for t in hours:
-            cost[_th(n, t)] = 0.0
+            columns[_th(n, t)] = (0.0, *angle_bounds(instance, n))
 
     def injection(n, t):
         coeffs = {_pc(g.id, t): 1.0 for g in instance.units if g.bus == n}
@@ -149,47 +189,15 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
         return coeffs, ss.da_load.get((n, t), 0.0)
 
     rows, balance = network_rows(instance, "da", _th, injection)
-
-    cap_rows = []
-    for k, t, s in keys:
-        rows.append(Row(f"da_pw_lb[{k},{t},{s}]", {_pw(k, t, s): 1.0}, GE, 0.0))
-        cap_rows.append(len(rows))
-        rows.append(Row(f"da_pw_cap[{k},{t},{s}]",
-                        {_pw(k, t, s): 1.0, wname(k, t, s): -1.0}, LE, 0.0))
-
-    for g in instance.units:
-        for idx, t in enumerate(hours):
-            prev = hours[idx - 1] if idx > 0 else None
-            rows.append(Row(f"da_pc_ub[{g.id},{t}]",
-                            {_pc(g.id, t): 1.0, _u(g.id, t): -g.p_max}, LE, 0.0))
-            rows.append(Row(f"da_pc_lb[{g.id},{t}]",
-                            {_pc(g.id, t): 1.0, _u(g.id, t): -g.p_min}, GE, 0.0))
-            rows.append(Row(f"da_u_lb[{g.id},{t}]", {_u(g.id, t): 1.0}, GE, 0.0))
-            rows.append(Row(f"da_u_ub[{g.id},{t}]", {_u(g.id, t): 1.0}, LE, 1.0))
-            su = {_c(g.id, t): 1.0, _u(g.id, t): -g.startup_cost}
-            if prev is None:
-                rows.append(Row(f"da_su[{g.id},{t}]", su, GE, -g.startup_cost * g.u_init))
-            else:
-                su[_u(g.id, prev)] = g.startup_cost
-                rows.append(Row(f"da_su[{g.id},{t}]", su, GE, 0.0))
-            rows.append(Row(f"da_c_lb[{g.id},{t}]", {_c(g.id, t): 1.0}, GE, 0.0))
-            if prev is None:
-                rows.append(Row(f"da_ramp_dn[{g.id},{t}]", {_pc(g.id, t): 1.0},
-                                GE, g.p_init - g.ramp_down * g.u_init))
-                rows.append(Row(f"da_ramp_up[{g.id},{t}]",
-                                {_pc(g.id, t): 1.0, _u(g.id, t): -g.ramp_up},
-                                LE, g.p_init))
-            else:
-                rows.append(Row(f"da_ramp_dn[{g.id},{t}]",
-                                {_pc(g.id, t): 1.0, _pc(g.id, prev): -1.0,
-                                 _u(g.id, prev): g.ramp_down}, GE, 0.0))
-                rows.append(Row(f"da_ramp_up[{g.id},{t}]",
-                                {_pc(g.id, t): 1.0, _pc(g.id, prev): -1.0,
-                                 _u(g.id, t): -g.ramp_up}, LE, 0.0))
+    cap_rows = np.arange(len(rows), len(rows) + len(keys))
+    rows += [Row(f"da_pw_cap[{k},{t},{s}]", {_pw(k, t, s): 1.0, wname(k, t, s): -1.0}, LE, 0.0)
+             for k, t, s in keys]
+    rows += unit_rows(instance, "da", lambda g, t: {_pc(g, t): 1.0}, _u,
+                      lambda g, t: {_c(g, t): 1.0})
 
     unit_keys = [(g.id, t) for g in instance.units for t in hours]
     return DamStructure.from_rows(
-        rows, cost, {wname(*key): 0.0 for key in keys}, balance,
+        rows, columns, {wname(*key): 0.0 for key in keys}, balance,
         {
             "p_conventional": (unit_keys, _pc),
             "commitment": (unit_keys, _u),
@@ -198,7 +206,7 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             "angle": (list(balance), _th),
         },
         keys=keys,
-        cap_rows=np.array(cap_rows, dtype=np.int64),
+        cap_rows=cap_rows,
     )
 
 

@@ -48,6 +48,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str, default=None, kind=float):
+    """Field `key` of `mapping` as a `kind`; `default`, if given, where it is missing."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: field {key!r} is not a number: {value!r}") from None
+
+
 def _load_json(path: str | Path) -> dict:
     try:
         with open(path) as fh:
@@ -63,18 +72,18 @@ def _parse_units(doc: dict, where: str) -> tuple[ConventionalUnit, ...]:
             ConventionalUnit(
                 id=_require(entry, "id", where),
                 bus=_require(entry, "bus", where),
-                variable_cost=float(_require(entry, "variable_cost_usd_per_mwh", where)),
-                no_load_cost=float(entry.get("no_load_cost_usd_per_h", 0.0)),
-                startup_cost=float(entry.get("startup_cost_usd", 0.0)),
-                up_redispatch_cost=float(entry.get("up_redispatch_cost_usd_per_mwh", 0.0)),
-                down_redispatch_cost=float(entry.get("down_redispatch_cost_usd_per_mwh", 0.0)),
-                p_max=float(_require(entry, "p_max_mw", where)),
-                p_min=float(entry.get("p_min_mw", 0.0)),
-                ramp_up=float(entry.get("ramp_up_mw_per_h", 0.0)),
-                ramp_down=float(entry.get("ramp_down_mw_per_h", 0.0)),
+                variable_cost=_number(entry, "variable_cost_usd_per_mwh", where),
+                no_load_cost=_number(entry, "no_load_cost_usd_per_h", where, 0.0),
+                startup_cost=_number(entry, "startup_cost_usd", where, 0.0),
+                up_redispatch_cost=_number(entry, "up_redispatch_cost_usd_per_mwh", where, 0.0),
+                down_redispatch_cost=_number(entry, "down_redispatch_cost_usd_per_mwh", where, 0.0),
+                p_max=_number(entry, "p_max_mw", where),
+                p_min=_number(entry, "p_min_mw", where, 0.0),
+                ramp_up=_number(entry, "ramp_up_mw_per_h", where, 0.0),
+                ramp_down=_number(entry, "ramp_down_mw_per_h", where, 0.0),
                 start_class=entry.get("start_class", "fast"),
-                u_init=float(entry.get("u_init", 0.0)),
-                p_init=float(entry.get("p_init_mw", 0.0)),
+                u_init=_number(entry, "u_init", where, 0.0),
+                p_init=_number(entry, "p_init_mw", where, 0.0),
             )
         )
     return tuple(units)
@@ -127,16 +136,11 @@ def _parse_scenarios_csv(path: str | Path, vre_ids: set[str], buses: set[str]):
     return scenarios, hours
 
 
-def load_instance(
-    network_path: str | Path,
-    scenarios_path: str | Path,
-    units_path: str | Path | None = None,
-) -> Instance:
+def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Instance:
     """Parse and validate an instance; fails fast on any violation.
 
     `network_path` holds network, units, system parameters, and day-ahead
-    load in one JSON document; `units_path` optionally overrides the unit
-    tables from a separate file with the same schema.
+    load in one JSON document.
     """
     doc = _load_json(network_path)
     where = str(network_path)
@@ -145,8 +149,8 @@ def load_instance(
         Line(
             from_bus=_require(entry, "from", where),
             to_bus=_require(entry, "to", where),
-            reactance=float(_require(entry, "reactance", where)),
-            capacity=float(_require(entry, "capacity_mw", where)),
+            reactance=_number(entry, "reactance", where),
+            capacity=_number(entry, "capacity_mw", where),
         )
         for entry in net_doc.get("lines", [])
     )
@@ -155,27 +159,27 @@ def load_instance(
         lines=lines,
         slack_bus=_require(net_doc, "slack_bus", where),
     )
-    units_doc = doc if units_path is None else _load_json(units_path)
-    units = _parse_units(units_doc, where if units_path is None else str(units_path))
+    units = _parse_units(doc, where)
     vre_units = tuple(
         VreUnit(
             id=_require(entry, "id", where),
             bus=_require(entry, "bus", where),
-            capacity=float(_require(entry, "capacity_mw", where)),
+            capacity=_number(entry, "capacity_mw", where),
         )
-        for entry in units_doc.get("vre_units", [])
+        for entry in doc.get("vre_units", [])
     )
     sys_doc = _require(doc, "system", where)
     system = SystemParams(
-        voll=float(_require(sys_doc, "voll_usd_per_mwh", where)),
+        voll=_number(sys_doc, "voll_usd_per_mwh", where),
         price_cap=(
             None
             if sys_doc.get("price_cap_usd_per_mwh") is None
-            else float(sys_doc["price_cap_usd_per_mwh"])
+            else _number(sys_doc, "price_cap_usd_per_mwh", where)
         ),
     )
     da_load = {
-        (entry["bus"], int(entry["hour"])): float(entry["load_mw"])
+        (_require(entry, "bus", where), _number(entry, "hour", where, kind=int)):
+            _number(entry, "load_mw", where)
         for entry in doc.get("da_load", [])
     }
     scenarios, csv_hours = _parse_scenarios_csv(

@@ -18,15 +18,15 @@ and keywords (`c`, `A_ub`, `A_eq`, `nit`) because the benchmark's traced run
 wraps `lp.linprog` by name and counts each solve's rows and nonzeros from
 `A_ub` and `A_eq`: two `RowSpan`s of one `Colwise` matrix.
 
-LPs that differ only in their rhs can share a basis: `solve(model,
-prices=rows)` keeps the optimal basis, and `solve(other, basis=, prices=rows)`
-re-optimizes from it with dual simplex, skipping presolve. A warm start may
-end at another optimal vertex than a solve from scratch, and where an LP has
-more than one optimal dual the reported prices would then depend on the
-start. So a warm result stands only where one solve with its basis matrix
-shows the duals at `prices` to be the LP's only optimal ones (then a solve
-from scratch reports them too, up to rounding); otherwise the LP is solved
-again from scratch.
+LPs that differ only in their rhs and column bounds can share a basis:
+`solve(model, prices=rows)` keeps the optimal basis, and `solve(other,
+basis=, prices=rows)` re-optimizes from it with dual simplex, skipping
+presolve. A warm start may end at another optimal vertex than a solve from
+scratch, and where an LP has more than one optimal dual the reported prices
+would then depend on the start. So a warm result stands only where one
+solve with its basis matrix shows the duals at `prices` to be the LP's only
+optimal ones (then a solve from scratch reports them too, up to rounding);
+otherwise the LP is solved again from scratch.
 
 Sign convention (minimization): duals of ">="-constraints are >= 0, duals of
 "<="-constraints are <= 0, equality duals are free. Every optimal solve is
@@ -257,7 +257,10 @@ def _bounds(bound, n: int) -> list[float]:
     """`n` variable bounds from one bound for all or one bound each."""
     if np.isscalar(bound):
         return [float(bound)] * n
-    return np.broadcast_to(np.asarray(bound, dtype=float), (n,)).tolist()
+    bound = np.asarray(bound, dtype=float)
+    if bound.shape != (n,):
+        raise ValueError(f"{n} variables but bounds of shape {bound.shape}")
+    return bound.tolist()
 
 
 @dataclass(frozen=True)
@@ -265,13 +268,15 @@ class Block:
     """One market's LP in sparse form, built once and appended to models.
 
     Row i reads `A[i] x + D[i] z  sense[i]  rhs[i]`, where `x` are the
-    block's own columns `cols` and `z` the columns `d_cols` it is coupled to,
-    which belong to another block. `append_to` either fixes `z` at given
-    values or keeps it as variables of the model.
+    block's own columns `cols`, each within `[lb, ub]`, and `z` the columns
+    `d_cols` it is coupled to, which belong to another block. `append_to`
+    either fixes `z` at given values or keeps it as variables of the model.
     """
 
     cols: list[str]
     cost: np.ndarray  # objective coefficient of each own column
+    lb: np.ndarray  # bounds of each own column
+    ub: np.ndarray
     rows: list[str]
     sense: list[str]
     rhs: np.ndarray  # with every coupled column at zero
@@ -285,22 +290,26 @@ class Block:
     outputs: dict[str, tuple[list, np.ndarray]]  # result field -> (keys, column of each)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row], cost: dict[str, float],
+    def from_rows(cls, rows: Sequence[Row], columns: dict[str, tuple[float, float, float]],
                   d_cost: dict[str, float], balance: dict[tuple[str, int], int],
                   outputs: dict, **extra):
         """The block of `rows`, built once.
 
-        `cost` and `d_cost` give the objective coefficient of each own and
-        each coupled column, in column order; `balance` the balance row of
-        each (bus, hour); `outputs` maps each result field to its keys and
-        the function naming the column of a key.
+        `columns` gives the objective coefficient and the lower and upper
+        bound of each own column, and `d_cost` the objective coefficient of
+        each coupled column, both in column order; `balance` the balance row
+        of each (bus, hour); `outputs` maps each result field to its keys
+        and the function naming the column of a key.
         """
-        cols, d_cols = list(cost), list(d_cost)
+        cols, d_cols = list(columns), list(d_cost)
         A, D = split_rows(rows, cols, d_cols)
         col = {v: j for j, v in enumerate(cols)}
+        cost, lb, ub = np.array(list(columns.values()), dtype=float).reshape(-1, 3).T
         return cls(
             cols=cols,
-            cost=np.array(list(cost.values()), dtype=float),
+            cost=cost,
+            lb=lb,
+            ub=ub,
             rows=[row.name for row in rows],
             sense=[row.sense for row in rows],
             rhs=np.array([row.rhs for row in rows], dtype=float),
@@ -318,22 +327,22 @@ class Block:
             **extra,
         )
 
-    def append_to(self, model: LpModel, fixed=None, rhs=None, cost=None,
+    def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,
                   suffix: str = "", weight: float = 1.0) -> float:
         """Append the block's columns and rows to `model`.
 
         With `fixed`, the coupled columns are substituted at those values and
         their cost, a constant, is returned. Without, they stay variables of
-        `model`, their cost joins its objective and 0.0 is returned. `rhs`
-        and `cost` replace the block's own, `suffix` ends every column and
-        row name, and every cost is scaled by `weight`.
+        `model`, their cost joins its objective and 0.0 is returned. `rhs`,
+        `ub` and `cost` replace the block's own, `suffix` ends every column
+        and row name, and every cost is scaled by `weight`.
         """
         rhs = self.rhs if rhs is None else rhs
         cost = self.cost if cost is None else cost
         cols = [v + suffix for v in self.cols] if suffix else self.cols
         rows = [r + suffix for r in self.rows] if suffix else self.rows
         d_cost = weight * self.d_cost
-        model.add_vars(cols, weight * cost)
+        model.add_vars(cols, weight * cost, self.lb, self.ub if ub is None else ub)
         if fixed is not None:
             fixed = np.asarray(fixed, dtype=float)
             # rhs - D @ fixed, subtracted term by term in row order, as
@@ -471,7 +480,8 @@ def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
 
     `prices` are rows whose duals the caller reports; with them the result
     carries the optimal basis. With `basis`, the optimal basis of an LP that
-    differs from this one only in its rhs, the solve starts from it. That
+    differs from this one only in its rhs and column bounds, the solve
+    starts from it. That
     result stands only if `_unique_duals` finds the duals at `prices` to be
     the LP's only optimal ones; otherwise the LP is solved again from
     scratch, so they are what a solve from scratch reports.
@@ -582,7 +592,8 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
 
     `prices` are rows whose duals the caller reports; with them the solution
     keeps its optimal basis. With `basis`, the optimal basis of an LP that
-    differs from `model` only in its rhs, HiGHS starts from it (ValueError
+    differs from `model` only in its rhs and column bounds, HiGHS starts
+    from it (ValueError
     if the shapes differ), and the result is kept only where the duals at
     `prices` are the model's only optimal ones; otherwise `model` is solved
     from scratch (see `linprog`). Raises SolverError when HiGHS reports a

@@ -299,6 +299,9 @@ def validate(instance: Instance) -> ValidationReport:
                 report.violations.append(
                     f"scenario {s.id}: VRE {k} output {w} outside [0, {cap}]"
                 )
+        missing = [(k, t) for k in vre_ids for t in ss.hours if (k, t) not in s.vre_real]
+        if missing:
+            report.violations.append(f"scenario {s.id}: no output for VRE (unit, hour) {missing}")
         for (n, t), val in s.rt_load.items():
             if n not in buses:
                 report.violations.append(f"scenario {s.id}: unknown bus {n!r}")

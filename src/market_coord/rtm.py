@@ -1,27 +1,30 @@
 """Real-time re-dispatch, one LP per scenario.
 
-A scenario enters its real-time LP only through the right-hand side (its
-real-time load and realized VRE output), and so does the day-ahead schedule.
-Each instance therefore carries one `lp.Block`, its template, built on first
-use: the matrix over the real-time variables, the coupling `D` to the
-day-ahead `pC`/`uDA`/`cDA` variables, the costs and the row senses. Its
-network rows come from `dam.network_rows`, as the day-ahead block's do.
-`rtm_structure` pairs the template with one scenario's rhs. `build_rtm`
-appends it with the day-ahead schedule fixed (`rhs - D @ x_DA`); the
-stochastic and bilevel modules append every scenario's block with `D` kept
-(`append_scenarios`), so the day-ahead variables are shared decisions.
+A scenario enters its real-time LP only through the balance rhs (its
+real-time load less its realized VRE output) and the upper bounds of its
+shedding and curtailment columns (that load and that output), and the
+day-ahead schedule only through the rhs. Each instance therefore carries one
+`lp.Block`, its template, built on first use: the matrix over the real-time
+variables, the coupling `D` to the day-ahead `pC`/`uDA`/`cDA` variables,
+the costs, the column bounds and the row senses. Its network and unit rows
+come from `dam.network_rows` and `dam.unit_rows`, as the day-ahead block's
+do. `rtm_structure` pairs the template with one scenario's rhs and upper
+bounds. `build_rtm` appends it with the day-ahead schedule fixed
+(`rhs - D @ x_DA`); the stochastic and bilevel modules append every
+scenario's block with `D` kept (`append_scenarios`), so the day-ahead
+variables are shared decisions.
 
-Since scenarios differ only in the rhs, the optimal basis of one scenario's
-LP stays dual feasible for every other. `expected_rt_cost` therefore solves
-the first scenario from scratch and re-optimizes each other one from that
-basis (`lp.solve(model, basis=, prices=)`), on a fresh HiGHS object each.
-Such a result is kept only where the scenario's LMPs are its LP's only
-optimal duals; where a bus and hour may price anywhere between two
-redispatch costs, the scenario is solved again from scratch. Every
-scenario's LMPs, f_RT and dispatch are thus a standalone `clear_rtm`'s
-(which always solves from scratch), up to rounding, whichever scenario comes
-first; a dispatch may differ only where the LP has more than one optimal
-primal, at equal f_RT.
+Since scenarios differ only in the rhs and in finite column bounds, the
+optimal basis of one scenario's LP stays dual feasible for every other.
+`expected_rt_cost` therefore solves the first scenario from scratch and
+re-optimizes each other one from that basis (`lp.solve(model, basis=,
+prices=)`), on a fresh HiGHS object each. Such a result is kept only where
+the scenario's LMPs are its LP's only optimal duals; where a bus and hour
+may price anywhere between two redispatch costs, the scenario is solved
+again from scratch. Every scenario's LMPs, f_RT and dispatch are thus a
+standalone `clear_rtm`'s (which always solves from scratch), up to rounding,
+whichever scenario comes first; a dispatch may differ only where the LP has
+more than one optimal primal, at equal f_RT.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import DaSchedule, hourly, network_rows
-from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row, solve
+from .dam import NONNEG, DaSchedule, angle_bounds, hourly, network_rows, unit_rows
+from .lp import EQ, GE, Block, LpModel, LpStatus, Row, solve
 from .model import Instance, Scenario, cached
 
 __all__ = [
@@ -63,21 +66,22 @@ class _Template(Block):
     `d_cost` their coefficients in f_RT.
     """
 
-    load_rows: np.ndarray  # rows whose rhs is the real-time load at load_keys
-    load_keys: list[tuple[str, int]]
-    vre_rows: np.ndarray  # rows whose rhs gains vre_sign * output at vre_keys
-    vre_keys: list[tuple[str, int]]
-    vre_sign: np.ndarray
+    vre_rows: np.ndarray  # balance row of each curtailment key
     # DaSchedule field -> (keys, position of each key in d_cols)
     schedule: dict[str, tuple[list, np.ndarray]]
 
-    def scenario_rhs(self, scenario: Scenario) -> np.ndarray:
-        rhs = self.rhs.copy()
-        rhs[self.load_rows] += [scenario.rt_load.get(key, 0.0) for key in self.load_keys]
-        vre = [scenario.vre_real.get(key, 0.0) for key in self.vre_keys]
-        # np.add.at: a balance row recurs once per VRE unit at its bus
-        np.add.at(rhs, self.vre_rows, self.vre_sign * vre)
-        return rhs
+    def of_scenario(self, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+        """The rhs and the column upper bounds of `scenario`'s LP."""
+        bus_keys, shed = self.outputs["shed"]
+        vre_keys, curtailment = self.outputs["curtailment"]
+        load = [scenario.rt_load.get(key, 0.0) for key in bus_keys]
+        vre = [scenario.vre_real.get(key, 0.0) for key in vre_keys]
+        rhs, ub = self.rhs.copy(), self.ub.copy()
+        rhs[self.bal_rows] += load
+        # np.subtract.at: a balance row recurs once per VRE unit at its bus
+        np.subtract.at(rhs, self.vre_rows, vre)
+        ub[shed], ub[curtailment] = load, vre
+        return rhs, ub
 
     def day_ahead(self, da: DaSchedule) -> np.ndarray:
         """The coupled columns' values in the schedule `da`."""
@@ -90,27 +94,27 @@ class _Template(Block):
 
 def _build_template(instance: Instance) -> _Template:
     hours = instance.hours
-    voll = instance.system.voll
 
-    cost: dict[str, float] = {}
+    columns: dict[str, tuple[float, float, float]] = {}
     da_obj: dict[str, float] = {}
 
     for g in instance.units:
         for t in hours:
-            cost[_ru(g.id, t)] = g.up_redispatch_cost
-            cost[_rd(g.id, t)] = -g.down_redispatch_cost
-            cost[_urt(g.id, t)] = g.no_load_cost
-            cost[_crt(g.id, t)] = 1.0
+            columns[_ru(g.id, t)] = (g.up_redispatch_cost, *NONNEG)
+            columns[_rd(g.id, t)] = (-g.down_redispatch_cost, *NONNEG)
+            columns[_urt(g.id, t)] = (g.no_load_cost, -np.inf, 1.0)
+            columns[_crt(g.id, t)] = (1.0, *NONNEG)
             da_obj[_pc(g.id, t)] = 0.0
             da_obj[_uda(g.id, t)] = -g.no_load_cost
             da_obj[_cda(g.id, t)] = 0.0
+    # curtailment and shedding: upper bounds are each scenario's
     for k in instance.vre_units:
         for t in hours:
-            cost[_cr(k.id, t)] = 0.0
+            columns[_cr(k.id, t)] = (0.0, 0.0, 0.0)
     for n in instance.network.buses:
         for t in hours:
-            cost[_sh(n, t)] = voll
-            cost[_th(n, t)] = 0.0
+            columns[_sh(n, t)] = (instance.system.voll, 0.0, 0.0)
+            columns[_th(n, t)] = (0.0, *angle_bounds(instance, n))
 
     def injection(n, t):
         coeffs: dict[str, float] = {}
@@ -126,67 +130,22 @@ def _build_template(instance: Instance) -> _Template:
         return coeffs, 0.0
 
     rows, balance = network_rows(instance, "rt", _th, injection)
-    # a balance row's rhs is the load less the VRE output at its bus
-    load_at = [(r, key) for key, r in balance.items()]
-    vre_at = [(r, (k.id, t), -1.0) for (n, t), r in balance.items()
-              for k in instance.vre_units if k.bus == n]
-
+    # a unit's real-time output is its day-ahead output plus its redispatch
+    rows += unit_rows(instance, "rt",
+                      lambda g, t: {_ru(g, t): 1.0, _rd(g, t): -1.0, _pc(g, t): 1.0}, _urt,
+                      lambda g, t: {_crt(g, t): 1.0, _cda(g, t): 1.0})
+    # a slow unit keeps its day-ahead commitment, a fast one may only add to it
     for g in instance.units:
-        for idx, t in enumerate(hours):
-            prev = hours[idx - 1] if idx > 0 else None
-            u = _urt(g.id, t)
-            if g.start_class == "slow":
-                rows.append(Row(f"rt_u_fix[{g.id},{t}]", {u: 1.0, _uda(g.id, t): -1.0}, EQ, 0.0))
-            else:
-                rows.append(Row(f"rt_u_min[{g.id},{t}]", {u: 1.0, _uda(g.id, t): -1.0}, GE, 0.0))
-            rows.append(Row(f"rt_u_ub[{g.id},{t}]", {u: 1.0}, LE, 1.0))
-
-            net_out = {_ru(g.id, t): 1.0, _rd(g.id, t): -1.0, _pc(g.id, t): 1.0}
-            rows.append(Row(f"rt_p_ub[{g.id},{t}]", {**net_out, u: -g.p_max}, LE, 0.0))
-            rows.append(Row(f"rt_p_lb[{g.id},{t}]", {**net_out, u: -g.p_min}, GE, 0.0))
-
-            su = {_crt(g.id, t): 1.0, _cda(g.id, t): 1.0, u: -g.startup_cost}
-            if prev is None:
-                rows.append(Row(f"rt_su[{g.id},{t}]", su, GE, -g.startup_cost * g.u_init))
-            else:
-                su[_urt(g.id, prev)] = g.startup_cost
-                rows.append(Row(f"rt_su[{g.id},{t}]", su, GE, 0.0))
-
-            if prev is None:
-                rows.append(Row(f"rt_ramp_up[{g.id},{t}]",
-                                {**net_out, u: -g.ramp_up}, LE, g.p_init))
-                rows.append(Row(f"rt_ramp_dn[{g.id},{t}]", dict(net_out),
-                                GE, g.p_init - g.ramp_down * g.u_init))
-            else:
-                delta = {
-                    _ru(g.id, t): 1.0, _rd(g.id, t): -1.0, _pc(g.id, t): 1.0,
-                    _ru(g.id, prev): -1.0, _rd(g.id, prev): 1.0, _pc(g.id, prev): -1.0,
-                }
-                rows.append(Row(f"rt_ramp_up[{g.id},{t}]", {**delta, u: -g.ramp_up}, LE, 0.0))
-                rows.append(Row(f"rt_ramp_dn[{g.id},{t}]",
-                                {**delta, _urt(g.id, prev): g.ramp_down}, GE, 0.0))
-
-            rows.append(Row(f"rt_c_lb[{g.id},{t}]", {_crt(g.id, t): 1.0}, GE, 0.0))
-            rows.append(Row(f"rt_ru_lb[{g.id},{t}]", {_ru(g.id, t): 1.0}, GE, 0.0))
-            rows.append(Row(f"rt_rd_lb[{g.id},{t}]", {_rd(g.id, t): 1.0}, GE, 0.0))
-
-    for k in instance.vre_units:
-        for t in hours:
-            rows.append(Row(f"rt_cr_lb[{k.id},{t}]", {_cr(k.id, t): 1.0}, GE, 0.0))
-            vre_at.append((len(rows), (k.id, t), 1.0))
-            rows.append(Row(f"rt_cr_ub[{k.id},{t}]", {_cr(k.id, t): 1.0}, LE, 0.0))
-    for n in instance.network.buses:
-        for t in hours:
-            rows.append(Row(f"rt_sh_lb[{n},{t}]", {_sh(n, t): 1.0}, GE, 0.0))
-            load_at.append((len(rows), (n, t)))
-            rows.append(Row(f"rt_sh_ub[{n},{t}]", {_sh(n, t): 1.0}, LE, 0.0))
+        fix, sense = ("fix", EQ) if g.start_class == "slow" else ("min", GE)
+        rows += [Row(f"rt_u_{fix}[{g.id},{t}]", {_urt(g.id, t): 1.0, _uda(g.id, t): -1.0},
+                     sense, 0.0) for t in hours]
 
     unit_keys = [(g.id, t) for g in instance.units for t in hours]
     vre_keys = [(k.id, t) for k in instance.vre_units for t in hours]
     bus_keys = list(balance)
     d_at = {v: j for j, v in enumerate(da_obj)}
     return _Template.from_rows(
-        rows, cost, da_obj, balance,
+        rows, columns, da_obj, balance,
         {
             "r_up": (unit_keys, _ru),
             "r_down": (unit_keys, _rd),
@@ -196,11 +155,8 @@ def _build_template(instance: Instance) -> _Template:
             "shed": (bus_keys, _sh),
             "angle": (bus_keys, _th),
         },
-        load_rows=np.array([r for r, _ in load_at], dtype=np.int64),
-        load_keys=[key for _, key in load_at],
-        vre_rows=np.array([r for r, _, _ in vre_at], dtype=np.int64),
-        vre_keys=[key for _, key, _ in vre_at],
-        vre_sign=np.array([sign for _, _, sign in vre_at]),
+        vre_rows=np.array([balance[(instance.vre(k).bus, t)] for k, t in vre_keys],
+                          dtype=np.int64),
         schedule={
             name: (unit_keys, np.array([d_at[col(*key)] for key in unit_keys], dtype=np.int64))
             for name, col in (("p_conventional", _pc), ("commitment", _uda), ("startup_cost", _cda))
@@ -213,10 +169,12 @@ def _template(instance: Instance) -> _Template:
     return cached(instance, "_rtm_template", lambda: _build_template(instance))
 
 
-def rtm_structure(instance: Instance, scenario: Scenario) -> tuple[_Template, np.ndarray]:
-    """The real-time block of one scenario: the instance's template and its rhs."""
+def rtm_structure(instance: Instance,
+                  scenario: Scenario) -> tuple[_Template, np.ndarray, np.ndarray]:
+    """The real-time block of one scenario: the instance's template, and the
+    scenario's rhs and column upper bounds."""
     tpl = _template(instance)
-    return tpl, tpl.scenario_rhs(scenario)
+    return (tpl, *tpl.of_scenario(scenario))
 
 
 def append_scenarios(instance: Instance, model: LpModel) -> None:
@@ -224,8 +182,8 @@ def append_scenarios(instance: Instance, model: LpModel) -> None:
     day-ahead variables they share; names carry `@<scenario id>` and costs,
     including the day-ahead terms of f_RT, are weighted by probability."""
     for scen in instance.scenario_set.scenarios:
-        tpl, rhs = rtm_structure(instance, scen)
-        tpl.append_to(model, rhs=rhs, suffix=f"@{scen.id}", weight=scen.probability)
+        tpl, rhs, ub = rtm_structure(instance, scen)
+        tpl.append_to(model, rhs=rhs, ub=ub, suffix=f"@{scen.id}", weight=scen.probability)
 
 
 @dataclass
@@ -250,9 +208,9 @@ def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpM
     Returns (model, template, objective offset); f_RT equals the LP
     objective plus the offset, which carries the constant -C0 * uDA terms.
     """
-    tpl, rhs = rtm_structure(instance, _find_scenario(instance, scenario_id))
+    tpl, rhs, ub = rtm_structure(instance, _find_scenario(instance, scenario_id))
     model = LpModel(name=f"rtm[{scenario_id}]")
-    offset = tpl.append_to(model, tpl.day_ahead(da), rhs=rhs)
+    offset = tpl.append_to(model, tpl.day_ahead(da), rhs=rhs, ub=ub)
     return model, tpl, offset
 
 
@@ -323,11 +281,11 @@ def expected_rt_cost(
 
     The first scenario is solved from scratch and every other one from its
     optimal basis, which stays dual feasible since the scenarios' LPs differ
-    only in their rhs; a scenario whose LMPs that start leaves non-unique is
-    solved from scratch. Each scenario's result is therefore a function of
-    the schedule, the first scenario and its own data alone, and the
-    reduction runs in scenario order, so totals do not depend on the fan-out
-    width.
+    only in their rhs and column bounds; a scenario whose LMPs that start
+    leaves non-unique is solved from scratch. Each scenario's result is
+    therefore a function of the schedule, the first scenario and its own
+    data alone, and the reduction runs in scenario order, so totals do not
+    depend on the fan-out width.
     """
     scenarios = instance.scenario_set.scenarios
     workers = thread_count(threads)

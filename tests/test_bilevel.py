@@ -79,12 +79,25 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     q = np.array([seg[1] for b in bids for seg in b.segments])
     fixed = np.array(relaxed.con_rhs)[rows] - lower[:, w_cols] @ q
     assert fixed.tolist() == dam.con_rhs
+    assert [relaxed.lb[j] for j in cols] == dam.lb
+    assert [relaxed.ub[j] for j in cols] == dam.ub
 
-    # dual feasibility reads A^T y = c, c the day-ahead LP's bid cost
+    # one bound dual per finite column bound of the day-ahead LP: z_l >= 0
+    # at a lower bound, z_u <= 0 at an upper one
+    at_lb = [v for v, lo in zip(dam.var_names, dam.lb) if np.isfinite(lo)]
+    at_ub = [v for v, hi in zip(dam.var_names, dam.ub) if np.isfinite(hi)]
+    z_cols = [col_at[f"zl[{v}]"] for v in at_lb] + [col_at[f"zu[{v}]"] for v in at_ub]
+    assert sum(v.startswith(("zl[", "zu[")) for v in relaxed.var_names) == len(z_cols)
+    assert [(relaxed.lb[j], relaxed.ub[j]) for j in z_cols] == \
+        [(0.0, np.inf)] * len(at_lb) + [(-np.inf, 0.0)] * len(at_ub)
+
+    # dual feasibility reads A^T y + z = c, c the day-ahead LP's bid cost
     dual_rows = [row_at[f"dual[{v}]"] for v in block.cols]
     dual = matrix[dual_rows]
-    assert dual.nnz == dual[:, y_cols].nnz
+    assert dual.nnz == dual[:, y_cols].nnz + dual[:, z_cols].nnz
     assert (dual[:, y_cols] != dam._matrix().T).nnz == 0
+    bounded = [block.cols.index(v) for v in at_lb + at_ub]
+    assert (dual[:, z_cols].toarray() == np.eye(len(block.cols))[:, bounded]).all()
     assert [relaxed.con_sense[i] for i in dual_rows] == ["="] * len(block.cols)
     assert [relaxed.con_rhs[i] for i in dual_rows] == dam.obj
 
@@ -95,6 +108,13 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
         terms = {relaxed.var_names[j]: c
                  for j, c in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())}
         return terms, relaxed.con_sense[i], relaxed.con_rhs[i]
+
+    # strong duality: c x = b y + lb z_l + ub z_u + the McCormick products
+    terms, sense, rhs = row("strong_duality")
+    bound = [lo for lo in dam.lb if np.isfinite(lo)] + [hi for hi in dam.ub if np.isfinite(hi)]
+    expect = {relaxed.var_names[j]: -b for j, b in zip(z_cols, bound) if b != 0.0}
+    assert {v: c for v, c in terms.items() if v.startswith(("zl[", "zu["))} == expect
+    assert (sense, rhs) == ("=", 0.0)
 
     # upper level: W in [0, capacity], and one w_total row per (unit, hour)
     lam = ctx.lam_bar

@@ -243,3 +243,43 @@ def test_cli_malformed_instance_value_is_bad_input(tmp_path, field, value):
     result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "myd")
     assert result.exit_code == 4, result.output
     assert "bad input:" in result.output
+
+
+def t1_without_vre_output(tmp_path) -> Path:
+    """T1's instance with its scenario CSV stripped of every w1 row."""
+    shutil.copy(DATA / "t1.json", tmp_path / "bad.json")
+    rows = (DATA / "t1_scenarios.csv").read_text().splitlines()
+    (tmp_path / "bad_scenarios.csv").write_text(
+        "\n".join(r for r in rows if ",w1," not in r) + "\n")
+    return tmp_path / "bad.json"
+
+
+def test_scenario_without_vre_output_fails_validation(tmp_path):
+    path = t1_without_vre_output(tmp_path)
+    with pytest.raises(mio.ParseError, match=r"scenario s1: no output for VRE \(unit, hour\) \[\('w1', 0\)\]"):
+        mio.load_instance(path, tmp_path / "bad_scenarios.csv")
+
+
+@pytest.mark.parametrize("command", [["myd"], ["compare"], ["clear-da"], ["clear-rt"],
+                                     ["sweep-price", "--from", "0", "--to", "10"]])
+def test_cli_scenario_without_vre_output_is_bad_input(tmp_path, command):
+    path = t1_without_vre_output(tmp_path)
+    result = run_cli("-i", str(path), "-o", str(tmp_path), *command)
+    assert result.exit_code == 4, result.output
+    assert "no output for VRE (unit, hour) [('w1', 0)]" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["da_load"][0].pop("bus"), "'bus'"),
+    (lambda doc: doc["system"].update(voll_usd_per_mwh="abc"), "'voll_usd_per_mwh'"),
+    (lambda doc: doc["system"].update(voll_usd_per_mwh=[1000.0]), "'voll_usd_per_mwh'"),
+], ids=["da-load-without-bus", "voll-not-a-number", "voll-a-list"])
+def test_malformed_instance_value_names_file_and_field(tmp_path, edit, field):
+    doc = json.loads((DATA / "t1.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(mio.ParseError) as err:
+        mio.load_instance(path, DATA / "t1_scenarios.csv")
+    assert str(path) in str(err.value) and field in str(err.value)

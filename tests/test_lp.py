@@ -141,17 +141,20 @@ def test_lp_text_dump_mentions_rows_and_bounds():
 
 
 def test_solve_from_the_optimal_basis_of_an_equal_shape():
-    # min x + 2y s.t. x + y >= b, x <= 4: the basis at b = 3 is optimal at b = 5
-    def at(b):
+    # min x + 2y s.t. x + y >= b, x <= 4, 0 <= x <= x_max, y >= 0, solved at
+    # b = 5, x_max = 10 from the optimal basis of an LP with another rhs
+    # (b = 3) and of one with other column bounds too (b = 3, x_max = 2)
+    def at(b, x_max):
         return model_of({"x": 1.0, "y": 2.0}, [[1.0, 1.0], [1.0, 0.0]], [GE, LE], [b, 4.0],
-                        lb=0.0)
+                        lb=0.0, ub=[x_max, math.inf])
 
-    cold = solve(at(5.0))
+    cold = solve(at(5.0, 10.0))
     assert cold.basis is None  # kept only for a caller that names its prices
-    warm = solve(at(5.0), basis=solve(at(3.0), prices=[0]).basis, prices=[0])
-    assert warm.objective == cold.objective == pytest.approx(6.0)
-    assert warm.primal.tolist() == cold.primal.tolist()
-    assert warm.duals.tolist() == cold.duals.tolist()
+    for start in (at(3.0, 10.0), at(3.0, 2.0)):
+        warm = solve(at(5.0, 10.0), basis=solve(start, prices=[0]).basis, prices=[0])
+        assert warm.objective == cold.objective == pytest.approx(6.0)
+        assert warm.primal.tolist() == cold.primal.tolist()
+        assert warm.duals.tolist() == cold.duals.tolist()
 
 
 def test_warm_start_with_a_non_unique_price_solves_from_scratch(monkeypatch):

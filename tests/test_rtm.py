@@ -9,7 +9,7 @@ from market_coord.bilevel import _load_weighted_lmps, solve_bid, vre_profit
 from market_coord.dam import clear_dam, dam_structure
 from market_coord.lp import solve
 from market_coord.model import BidCurve
-from market_coord.policies import evaluate_bids, myopic_bids, stochastic
+from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
 from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost, thread_count
 from conftest import single_scenario, zero_bid
 
@@ -186,6 +186,31 @@ def test_warm_scenarios_match_a_cold_clear_rtm(bundled, name):
                                       for s in inst.scenario_set.scenarios), rel=1e-9)
 
 
+def _balance_slopes(model, row, step=1e-3):
+    """The left and right slopes of `model`'s optimal cost in the rhs of
+    `row`, from solves with that rhs moved by -step, 0 and +step."""
+    base, cost = model.con_rhs[row], []
+    for rhs in (base - step, base, base + step):
+        model.con_rhs[row] = rhs
+        cost.append(solve(model).objective)
+    model.con_rhs[row] = base
+    return (cost[1] - cost[0]) / step, (cost[2] - cost[1]) / step
+
+
+@pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
+def test_reported_lmps_lie_between_the_balance_slopes(bundled, name):
+    # the cost is convex in a balance row's rhs, so every optimal dual of
+    # that row, the reported LMP at a degenerate hour too, lies between its
+    # left and right slopes; finite differences keep that order
+    inst = bundled[name]
+    result = myopic(inst)
+    for d in result.rt_dispatches:
+        model, tpl, _ = build_rtm(inst, result.da, d.scenario_id)
+        for key, row in zip(tpl.bus_keys, tpl.bal_rows.tolist()):
+            left, right = _balance_slopes(model, row)
+            assert left - 1e-6 <= d.lmp[key] <= right + 1e-6, (d.scenario_id, key)
+
+
 def test_scenario_with_non_unique_prices_is_solved_from_scratch(bundled, monkeypatch):
     # sys3's s2 has no redispatch at hour 1 under the myopic schedule, so
     # any price between the down- and up-redispatch costs is optimal there:
@@ -252,6 +277,8 @@ def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatc
         assert block.nnz == block[:, cols].nnz + block[:, d_cols].nnz
         assert [std.con_sense[i] for i in rows] == rt.con_sense
         assert (block[:, cols] != rt._matrix()).nnz == 0
+        assert [std.lb[j] for j in cols] == rt.lb
+        assert [std.ub[j] for j in cols] == rt.ub
 
         # fixing the day-ahead columns term by term, in the order the rows
         # hold them, turns the scenario's rhs b_s into b_s - D x exactly
