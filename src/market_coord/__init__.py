@@ -25,7 +25,6 @@ from .policies import (
     stochastic,
 )
 from .bilevel import (
-    BidPricesConfig,
     BilevelSolution,
     McCormickBounds,
     TheoremReport,

@@ -9,6 +9,10 @@ McCormick envelopes, leaving one LP.
 
 Reported costs always come from re-running the sequential markets on the
 extracted quantities, never from the relaxed objective.
+
+Segment prices, one tuple shared by every curve, pass `dam.check_prices`
+before any LP is built. The bid layout, and the maps between curves and
+key-ordered prices and quantities, are the day-ahead block's.
 """
 from __future__ import annotations
 
@@ -21,14 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .dam import DamStructure, DaSchedule, dam_structure
+from .dam import DamStructure, DaSchedule, check_prices, dam_structure
 from .lp import GE, LE, EQ, LpModel, LpStatus, solve
 from .model import BidCurve, Instance
 from .policies import PolicyResult, evaluate_bids, myopic_bids
 from .rtm import append_scenarios
 
 __all__ = [
-    "BidPricesConfig",
     "McCormickBounds",
     "BilevelSolution",
     "TheoremReport",
@@ -52,25 +55,6 @@ _MC_FACTOR = np.array([0, 1, 0, 2, 0, 1, 2, 0])
 
 
 @dataclass(frozen=True)
-class BidPricesConfig:
-    """Fixed segment prices, shared across VRE units and hours."""
-
-    prices: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(math.isfinite(p) for p in self.prices):
-            raise ValueError("segment prices must be finite")
-        if any(b < a for a, b in zip(self.prices, self.prices[1:])):
-            raise ValueError("segment prices must be nondecreasing")
-        if self.prices and self.prices[0] < 0:
-            raise ValueError("segment prices must be nonnegative")
-
-    @property
-    def seg_count(self) -> int:
-        return len(self.prices)
-
-
-@dataclass(frozen=True)
 class McCormickBounds:
     """Box bounds for the dual-times-quantity products.
 
@@ -87,35 +71,27 @@ class McCormickBounds:
         return bound
 
 
-def _as_prices(prices) -> BidPricesConfig:
-    if isinstance(prices, BidPricesConfig):
-        return prices
-    return BidPricesConfig(prices=tuple(float(p) for p in prices))
-
-
 def build_relaxed_bid(
     instance: Instance,
     prices,
     bounds: McCormickBounds = McCormickBounds(),
 ) -> tuple[LpModel, "RelaxedContext"]:
-    cfg = _as_prices(prices)
+    prices = check_prices(instance, prices)
     lam_bar = bounds.resolved(instance)
-    block = dam_structure(instance, cfg.seg_count)
-    bid_cost = block.cost.copy()
-    bid_cost[block.pw_cols] = [cfg.prices[s] for _k, _t, s in block.keys]
+    block = dam_structure(instance, len(prices))
+    key_prices = block.key_prices(prices)
+    bid_cost = block.priced(key_prices)
     model = LpModel(name="relaxed-bid")
-    n_keys = len(block.keys)
-    w_bar = np.array([instance.vre(k).capacity for k, _t, _s in block.keys], dtype=float)
+    n_keys, curves = len(block.keys), block.curves
+    w_bar = block.capacity
 
-    # upper level: bid quantities, per segment and in total within capacity;
-    # each (unit, hour) owns seg_count consecutive keys
-    totals = [(k, t) for k in instance.vre_units for t in instance.hours]
+    # upper level: bid quantities, per segment and per curve within capacity
     model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
     model.add_rows(
-        [f"w_total[{k.id},{t}]" for k, t in totals],
-        sparse.coo_matrix((np.ones(n_keys), (np.repeat(np.arange(len(totals)), cfg.seg_count),
-                                             np.arange(n_keys))), shape=(len(totals), n_keys)),
-        [LE] * len(totals), [k.capacity for k, _t in totals], block.d_cols,
+        [f"w_total[{k},{t}]" for k, t in curves],
+        sparse.coo_matrix((np.ones(n_keys), (block.curve_of, np.arange(n_keys))),
+                          shape=(len(curves), n_keys)),
+        [LE] * len(curves), [instance.vre(k).capacity for k, _t in curves], block.d_cols,
     )
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
@@ -174,7 +150,8 @@ def build_relaxed_bid(
     append_scenarios(instance, model)
 
     ctx = RelaxedContext(
-        cfg=cfg,
+        prices=prices,
+        key_prices=key_prices,
         structure=block,
         bid_cost=bid_cost,
         lam_bar=lam_bar,
@@ -188,7 +165,8 @@ def build_relaxed_bid(
 
 @dataclass
 class RelaxedContext:
-    cfg: BidPricesConfig
+    prices: tuple[float, ...]  # the segment prices, checked
+    key_prices: np.ndarray  # the price of each structure key
     structure: DamStructure
     bid_cost: np.ndarray  # lower-level cost of each structure column
     lam_bar: float
@@ -213,21 +191,6 @@ class BilevelSolution:
     bids: tuple[BidCurve, ...] = ()
 
 
-def _bids_from_quantities(
-    instance: Instance, prices: tuple[float, ...],
-    quantities: dict[tuple[str, int, int], float],
-) -> list[BidCurve]:
-    bids = []
-    for k in instance.vre_units:
-        for t in instance.hours:
-            qs = [max(0.0, quantities[(k.id, t, s)]) for s in range(len(prices))]
-            total = sum(qs)
-            if total > k.capacity and total > 0:
-                qs = [q * k.capacity / total for q in qs]
-            bids.append(BidCurve(owner=k.id, hour=t, segments=tuple(zip(prices, qs))))
-    return bids
-
-
 def solve_bid(
     instance: Instance,
     prices,
@@ -235,8 +198,7 @@ def solve_bid(
     policy_name: str = "BiD",
 ) -> BilevelSolution:
     """Optimize bid quantities for fixed prices and score them sequentially."""
-    cfg = _as_prices(prices)
-    model, ctx = build_relaxed_bid(instance, cfg, bounds)
+    model, ctx = build_relaxed_bid(instance, prices, bounds)
     sol = solve(model)
     if sol.status is LpStatus.INFEASIBLE:
         raise RuntimeError(
@@ -254,27 +216,26 @@ def solve_bid(
     model.add_rows(["relaxed_opt_cap"],
                    sparse.coo_matrix(np.array(model.obj)[None, :]), [LE], [cap], model.var_names)
     model.obj = [0.0] * model.n_vars
-    for (_k, _t, s), w in zip(ctx.structure.keys, ctx.structure.d_cols):
-        model.add_obj(w, cfg.prices[s] + 1e-3 + 1e-6 * s)
+    structure = ctx.structure
+    for (_k, _t, s), w, price in zip(structure.keys, structure.d_cols, ctx.key_prices.tolist()):
+        model.add_obj(w, price + 1e-3 + 1e-6 * s)
     refined = solve(model)
     if refined.status is LpStatus.OPTIMAL:
         sol = refined
 
     z = sol.primal
     w, y = z[ctx.quantities], z[ctx.duals]
-    quantities = dict(zip(ctx.structure.keys, w.tolist()))
-    bids = _bids_from_quantities(instance, cfg.prices, quantities)
+    bids = structure.bid_curves(ctx.key_prices, w)
     result = evaluate_bids(instance, bids, policy=policy_name)
 
     # lower-level strong-duality residual with the true bilinear products
-    structure = ctx.structure
     primal_obj = ctx.bid_cost @ z[ctx.primal]
     dual_obj = ctx.dual_rhs @ y + y[structure.cap_rows] @ w
     residual = float(abs(primal_obj - dual_obj))
 
     return BilevelSolution(
-        quantities=quantities,
-        prices=cfg.prices,
+        quantities=dict(zip(structure.keys, w.tolist())),
+        prices=ctx.prices,
         relaxed_objective=relaxed_objective,
         s_bid=result.s_total,
         policy_result=result,
@@ -317,12 +278,11 @@ def verify_theorem1(
     prices,
     bounds: McCormickBounds = McCormickBounds(),
 ) -> TheoremReport:
-    cfg = _as_prices(prices)
-    multi = solve_bid(instance, cfg, bounds)
+    multi = solve_bid(instance, prices, bounds)  # checks the prices before any LP
     single = solve_bid_q(instance, bounds)
     scale = max(1.0, abs(single.s_bid))
     gap = abs(multi.s_bid - single.s_bid) / scale
-    has_zero = any(abs(p) < 1e-12 for p in cfg.prices)
+    has_zero = any(abs(p) < 1e-12 for p in multi.prices)
     return TheoremReport(
         s_bid=multi.s_bid,
         s_bid_q=single.s_bid,
@@ -361,49 +321,33 @@ def oracle_grid_search(
     dimension, scoring each with the sequential pipeline. Intended for tiny
     instances only; guarded by `ORACLE_MAX_DIMS`.
     """
-    cfg = _as_prices(prices)
-    dims = [
-        (k.id, t, s, instance.vre(k.id).capacity)
-        for k in instance.vre_units
-        for t in instance.hours
-        for s in range(cfg.seg_count)
-    ]
-    if len(dims) > ORACLE_MAX_DIMS:
+    prices = check_prices(instance, prices)
+    block = dam_structure(instance, len(prices))
+    if len(block.keys) > ORACLE_MAX_DIMS:
         raise ValueError(
-            f"grid search over {len(dims)} dimensions exceeds the guard of {ORACLE_MAX_DIMS}"
+            f"grid search over {len(block.keys)} dimensions exceeds the guard of {ORACLE_MAX_DIMS}"
         )
     if grid_step <= 0:
         raise ValueError("grid step must be > 0")
     axes = []
-    for _k, _t, _s, cap in dims:
+    for cap in block.capacity.tolist():
         n = int(math.floor(cap / grid_step + 1e-9))
         pts = [i * grid_step for i in range(n + 1)]
         if pts[-1] < cap - 1e-9:
             pts.append(cap)
         axes.append(pts)
 
-    best_s = math.inf
-    best_q: dict[tuple[str, int, int], float] | None = None
-    caps = {k.id: k.capacity for k in instance.vre_units}
+    key_prices = block.key_prices(prices)
+    curve_cap = np.array([instance.vre(k).capacity for k, _t in block.curves])
+    best_s, best_q = math.inf, None
     for point in itertools.product(*axes):
-        q = {(k, t, s): v for (k, t, s, _), v in zip(dims, point)}
-        ok = True
-        for k in caps:
-            for t in instance.hours:
-                if sum(q.get((k, t, s), 0.0) for s in range(cfg.seg_count)) > caps[k] + 1e-9:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        bids = _bids_from_quantities(instance, cfg.prices, q)
-        s_val = evaluate_bids(instance, bids).s_total
+        if np.any(np.bincount(block.curve_of, point, len(curve_cap)) > curve_cap + 1e-9):
+            continue  # a curve above its unit's capacity
+        s_val = evaluate_bids(instance, block.bid_curves(key_prices, point)).s_total
         if s_val < best_s - 1e-12:
-            best_s = s_val
-            best_q = q
+            best_s, best_q = s_val, point
     assert best_q is not None
-    return _bids_from_quantities(instance, cfg.prices, best_q), best_s
+    return block.bid_curves(key_prices, best_q), best_s
 
 
 def vre_profit(instance: Instance, result: PolicyResult) -> dict[str, float]:
@@ -472,6 +416,9 @@ def price_sweep(
     bounds: McCormickBounds = McCormickBounds(),
 ) -> SweepTable:
     """Score MyD-at-price and BiD-at-price over single-segment price points."""
+    price_points = list(price_points)
+    for price in price_points:  # every point, before the first LP
+        check_prices(instance, (price,))
     table = SweepTable()
     for price in price_points:
         bid_sol = solve_bid(instance, (price,), bounds)

@@ -17,7 +17,7 @@ from typing import NoReturn
 import click
 
 from . import bilevel, io as mio, policies
-from .dam import BidSetError, DamInfeasibleError, clear_dam
+from .dam import BidSetError, DamInfeasibleError, check_prices, clear_dam
 from .model import Instance
 from .rtm import clear_rtm, thread_count
 
@@ -35,12 +35,12 @@ def _load(instance: str, scenarios: str | None) -> Instance:
     return mio.load_instance(instance, scenarios)
 
 
-def _parse_prices(text: str) -> tuple[float, ...]:
-    """The segment prices of a `--prices` list, checked as `solve_bid` checks
-    them; bad input unless they parse and pass."""
+def _parse_prices(obj, text: str) -> tuple[float, ...]:
+    """The segment prices of a `--prices` list, checked by the curve price
+    rules (the bid price cap included); bad input unless they parse and pass."""
     try:
-        return bilevel.BidPricesConfig(tuple(float(p) for p in text.split(","))).prices
-    except ValueError as exc:
+        return check_prices(obj["instance"], [float(p) for p in text.split(",")])
+    except ValueError as exc:  # BidSetError is a ValueError
         _bad_input(f"--prices {text!r}: {exc}")
 
 
@@ -188,12 +188,12 @@ def std_cmd(obj):
 
 @main.command("optimize-bid")
 @click.option("--prices", default="0", show_default=True,
-              help="Comma-separated nondecreasing segment prices, $/MWh.")
+              help="Comma-separated segment prices, $/MWh: nondecreasing, in [0, bid price cap].")
 @click.pass_obj
 def optimize_bid_cmd(obj, prices):
     """Optimize bid quantities for fixed segment prices (relaxed bilevel)."""
     inst = obj["instance"]
-    sol = bilevel.solve_bid(inst, _parse_prices(prices))
+    sol = bilevel.solve_bid(inst, _parse_prices(obj, prices))
     path = _output(obj, "optimized_bids.csv")
     mio.save_bids(sol.bids, path)
     _emit(obj, {"s_bid_usd": sol.s_bid, "relaxed_objective_usd": sol.relaxed_objective,
@@ -230,7 +230,7 @@ def sweep_price_cmd(obj, start, stop, step):
 @click.pass_obj
 def verify_theorem1_cmd(obj, prices):
     """Compare multi-segment and quantity-only optimized costs."""
-    report = bilevel.verify_theorem1(obj["instance"], _parse_prices(prices))
+    report = bilevel.verify_theorem1(obj["instance"], _parse_prices(obj, prices))
     payload = {
         "s_bid_usd": report.s_bid,
         "s_bid_q_usd": report.s_bid_q,
@@ -254,7 +254,7 @@ def verify_theorem1_cmd(obj, prices):
 def oracle_cmd(obj, step, prices):
     """Brute-force quantity grid search (tiny instances only)."""
     try:
-        bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(prices), step)
+        bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(obj, prices), step)
     except ValueError as exc:  # a grid step of 0 or below, or too many dimensions
         _bad_input(exc)
     path = _output(obj, "oracle_bids.csv")
@@ -268,7 +268,7 @@ def oracle_cmd(obj, step, prices):
 @click.pass_obj
 def compare_cmd(obj, prices):
     """Run MyD, BiD, StD and check the cost dominance chain."""
-    table = policies.compare(obj["instance"], _parse_prices(prices))
+    table = policies.compare(obj["instance"], _parse_prices(obj, prices))
     path = _output(obj, "comparison.csv")
     path.write_text(table.to_csv())
     if obj["json"]:

@@ -13,6 +13,9 @@ decision variables. Each column carries its bounds, declared with its cost,
 so no row bounds a single variable. Its network rows come from
 `network_rows` and its unit rows from `unit_rows`, which the real-time
 market shares.
+The block owns the bid layout, one key (unit, hour, segment) per segment:
+`_check_bids` maps curves to key-ordered prices and quantities, and
+`DamStructure.bid_curves` maps them back.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from scipy import sparse
 
 from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row
 from .lp import diagnose_infeasibility, solve
-from .model import BidCurve, Instance, cached, validate_bid_curve
+from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve
 
 __all__ = [
     "DamStructure",
@@ -34,6 +37,7 @@ __all__ = [
     "DamInfeasibleError",
     "BidSetError",
     "dam_structure",
+    "check_prices",
     "build_dam",
     "clear_dam",
     "network_rows",
@@ -147,13 +151,46 @@ class DamStructure(Block):
     Its coupled columns are the bid quantities `W[k,t,s]`, one per key.
     """
 
-    keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment
+    keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment, curve by curve
+    curves: list[tuple[str, int]]  # (k, t) of each bid curve
+    curve_of: np.ndarray  # curve of each key
+    capacity: np.ndarray  # VRE capacity of each key
     cap_rows: np.ndarray  # cap row of each key
 
     @property
     def pw_cols(self) -> np.ndarray:
         """Column of pW at each key, where the bid price goes."""
         return self.outputs["p_vre"][1]
+
+    def key_prices(self, prices: tuple[float, ...]) -> np.ndarray:
+        """Each key's price when every curve bids the segment prices `prices`."""
+        return np.array([prices[s] for _k, _t, s in self.keys], dtype=float)
+
+    def priced(self, prices: np.ndarray) -> np.ndarray:
+        """A copy of the costs with each key's price, `prices` in key order."""
+        cost = self.cost.copy()
+        cost[self.pw_cols] = prices
+        return cost
+
+    def true_cost(self, x: np.ndarray) -> float:
+        """f_DA(true) of the primal `x`, whose leading columns are the block's."""
+        return sum((self.cost * x[:len(self.cols)]).tolist())
+
+    def bid_curves(self, prices, quantities) -> list[BidCurve]:
+        """The curves of key-ordered `prices` and `quantities`, each quantity
+        clipped at zero and each curve scaled down to its unit's capacity."""
+        prices, quantities = np.asarray(prices).tolist(), np.asarray(quantities).tolist()
+        capacity = self.capacity.tolist()
+        n = len(self.keys) // max(len(self.curves), 1)  # segments per curve
+        bids = []
+        for c, (k, t) in enumerate(self.curves):
+            at = slice(c * n, (c + 1) * n)
+            qs = [max(0.0, q) for q in quantities[at]]
+            total = sum(qs)
+            if total > 0 and total > capacity[c * n]:
+                qs = [q * capacity[c * n] / total for q in qs]
+            bids.append(BidCurve(owner=k, hour=t, segments=tuple(zip(prices[at], qs))))
+        return bids
 
 
 def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
@@ -169,7 +206,8 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     ss = instance.scenario_set
 
     columns: dict[str, tuple[float, float, float]] = {}
-    keys = [(k.id, t, s) for k in instance.vre_units for t in hours for s in range(seg_count)]
+    curves = [(k.id, t) for k in instance.vre_units for t in hours]
+    keys = [(k, t, s) for k, t in curves for s in range(seg_count)]
 
     for g in instance.units:
         for t in hours:
@@ -206,6 +244,9 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             "angle": (list(balance), _th),
         },
         keys=keys,
+        curves=curves,
+        curve_of=np.repeat(np.arange(len(curves)), seg_count),
+        capacity=np.repeat([instance.vre(k).capacity for k, _t in curves], seg_count),
         cap_rows=cap_rows,
     )
 
@@ -232,9 +273,19 @@ class DaDuals:
     balance: dict[tuple[str, int], float]  # the LMP
 
 
-def _check_bids(instance: Instance, bids) -> tuple[int, np.ndarray, np.ndarray]:
+def check_prices(instance: Instance, prices) -> tuple[float, ...]:
+    """`prices` as floats; BidSetError unless they follow the curve price rules."""
+    prices = tuple(float(p) for p in prices)
+    errors = price_errors(prices, instance.system.bid_price_cap)
+    if errors:
+        raise BidSetError(f"bid prices {prices}: " + "; ".join(errors))
+    return prices
+
+
+def _check_bids(instance: Instance, bids) -> tuple[DamStructure, np.ndarray, np.ndarray]:
     """Valid curves, exactly one per (VRE, hour), uniform segment count;
-    returns (S, prices, quantities), both in (unit, hour, segment) order."""
+    returns the block of their segment count and their prices and
+    quantities in its key order."""
     hours = set(instance.hours)
     table: dict[tuple[str, int], BidCurve] = {}
     errors = []
@@ -250,16 +301,13 @@ def _check_bids(instance: Instance, bids) -> tuple[int, np.ndarray, np.ndarray]:
     seg_counts = {len(b.segments) for b in table.values()}
     if len(seg_counts) > 1:
         raise BidSetError(f"inconsistent segment counts: {sorted(seg_counts)}")
-    seg_count = seg_counts.pop() if seg_counts else 1
-    segments: list[tuple[float, float]] = []
-    for k in instance.vre_units:
-        for t in instance.hours:
-            bid = table.get((k.id, t))
-            if bid is None:
-                raise BidSetError(f"missing bid curve for ({k.id}, {t})")
-            segments += bid.segments
+    block = dam_structure(instance, seg_counts.pop() if seg_counts else 1)
+    for k, t in block.curves:
+        if (k, t) not in table:
+            raise BidSetError(f"missing bid curve for ({k}, {t})")
+    segments = [seg for curve in block.curves for seg in table[curve].segments]
     prices, qtys = np.array(segments, dtype=float).reshape(-1, 2).T
-    return seg_count, prices, qtys
+    return block, prices, qtys
 
 
 def _loaded(instance: Instance, block: DamStructure) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +326,9 @@ def build_dam(
     its balance row, for exploratory runs; the market formulation itself has
     none.
     """
-    seg_count, prices, qtys = _check_bids(instance, bids)
-    block = dam_structure(instance, seg_count)
-    cost = block.cost.copy()
-    cost[block.pw_cols] = prices
+    block, prices, qtys = _check_bids(instance, bids)
     model = LpModel(name="dam")
-    block.append_to(model, qtys, cost=cost)
+    block.append_to(model, qtys, cost=block.priced(prices))
     if da_slack:
         loaded, load = _loaded(instance, block)
         shed = [f"lshDA[{n},{t}]" for n, t in (block.bus_keys[i] for i in loaded)]
@@ -311,9 +356,8 @@ def clear_dam(
         )
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
-    x = sol.primal
-    n = len(block.cols)
-    f_true = sum((block.cost * x[:n]).tolist())
+    x, n = sol.primal, len(block.cols)
+    f_true = block.true_cost(x)
     shed = {}
     if da_slack:  # the shedding columns follow the block's
         shed = dict(zip([block.bus_keys[i] for i in _loaded(instance, block)[0]], x[n:].tolist()))

@@ -42,10 +42,21 @@ class ParseError(ValueError):
     """Malformed input file; message names the file and offending field."""
 
 
-def _require(mapping: dict, key: str, where: str):
+def _require(mapping: dict, key: str, where: str, kind: type = object):
+    """Field `key` of `mapping`, which must be a `kind`."""
     if key not in mapping:
         raise ParseError(f"{where}: missing field {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ParseError(f"{where}: field {key!r} is not a {kind.__name__}: {mapping[key]!r}")
     return mapping[key]
+
+
+def _list(mapping: dict, key: str, where: str, item: type = dict, required=False) -> list:
+    """Field `key` of `mapping`, a list of `item`s; if not `required`, [] where missing."""
+    value = _require(mapping if required else {key: [], **mapping}, key, where, list)
+    if not all(isinstance(v, item) for v in value):
+        raise ParseError(f"{where}: field {key!r} is not a list of {item.__name__}: {value!r}")
+    return value
 
 
 def _number(mapping: dict, key: str, where: str, default=None, kind=float):
@@ -67,7 +78,7 @@ def _load_json(path: str | Path) -> dict:
 
 def _parse_units(doc: dict, where: str) -> tuple[ConventionalUnit, ...]:
     units = []
-    for entry in doc.get("conventional_units", []):
+    for entry in _list(doc, "conventional_units", where):
         units.append(
             ConventionalUnit(
                 id=_require(entry, "id", where),
@@ -144,7 +155,7 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
     """
     doc = _load_json(network_path)
     where = str(network_path)
-    net_doc = _require(doc, "network", where)
+    net_doc = _require(doc, "network", where, dict)
     lines = tuple(
         Line(
             from_bus=_require(entry, "from", where),
@@ -152,10 +163,10 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
             reactance=_number(entry, "reactance", where),
             capacity=_number(entry, "capacity_mw", where),
         )
-        for entry in net_doc.get("lines", [])
+        for entry in _list(net_doc, "lines", where)
     )
     network = Network(
-        buses=tuple(_require(net_doc, "buses", where)),
+        buses=tuple(_list(net_doc, "buses", where, str, required=True)),
         lines=lines,
         slack_bus=_require(net_doc, "slack_bus", where),
     )
@@ -166,9 +177,9 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
             bus=_require(entry, "bus", where),
             capacity=_number(entry, "capacity_mw", where),
         )
-        for entry in doc.get("vre_units", [])
+        for entry in _list(doc, "vre_units", where)
     )
-    sys_doc = _require(doc, "system", where)
+    sys_doc = _require(doc, "system", where, dict)
     system = SystemParams(
         voll=_number(sys_doc, "voll_usd_per_mwh", where),
         price_cap=(
@@ -180,12 +191,12 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
     da_load = {
         (_require(entry, "bus", where), _number(entry, "hour", where, kind=int)):
             _number(entry, "load_mw", where)
-        for entry in doc.get("da_load", [])
+        for entry in _list(doc, "da_load", where)
     }
     scenarios, csv_hours = _parse_scenarios_csv(
         scenarios_path, {v.id for v in vre_units}, set(network.buses)
     )
-    hours = tuple(sorted(set(doc.get("hours", [])) | csv_hours))
+    hours = tuple(sorted(set(_list(doc, "hours", where, int)) | csv_hours))
     instance = Instance(
         network=network,
         units=units,

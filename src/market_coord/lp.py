@@ -491,13 +491,10 @@ def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
     `eqlin`, the bound duals `lower` and `upper` and `basis`.
     """
     A = A_ub.matrix
-    n_row, n_col = A.shape
+    n_col = A.shape[1]
     lb, ub = bounds
-    row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
-    row_upper = np.concatenate((b_ub, b_eq))
-    # passModel's array form; HiGHS refuses an empty integrality array
-    model = (n_col, n_row, A.value.size, _COLWISE, _MINIMIZE, 0.0, c, lb, ub, row_lower,
-             row_upper, A.start, A.index, A.value, np.zeros(n_col, dtype=np.int32))
+    model = _pass_model(c, A, b_ub, b_eq, lb, ub)
+    row_lower, row_upper = model[9:11]  # (-inf, b_ub) and (b_eq, b_eq)
 
     highs = _load(model, basis)
     if highs is None:
@@ -528,6 +525,16 @@ def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
         upper=np.where(at == _AT_UPPER, z, 0.0),
         basis=optimal if len(prices) else None,
     )
+
+
+def _pass_model(c, A: Colwise, b_ub, b_eq, lb, ub) -> tuple:
+    """`passModel`'s array-form arguments for `min c x`, `lb <= x <= ub`,
+    the rows of `A` before `len(b_ub)` within (-inf, b_ub) and the rest at b_eq."""
+    row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
+    row_upper = np.concatenate((b_ub, b_eq))
+    # HiGHS refuses an empty integrality array
+    return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, lb, ub, row_lower,
+            row_upper, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
 
 
 def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
@@ -586,6 +593,19 @@ def _unique_duals(highs: _highs._Highs, x: np.ndarray, A: Colwise, lower: np.nda
     return not np.any(np.abs(combined[degenerate]) > 1e-9)
 
 
+def _highs_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, Colwise, np.ndarray, int]:
+    """`model` as HiGHS gets it, "<=" and negated ">=" rows before "=" rows: each
+    row's HiGHS row and sign, the matrix and rhs in that order, and the "<=" count."""
+    sense = np.array(model.con_sense, dtype="<U2")
+    is_eq = sense == EQ
+    order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
+    highs_row = np.argsort(order)  # HiGHS row of each model row
+    sign = np.where(sense == GE, -1.0, 1.0)
+    b = (sign * np.array(model.con_rhs, dtype=float))[order]
+    return (highs_row, sign, Colwise.of(model, highs_row, sign), b,
+            model.n_cons - int(np.count_nonzero(is_eq)))
+
+
 def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
           prices: Sequence[int] = ()) -> LpSolution:
     """Solve `model` and return primal/dual certificates.
@@ -601,16 +621,7 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     feasibility/duality-gap certificates. Infeasible and unbounded are
     ordinary statuses, not errors.
     """
-    # HiGHS's rows: the "<=" and negated ">=" rows, then the "=" rows, each
-    # in model order
-    sense = np.array(model.con_sense, dtype="<U2")
-    is_eq = sense == EQ
-    order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
-    highs_row = np.argsort(order)  # HiGHS row of each model row
-    m = model.n_cons - int(np.count_nonzero(is_eq))
-    sign = np.where(sense == GE, -1.0, 1.0)
-    A = Colwise.of(model, highs_row, sign)
-    b = (sign * np.array(model.con_rhs, dtype=float))[order]
+    highs_row, sign, A, b, m = _highs_form(model)
     lbv = np.array(model.lb, dtype=float)
     ubv = np.array(model.ub, dtype=float)
     A_ub, A_eq = A.split(m)
@@ -658,39 +669,26 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
 
 
 def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
-    """Name the constraints that cannot be met, via an elastic relaxation.
+    """Name the constraints that cannot be met, via HiGHS's feasibility relaxation.
 
     Columns whose lower bound exceeds their upper bound are named first, by
     the amount they cross, and then alone, since no relaxation of the rows
-    can meet them. Otherwise adds nonnegative violation slacks to every row,
-    minimizes the total violation, and reports rows carrying slack above
-    tolerance.
+    can meet them. Otherwise HiGHS minimizes the total row violation with
+    every column bound kept, and reports rows violated above tolerance.
     """
-    crossed = _worst((np.array(model.lb) - np.array(model.ub)).tolist(), model.var_names, top)
+    lb, ub = np.array(model.lb), np.array(model.ub)
+    crossed = _worst((lb - ub).tolist(), model.var_names, top)
     if crossed:
         return crossed
-    elastic = LpModel(name=f"{model.name}-elastic")
-    elastic.add_vars(model.var_names, np.zeros(model.n_vars), model.lb, model.ub)
-    elastic.add_rows(model.con_names, model._matrix().tocoo(), model.con_sense,
-                     model.con_rhs, model.var_names)
-    # row by row, a slack for falling short of a ">=" or "=" row and one for
-    # exceeding a "<=" or "=" row
-    rows, signs, slacks = [], [], []
-    for r, (name, sense) in enumerate(zip(model.con_names, model.con_sense)):
-        for slack, sign, applies in (("__sp", 1.0, sense != LE), ("__sm", -1.0, sense != GE)):
-            if applies:
-                rows.append(r)
-                signs.append(sign)
-                slacks.append(f"{slack}[{name}]")
-    elastic.add_vars(slacks, np.ones(len(slacks)), 0.0)
-    elastic.add_coeffs(sparse.coo_matrix((signs, (rows, range(len(slacks)))),
-                                         shape=(model.n_cons, len(slacks))), slacks)
-    sol = solve(elastic)
-    if sol.status is not LpStatus.OPTIMAL:
+    highs_row, _, A, b, m = _highs_form(model)
+    highs = _load(_pass_model(np.zeros(model.n_vars), A, b[:m], b[m:], lb, ub))
+    # an infinite penalty keeps the column bounds hard
+    if highs is None or (highs.feasibilityRelaxation(math.inf, math.inf, 1.0)
+                         != _highs.HighsStatus.kOk):
         return ["elastic diagnosis failed"]
-    viol = np.zeros(model.n_cons)
-    np.add.at(viol, rows, sol.primal[model.n_vars:])
-    return _worst(viol.tolist(), model.con_names, top)
+    excess = np.array(highs.getSolution().row_value) - b
+    excess[:m] = np.maximum(excess[:m], 0.0)  # a "<=" row only above its rhs
+    return _worst(np.abs(excess)[highs_row].tolist(), model.con_names, top)
 
 
 def _worst(violation: list[float], names: list[str], top: int) -> list[str]:

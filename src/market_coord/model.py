@@ -315,33 +315,34 @@ def validate(instance: Instance) -> ValidationReport:
     return report
 
 
+def price_errors(prices: Sequence[float], cap: float) -> list[str]:
+    """The bid price rules, for a curve's prices and a price vector alike:
+    finite, nondecreasing, and within [0, cap]; returns what they break."""
+    if not all(math.isfinite(p) for p in prices):
+        return ["prices must be finite"]
+    broken = {
+        "nondecreasing": any(b < a - 1e-12 for a, b in zip(prices, prices[1:])),
+        "nonnegative": any(p < 0 for p in prices),
+        f"at most the bid price cap {cap:g}": any(p > cap + 1e-9 for p in prices),
+    }
+    return [f"prices must be {rule}" for rule, bad in broken.items() if bad]
+
+
 def validate_bid_curve(bid: BidCurve, instance: Instance) -> list[str]:
     """Invariant check for a single bid curve against its owner's capacity."""
-    errors = []
     try:
         cap = instance.vre(bid.owner).capacity
     except KeyError:
         return [f"bid references unknown VRE unit {bid.owner!r}"]
+    where = f"bid ({bid.owner},{bid.hour})"
     if not all(math.isfinite(v) for segment in bid.segments for v in segment):
-        return [f"bid ({bid.owner},{bid.hour}): non-finite price or quantity"]
-    price_cap = instance.system.bid_price_cap
-    prev = 0.0
-    for s, (price, qty) in enumerate(bid.segments):
-        if price < prev - 1e-12:
-            errors.append(f"bid ({bid.owner},{bid.hour}): prices not nondecreasing")
-            break
-        prev = price
-    for price, qty in bid.segments:
-        if price < 0 or price > price_cap + 1e-9:
-            errors.append(
-                f"bid ({bid.owner},{bid.hour}): price {price} outside [0, {price_cap}]"
-            )
-        if qty < 0:
-            errors.append(f"bid ({bid.owner},{bid.hour}): negative quantity {qty}")
+        return [f"{where}: non-finite price or quantity"]
+    prices = [price for price, _ in bid.segments]
+    errors = [f"{where}: {e}" for e in price_errors(prices, instance.system.bid_price_cap)]
+    errors += [f"{where}: negative quantity {qty}" for _, qty in bid.segments if qty < 0]
     if bid.total_quantity > cap + 1e-6:
         errors.append(
-            f"bid ({bid.owner},{bid.hour}): total quantity {bid.total_quantity:g} "
-            f"exceeds capacity {cap:g}"
+            f"{where}: total quantity {bid.total_quantity:g} exceeds capacity {cap:g}"
         )
     return errors
 

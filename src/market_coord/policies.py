@@ -90,14 +90,13 @@ def stochastic(instance: Instance) -> PolicyResult:
     bounded by installed capacity; there is no bid curve.
     """
     block = dam_structure(instance, 1)
-    caps = [k.capacity for k in instance.vre_units for t in instance.hours]
     model = LpModel(name="std")
-    block.append_to(model, caps)
+    block.append_to(model, block.capacity)
     append_scenarios(instance, model)
     sol = solve(model)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")
-    f_da_true = sum((block.cost * sol.primal[:len(block.cols)]).tolist())
+    f_da_true = block.true_cost(sol.primal)
     return PolicyResult(
         policy="StD",
         s_total=sol.objective,

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dam import NONNEG, DaSchedule, angle_bounds, hourly, network_rows, unit_rows
+from .dam import _c as _cda, _pc, _u as _uda  # the day-ahead columns
 from .lp import EQ, GE, Block, LpModel, LpStatus, Row, solve
 from .model import Instance, Scenario, cached
 
@@ -55,7 +56,6 @@ class RtmError(RuntimeError):
 
 
 _ru, _rd, _urt, _crt, _cr, _sh, _th = map(hourly, ("rU", "rD", "uRT", "cRT", "pCr", "lsh", "thRT"))
-_pc, _uda, _cda = map(hourly, ("pC", "uDA", "cDA"))  # the day-ahead columns
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from market_coord.bilevel import (
-    BidPricesConfig,
     McCormickBounds,
     build_relaxed_bid,
     collapse_to_single_segment,
@@ -14,7 +13,8 @@ from market_coord.bilevel import (
     verify_theorem1,
     vre_profit,
 )
-from market_coord.dam import DaSchedule, build_dam
+from market_coord import bilevel, dam, policies, rtm
+from market_coord.dam import BidSetError, DaSchedule, build_dam, check_prices
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
@@ -22,19 +22,40 @@ from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
 SIX_SEGMENT = (0.0, 2.0, 22.0, 30.0, 32.0, 350.0)
 
 
-def test_price_config_rejects_bad_vectors():
+def test_price_config_rejects_bad_vectors(t1):
     with pytest.raises(ValueError):
-        BidPricesConfig(prices=(5.0, 2.0))
+        check_prices(t1, (5.0, 2.0))
     with pytest.raises(ValueError):
-        BidPricesConfig(prices=(-1.0, 2.0))
-    assert BidPricesConfig(prices=(0.0, 2.0)).seg_count == 2
+        check_prices(t1, (-1.0, 2.0))
+    assert len(check_prices(t1, (0.0, 2.0))) == 2
 
 
 @pytest.mark.parametrize("prices", [(float("nan"),), (0.0, float("nan")), (0.0, float("inf"))])
-def test_price_config_rejects_non_finite_prices(prices):
+def test_price_config_rejects_non_finite_prices(t1, prices):
     # a NaN passes both ordering checks, since every comparison with it is false
     with pytest.raises(ValueError, match="finite"):
-        BidPricesConfig(prices=prices)
+        check_prices(t1, prices)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: bilevel.solve_bid(inst, (0.0, 15.0, 1500.0)),
+    lambda inst: bilevel.oracle_grid_search(inst, (1500.0,), 10.0),
+    lambda inst: bilevel.verify_theorem1(inst, (0.0, 15.0, 1500.0)),
+    lambda inst: bilevel.price_sweep(inst, (0.0, 1500.0)),
+], ids=["solve_bid", "oracle_grid_search", "verify_theorem1", "price_sweep"])
+def test_price_above_the_cap_rejected_before_any_lp(t1, monkeypatch, call):
+    # t1's bid price cap is its VoLL, 1000 $/MWh
+    solves = []
+
+    def counted(model, *args, **kwargs):
+        solves.append(model.name)
+        return solve(model, *args, **kwargs)
+
+    for module in (bilevel, dam, policies, rtm):
+        monkeypatch.setattr(module, "solve", counted)
+    with pytest.raises(BidSetError, match="bid price cap 1000"):
+        call(t1)
+    assert solves == []
 
 
 def test_nonpositive_dual_bound_rejected(t1):

@@ -1,13 +1,15 @@
 """Day-ahead clearing: schedules, LMPs, cost measures, and failure modes."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from market_coord import io as mio
 from market_coord.dam import BidSetError, DamInfeasibleError, build_dam, clear_dam, dam_structure
+from market_coord.dam import _check_bids
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve, ScenarioSet
-from market_coord.policies import evaluate_bids, myopic_bids
+from market_coord.policies import evaluate_bids, myopic_bids, random_bid_set
 from conftest import zero_bid
 
 
@@ -150,3 +152,25 @@ def test_cached_block_keeps_no_bid_prices():
     for result in (again, fresh):
         assert result.s_total == first.s_total
         assert result.da == first.da  # every schedule field, both cost measures
+
+
+@pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
+@pytest.mark.parametrize("seg_count", [1, 2, 3])
+def test_curves_round_trip_through_the_key_order(bundled, name, seg_count):
+    inst, rng = bundled[name], np.random.default_rng(seg_count)
+    for _ in range(5):
+        bids = random_bid_set(inst, rng, seg_count=seg_count)
+        block, prices, quantities = _check_bids(inst, bids)
+        assert block is dam_structure(inst, seg_count)
+        assert len(prices) == len(quantities) == len(block.keys)
+        assert block.bid_curves(prices, quantities) == bids
+
+
+def test_bid_curves_clip_and_scale_to_capacity(t1):
+    block = dam_structure(t1, 2)
+    cap = t1.vre("w1").capacity
+    assert block.capacity.tolist() == [cap, cap]
+    clipped, = block.bid_curves([0.0, 10.0], [-5.0, 2 * cap])
+    assert clipped.segments == ((0.0, 0.0), (10.0, cap))
+    scaled, = block.bid_curves([0.0, 10.0], [cap, cap])
+    assert scaled.segments == ((0.0, cap / 2), (10.0, cap / 2))

@@ -1,7 +1,13 @@
-"""Every name a module exports in `__all__` exists."""
+"""Every name a module exports in `__all__` exists, and every function the
+benchmark's traced run wraps is still there."""
 import importlib
+import inspect
+import types
+from pathlib import Path
 
 import pytest
+
+from market_coord import lp
 
 MODULES = ("model", "io", "lp", "dam", "rtm", "policies", "bilevel")
 
@@ -10,3 +16,24 @@ MODULES = ("model", "io", "lp", "dam", "rtm", "policies", "bilevel")
 def test_all_names_exist(name):
     module = importlib.import_module(f"market_coord.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _spans() -> types.ModuleType:
+    """perfbench/spans.py, read and run in memory, so that nothing is written
+    beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    module = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_functions_exist():
+    spans = _spans()
+    missing = [(m, f) for m, f in spans.TRACED
+               if not callable(getattr(importlib.import_module(f"market_coord.{m}"), f, None))]
+    assert missing == []
+    for name in spans.PACKAGE_MODULES:
+        importlib.import_module("market_coord" + (f".{name}" if name else ""))
+    assert spans.LINPROG == "lp.linprog"
+    # the traced run counts each solve's size from these keywords
+    assert {"c", "A_ub", "A_eq"} <= set(inspect.signature(lp.linprog).parameters)

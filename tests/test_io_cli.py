@@ -224,6 +224,7 @@ def test_cli_unknown_instance_errors():
     (["oracle", "--step", "10", "--prices", "0,1,2,3,4"], "exceeds the guard"),
     (["clear-rt", "--scenario", "nope"], "unknown scenario 'nope'"),
     (["-i", "missing.json", "myd"], "missing.json"),
+    (["optimize-bid", "--prices", "0,5000"], "bid price cap"),
 ])
 def test_cli_bad_input_exits_4(tmp_path, args, message):
     instance = [] if args[0] == "-i" else ["-i", "t1"]
@@ -243,6 +244,17 @@ def test_cli_malformed_instance_value_is_bad_input(tmp_path, field, value):
     result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "myd")
     assert result.exit_code == 4, result.output
     assert "bad input:" in result.output
+
+
+def test_cli_network_not_an_object_is_bad_input(tmp_path):
+    doc = json.loads((DATA / "t1.json").read_text())
+    doc["network"] = 5
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
+    result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "myd")
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output and "'network'" in result.output
+    assert "Traceback" not in result.output
 
 
 def t1_without_vre_output(tmp_path) -> Path:
@@ -274,7 +286,17 @@ def test_cli_scenario_without_vre_output_is_bad_input(tmp_path, command):
     (lambda doc: doc["da_load"][0].pop("bus"), "'bus'"),
     (lambda doc: doc["system"].update(voll_usd_per_mwh="abc"), "'voll_usd_per_mwh'"),
     (lambda doc: doc["system"].update(voll_usd_per_mwh=[1000.0]), "'voll_usd_per_mwh'"),
-], ids=["da-load-without-bus", "voll-not-a-number", "voll-a-list"])
+    (lambda doc: doc["network"].update(lines=[5]), "'lines'"),
+    (lambda doc: doc["network"].update(buses=3), "'buses'"),
+    (lambda doc: doc.update(conventional_units=[5]), "'conventional_units'"),
+    (lambda doc: doc.update(vre_units=["idbus"]), "'vre_units'"),
+    (lambda doc: doc.update(da_load=[3]), "'da_load'"),
+    (lambda doc: doc.update(system=5), "'system'"),
+    (lambda doc: doc.update(hours=5), "'hours'"),
+    (lambda doc: doc.update(network=5), "'network'"),
+], ids=["da-load-without-bus", "voll-not-a-number", "voll-a-list", "lines-of-numbers",
+        "buses-a-number", "units-of-numbers", "vre-of-strings", "da-load-of-numbers",
+        "system-a-number", "hours-a-number", "network-a-number"])
 def test_malformed_instance_value_names_file_and_field(tmp_path, edit, field):
     doc = json.loads((DATA / "t1.json").read_text())
     edit(doc)

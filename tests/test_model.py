@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from market_coord.dam import BidSetError, check_prices
 from market_coord.model import (
     BidCurve,
     Scenario,
@@ -60,6 +61,22 @@ def test_bid_prices_must_be_nondecreasing(t1):
     bad = BidCurve(owner="w1", hour=0, segments=((5.0, 1.0), (2.0, 1.0)))
     problems = validate_bid_curve(bad, t1)
     assert any("nondecreasing" in p for p in problems)
+
+
+@pytest.mark.parametrize("prices", [
+    (0.0,), (0.0, 5.0, 5.0), (1000.0,), (float("nan"),), (0.0, float("inf")), (5.0, 2.0),
+    (-1.0, 2.0), (0.0, 1500.0), (-float("inf"),),
+], ids=["zero", "flat", "at-cap", "nan", "inf", "decreasing", "negative", "above-cap", "-inf"])
+def test_price_vectors_and_curves_follow_one_rule_set(t1, prices):
+    curve = BidCurve(owner="w1", hour=0, segments=tuple((p, 1.0) for p in prices))
+    curve_rejected = validate_bid_curve(curve, t1) != []
+    try:
+        check_prices(t1, prices)
+        vector_rejected = False
+    except BidSetError:
+        vector_rejected = True
+    assert vector_rejected == curve_rejected
+    assert vector_rejected == (prices not in [(0.0,), (0.0, 5.0, 5.0), (1000.0,)])
 
 
 def test_bid_quantities_bounded_by_capacity(t1):
