@@ -91,7 +91,7 @@ def build_relaxed_bid(
         [f"w_total[{k},{t}]" for k, t in curves],
         sparse.coo_matrix((np.ones(n_keys), (block.curve_of, np.arange(n_keys))),
                           shape=(len(curves), n_keys)),
-        [LE] * len(curves), [instance.vre(k).capacity for k, _t in curves], block.d_cols,
+        [LE] * len(curves), block.curve_capacity, block.d_cols,
     )
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
@@ -338,10 +338,10 @@ def oracle_grid_search(
         axes.append(pts)
 
     key_prices = block.key_prices(prices)
-    curve_cap = np.array([instance.vre(k).capacity for k, _t in block.curves])
+    curve_cap = block.curve_capacity
     best_s, best_q = math.inf, None
     for point in itertools.product(*axes):
-        if np.any(np.bincount(block.curve_of, point, len(curve_cap)) > curve_cap + 1e-9):
+        if np.any(np.bincount(block.curve_of, point, curve_cap.size) > curve_cap + 1e-9):
             continue  # a curve above its unit's capacity
         s_val = evaluate_bids(instance, block.bid_curves(key_prices, point)).s_total
         if s_val < best_s - 1e-12:
@@ -416,9 +416,8 @@ def price_sweep(
     bounds: McCormickBounds = McCormickBounds(),
 ) -> SweepTable:
     """Score MyD-at-price and BiD-at-price over single-segment price points."""
-    price_points = list(price_points)
-    for price in price_points:  # every point, before the first LP
-        check_prices(instance, (price,))
+    # every point, before the first LP
+    price_points = [check_prices(instance, (price,))[0] for price in price_points]
     table = SweepTable()
     for price in price_points:
         bid_sol = solve_bid(instance, (price,), bounds)

@@ -42,7 +42,6 @@ __all__ = [
     "clear_dam",
     "network_rows",
     "unit_rows",
-    "wname",
 ]
 
 
@@ -57,7 +56,7 @@ class BidSetError(ValueError):
     or hour, a missing curve, or inconsistent segment counts."""
 
 
-# variable-name helpers shared with the RTM and bilevel builders
+# variable-name helpers, some shared with the RTM builder
 def wname(k: str, t: int, s: int) -> str:
     return f"W[{k},{t},{s}]"
 
@@ -154,8 +153,13 @@ class DamStructure(Block):
     keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment, curve by curve
     curves: list[tuple[str, int]]  # (k, t) of each bid curve
     curve_of: np.ndarray  # curve of each key
-    capacity: np.ndarray  # VRE capacity of each key
+    curve_capacity: np.ndarray  # VRE capacity of each curve
     cap_rows: np.ndarray  # cap row of each key
+
+    @property
+    def capacity(self) -> np.ndarray:
+        """VRE capacity of each key, its curve's."""
+        return self.curve_capacity[self.curve_of]
 
     @property
     def pw_cols(self) -> np.ndarray:
@@ -180,15 +184,14 @@ class DamStructure(Block):
         """The curves of key-ordered `prices` and `quantities`, each quantity
         clipped at zero and each curve scaled down to its unit's capacity."""
         prices, quantities = np.asarray(prices).tolist(), np.asarray(quantities).tolist()
-        capacity = self.capacity.tolist()
         n = len(self.keys) // max(len(self.curves), 1)  # segments per curve
         bids = []
-        for c, (k, t) in enumerate(self.curves):
+        for c, ((k, t), cap) in enumerate(zip(self.curves, self.curve_capacity.tolist())):
             at = slice(c * n, (c + 1) * n)
             qs = [max(0.0, q) for q in quantities[at]]
             total = sum(qs)
-            if total > 0 and total > capacity[c * n]:
-                qs = [q * capacity[c * n] / total for q in qs]
+            if total > 0 and total > cap:
+                qs = [q * cap / total for q in qs]
             bids.append(BidCurve(owner=k, hour=t, segments=tuple(zip(prices[at], qs))))
         return bids
 
@@ -246,7 +249,7 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
         keys=keys,
         curves=curves,
         curve_of=np.repeat(np.arange(len(curves)), seg_count),
-        capacity=np.repeat([instance.vre(k).capacity for k, _t in curves], seg_count),
+        curve_capacity=np.array([instance.vre(k).capacity for k, _t in curves], dtype=float),
         cap_rows=cap_rows,
     )
 

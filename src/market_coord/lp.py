@@ -6,17 +6,19 @@ rows already there. `solve` returns the primal in column order and the duals
 in row order, as arrays.
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
-straight to HiGHS's column-wise arrays (`Colwise`): the "<=" and negated
-">=" rows first, then the "=" rows, entries sorted by column and row, and
-the values at one coordinate summed in the order added. `linprog`, the one
-seam to the solver, loads them with the array form of `passModel` in
-scipy's bundled HiGHS binding (`scipy.optimize._highspy._core`), which
-makes no Python object per entry. HiGHS so gets bit for bit the LP and
-options of `scipy.optimize.linprog(method="highs")`, without scipy's
-per-call checks and per-column marginal loop. The seam keeps scipy's name
-and keywords (`c`, `A_ub`, `A_eq`, `nit`) because the benchmark's traced run
-wraps `lp.linprog` by name and counts each solve's rows and nonzeros from
-`A_ub` and `A_eq`: two `RowSpan`s of one `Colwise` matrix.
+straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
+as the model states it, with its own bounds: (-inf, rhs) for "<=",
+(rhs, inf) for ">=" and (rhs, rhs) for "=". The inequality rows come first
+and the "=" rows after, each in model order: HiGHS picks its vertex of a
+degenerate LP by row order, and the reported quantities, LMPs and
+diagnoses follow that vertex. Entries are sorted by column and row, and the
+values at one coordinate summed in the order added. `linprog`, the one seam
+to the solver, loads them with the array form of `passModel` in scipy's
+bundled HiGHS binding (`scipy.optimize._highspy._core`), which makes no
+Python object per entry. The seam keeps the names `c`, `A_ub`, `A_eq` and
+`nit` because the benchmark's traced run wraps `lp.linprog` by name and
+counts each solve's rows and nonzeros from `A_ub` and `A_eq`: the
+inequality and the equality rows, two `RowSpan`s of one `Colwise` matrix.
 
 LPs that differ only in their rhs and column bounds can share a basis:
 `solve(model, prices=rows)` keeps the optimal basis, and `solve(other,
@@ -28,11 +30,11 @@ solve with its basis matrix shows the duals at `prices` to be the LP's only
 optimal ones (then a solve from scratch reports them too, up to rounding);
 otherwise the LP is solved again from scratch.
 
-Sign convention (minimization): duals of ">="-constraints are >= 0, duals of
-"<="-constraints are <= 0, equality duals are free. Every optimal solve is
-certified: primal feasibility, primal/dual objective gap, and complementary
-slackness residuals are computed, and the first two are held to `FEAS_TOL`
-and `GAP_TOL`.
+Sign convention (minimization), HiGHS's own: duals of ">="-constraints are
+>= 0, duals of "<="-constraints are <= 0, equality duals are free. Every
+optimal solve is certified: primal feasibility, primal/dual objective gap,
+and complementary slackness residuals are computed, and the first two are
+held to `FEAS_TOL` and `GAP_TOL`.
 """
 from __future__ import annotations
 
@@ -57,7 +59,6 @@ __all__ = [
     "solve",
     "diagnose_infeasibility",
     "certificate_log",
-    "split_rows",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -411,12 +412,10 @@ class Colwise:
     value: np.ndarray
 
     @classmethod
-    def of(cls, model: LpModel, highs_row: np.ndarray, sign: np.ndarray) -> Colwise:
-        """`model`'s coefficients with row i moved to `highs_row[i]` and
-        scaled by `sign[i]`; the values at one coordinate are summed one by
-        one in the order added, as scipy's `sum_duplicates` sums them."""
-        row, col = np.array(model._row), np.array(model._col)
-        value = np.array(model._val) * sign[row]
+    def of(cls, model: LpModel, highs_row: np.ndarray) -> Colwise:
+        """`model`'s coefficients with row i moved to `highs_row[i]`; the
+        values at one coordinate are summed one by one in the order added."""
+        row, col, value = np.array(model._row), np.array(model._col), np.array(model._val)
         row = highs_row[row]
         shape = (model.n_cons, model.n_vars)
         order = np.argsort(col * shape[0] + row, kind="stable")
@@ -432,8 +431,7 @@ class Colwise:
         return cls(shape, start, row.astype(np.int32), value)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """`A @ x`, summed entry by entry in column order, as scipy's CSC
-        product sums it."""
+        """`A @ x`, summed entry by entry in column order."""
         per_entry = np.repeat(x, np.diff(self.start))
         return np.bincount(self.index, self.value * per_entry, minlength=self.shape[0])
 
@@ -446,15 +444,15 @@ class Colwise:
 
 
 class RowSpan(NamedTuple):
-    """Some of `matrix`'s rows, with scipy's `shape` and `nnz`."""
+    """Some of `matrix`'s rows, with their `shape` and `nnz`."""
 
     matrix: Colwise
     shape: tuple[int, int]
     nnz: int
 
 
-# scipy's options for `linprog(method="highs")`, set once: presolve on, no
-# output, dual simplex
+# HiGHS's options, set once: presolve on, no output, dual simplex (those of
+# `scipy.optimize.linprog(method="highs")`)
 _OPTIONS = _highs.HighsOptions()
 _OPTIONS.presolve = "on"
 _OPTIONS.output_flag = False
@@ -467,35 +465,29 @@ _AT_LOWER = int(_highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
-def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
+def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
             prices=()) -> SimpleNamespace:
-    """min c x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub.
+    """min c x  s.t.  row_lower <= A x <= row_upper,  lb <= x <= ub.
 
-    `A_ub` and `A_eq` are the leading and the trailing rows of one
-    `Colwise` matrix, and `bounds` is `(lb, ub)`, one array each. HiGHS gets
-    that matrix, row bounds (-inf, b_ub) and (b_eq, b_eq) and scipy's
-    options: what `scipy.optimize.linprog(method="highs")` gives it for the
-    same rows. A fresh HiGHS object solves each call, so the result depends
-    on its inputs alone.
+    `A_ub` and `A_eq` are the inequality and the equality rows of one
+    `Colwise` matrix A, in that order; `row_bounds` is `(row_lower,
+    row_upper)` over A's rows and `bounds` is `(lb, ub)`, one array each.
+    HiGHS gets them as they are, with the options of `_OPTIONS`. A fresh
+    HiGHS object solves each call, so the result depends on its inputs alone.
 
     `prices` are rows whose duals the caller reports; with them the result
     carries the optimal basis. With `basis`, the optimal basis of an LP that
-    differs from this one only in its rhs and column bounds, the solve
-    starts from it. That
-    result stands only if `_unique_duals` finds the duals at `prices` to be
-    the LP's only optimal ones; otherwise the LP is solved again from
-    scratch, so they are what a solve from scratch reports.
+    differs from this one only in its row and column bounds, the solve
+    starts from it. That result stands only if `_unique_duals` finds the
+    duals at `prices` to be the LP's only optimal ones; otherwise the LP is
+    solved again from scratch, so they are what a solve from scratch reports.
 
     Returns HiGHS's model status and simplex iterations (`nit`, both solves
-    counted) and, when optimal, `x`, `fun`, the row duals `ineqlin` and
-    `eqlin`, the bound duals `lower` and `upper` and `basis`.
+    counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
+    rows, the bound duals `lower` and `upper` and `basis`.
     """
     A = A_ub.matrix
-    n_col = A.shape[1]
-    lb, ub = bounds
-    model = _pass_model(c, A, b_ub, b_eq, lb, ub)
-    row_lower, row_upper = model[9:11]  # (-inf, b_ub) and (b_eq, b_eq)
-
+    model = _pass_model(c, A, bounds, row_bounds)
     highs = _load(model, basis)
     if highs is None:
         return SimpleNamespace(status=_highs.HighsModelStatus.kModelError, nit=0)
@@ -503,8 +495,8 @@ def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
     nit = _iterations(highs)
     optimum = _optimum(highs)
     if basis is not None and (optimum is None or not _unique_duals(
-            highs, optimum[0], A, np.concatenate((lb, row_lower)),
-            np.concatenate((ub, row_upper)), np.asarray(prices, dtype=np.int64))):
+            highs, optimum[0], A, np.concatenate((bounds[0], row_bounds[0])),
+            np.concatenate((bounds[1], row_bounds[1])), np.asarray(prices, dtype=np.int64))):
         highs = _load(model)
         highs.run()
         nit += _iterations(highs)
@@ -515,26 +507,22 @@ def linprog(c, *, A_ub: RowSpan, b_ub, A_eq: RowSpan, b_eq, bounds, basis=None,
     x, y, z = optimum
     optimal = highs.getBasis()
     # a bound's dual is the column dual where the column sits at that bound
-    at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=n_col)
+    at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=A.shape[1])
     return SimpleNamespace(
         status=status, nit=nit, x=x,
-        fun=highs.getInfo().objective_function_value,
-        ineqlin=y[:len(b_ub)],
-        eqlin=y[len(b_ub):],
+        fun=highs.getInfo().objective_function_value, row_dual=y,
         lower=np.where(at == _AT_LOWER, z, 0.0),
         upper=np.where(at == _AT_UPPER, z, 0.0),
         basis=optimal if len(prices) else None,
     )
 
 
-def _pass_model(c, A: Colwise, b_ub, b_eq, lb, ub) -> tuple:
-    """`passModel`'s array-form arguments for `min c x`, `lb <= x <= ub`,
-    the rows of `A` before `len(b_ub)` within (-inf, b_ub) and the rest at b_eq."""
-    row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
-    row_upper = np.concatenate((b_ub, b_eq))
+def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
+    """`passModel`'s array-form arguments for `min c x`, columns within
+    `bounds` and the rows of `A` within `row_bounds`."""
     # HiGHS refuses an empty integrality array
-    return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, lb, ub, row_lower,
-            row_upper, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
+    return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
+            *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
 
 
 def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
@@ -593,17 +581,31 @@ def _unique_duals(highs: _highs._Highs, x: np.ndarray, A: Colwise, lower: np.nda
     return not np.any(np.abs(combined[degenerate]) > 1e-9)
 
 
-def _highs_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, Colwise, np.ndarray, int]:
-    """`model` as HiGHS gets it, "<=" and negated ">=" rows before "=" rows: each
-    row's HiGHS row and sign, the matrix and rhs in that order, and the "<=" count."""
+def _highs_form(model: LpModel) -> tuple[np.ndarray, Colwise, np.ndarray, tuple, int]:
+    """`model` as HiGHS gets it: each row's HiGHS row, then in HiGHS's row
+    order the matrix, the rhs and the row bounds `(lower, upper)`, and the
+    number of inequality rows.
+
+    The inequality rows come first and the "=" rows after, each in model
+    order. HiGHS picks its vertex of a degenerate LP by row order, and the
+    reported results follow that vertex: with every row in model order, the
+    relaxed bid LP on a generated 6-bus grid gave other quantities and
+    S_BiD-q, sys5's real-time LMPs moved, and a two-bus diagnosis named
+    another row.
+    """
     sense = np.array(model.con_sense, dtype="<U2")
     is_eq = sense == EQ
     order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
     highs_row = np.argsort(order)  # HiGHS row of each model row
-    sign = np.where(sense == GE, -1.0, 1.0)
-    b = (sign * np.array(model.con_rhs, dtype=float))[order]
-    return (highs_row, sign, Colwise.of(model, highs_row, sign), b,
+    sense, rhs = sense[order], np.array(model.con_rhs, dtype=float)[order]
+    bounds = (np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs))
+    return (highs_row, Colwise.of(model, highs_row), rhs, bounds,
             model.n_cons - int(np.count_nonzero(is_eq)))
+
+
+def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """How far each `value` lies outside its bounds; at most 0 within them."""
+    return np.maximum(lower - value, value - upper)
 
 
 def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
@@ -613,19 +615,17 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     `prices` are rows whose duals the caller reports; with them the solution
     keeps its optimal basis. With `basis`, the optimal basis of an LP that
     differs from `model` only in its rhs and column bounds, HiGHS starts
-    from it (ValueError
-    if the shapes differ), and the result is kept only where the duals at
-    `prices` are the model's only optimal ones; otherwise `model` is solved
-    from scratch (see `linprog`). Raises SolverError when HiGHS reports a
-    numerical failure, or when an "optimal" result violates the
-    feasibility/duality-gap certificates. Infeasible and unbounded are
+    from it (ValueError if the shapes differ), and the result is kept only
+    where the duals at `prices` are the model's only optimal ones; otherwise
+    `model` is solved from scratch (see `linprog`). Raises SolverError when
+    HiGHS reports a numerical failure, or when an "optimal" result violates
+    the feasibility/duality-gap certificates. Infeasible and unbounded are
     ordinary statuses, not errors.
     """
-    highs_row, sign, A, b, m = _highs_form(model)
-    lbv = np.array(model.lb, dtype=float)
-    ubv = np.array(model.ub, dtype=float)
+    highs_row, A, rhs, row_bounds, m = _highs_form(model)
+    lbv, ubv = np.array(model.lb, dtype=float), np.array(model.ub, dtype=float)
     A_ub, A_eq = A.split(m)
-    res = linprog(np.array(model.obj), A_ub=A_ub, b_ub=b[:m], A_eq=A_eq, b_eq=b[m:],
+    res = linprog(np.array(model.obj), A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds,
                   bounds=(lbv, ubv), basis=basis,
                   prices=highs_row[np.asarray(prices, dtype=np.int64)])
     if res.status == _highs.HighsModelStatus.kInfeasible:
@@ -635,24 +635,17 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     if res.status != _OPTIMAL:
         raise SolverError(f"solver failure on {model.name!r}: HiGHS status {res.status.name}")
 
-    x = res.x
-    y_highs = np.concatenate((res.ineqlin, res.eqlin))
-    # negated ">=" rows: dual of the original row flips sign back
-    y = sign * y_highs[highs_row]
-    zl, zu = res.lower, res.upper
+    x, y, zl, zu = res.x, res.row_dual, res.lower, res.upper
 
     # certificates, over HiGHS's rows: one product A @ x
-    residual = A @ x - b
+    Ax = A @ x
     finite_lb, finite_ub = np.isfinite(lbv), np.isfinite(ubv)
     lbf, ubf = np.where(finite_lb, lbv, 0.0), np.where(finite_ub, ubv, 0.0)
-    with np.errstate(invalid="ignore"):
-        bnd_viol = np.maximum(lbv - x, 0.0) + np.maximum(x - ubv, 0.0)
-    feas = float(max(np.max(np.maximum(residual[:m], 0.0), initial=0.0),
-                     np.max(np.abs(residual[m:]), initial=0.0),
-                     np.max(bnd_viol, where=np.isfinite(bnd_viol), initial=0.0)))
-    dual_obj = float(b @ y_highs) + float(np.sum(lbf * zl)) + float(np.sum(ubf * zu))
+    feas = float(np.max(np.concatenate((_excess(x, lbv, ubv), _excess(Ax, *row_bounds))),
+                        initial=0.0))
+    dual_obj = float(rhs @ y) + float(np.sum(lbf * zl)) + float(np.sum(ubf * zu))
     gap = abs(res.fun - dual_obj) / max(1.0, abs(res.fun))
-    comp = float(max(np.max(np.abs(residual[:m] * res.ineqlin), initial=0.0),
+    comp = float(max(np.max(np.abs((Ax - rhs)[:m] * y[:m]), initial=0.0),
                      np.max(np.abs(np.where(finite_lb, x - lbf, 0.0) * zl), initial=0.0),
                      np.max(np.abs(np.where(finite_ub, ubf - x, 0.0) * zu), initial=0.0)))
 
@@ -664,8 +657,8 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
         raise SolverError(f"{model.name!r}: primal residual {feas:.3e} exceeds {FEAS_TOL:g}")
     if not gap <= GAP_TOL:
         raise SolverError(f"{model.name!r}: duality gap {gap:.3e} exceeds {GAP_TOL:g}")
-    return LpSolution(status=LpStatus.OPTIMAL, objective=float(res.fun), primal=x, duals=y,
-                      certificates=certs, basis=res.basis)
+    return LpSolution(status=LpStatus.OPTIMAL, objective=float(res.fun), primal=x,
+                      duals=y[highs_row], certificates=certs, basis=res.basis)
 
 
 def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
@@ -680,15 +673,14 @@ def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
     crossed = _worst((lb - ub).tolist(), model.var_names, top)
     if crossed:
         return crossed
-    highs_row, _, A, b, m = _highs_form(model)
-    highs = _load(_pass_model(np.zeros(model.n_vars), A, b[:m], b[m:], lb, ub))
+    highs_row, A, _, row_bounds, _ = _highs_form(model)
+    highs = _load(_pass_model(np.zeros(model.n_vars), A, (lb, ub), row_bounds))
     # an infinite penalty keeps the column bounds hard
     if highs is None or (highs.feasibilityRelaxation(math.inf, math.inf, 1.0)
                          != _highs.HighsStatus.kOk):
         return ["elastic diagnosis failed"]
-    excess = np.array(highs.getSolution().row_value) - b
-    excess[:m] = np.maximum(excess[:m], 0.0)  # a "<=" row only above its rhs
-    return _worst(np.abs(excess)[highs_row].tolist(), model.con_names, top)
+    excess = _excess(np.array(highs.getSolution().row_value), *row_bounds)
+    return _worst(excess[highs_row].tolist(), model.con_names, top)
 
 
 def _worst(violation: list[float], names: list[str], top: int) -> list[str]:

@@ -282,7 +282,9 @@ def validate(instance: Instance) -> ValidationReport:
             report.violations.append(f"day-ahead load at ({n},{t}) is negative")
 
     total_p = sum(s.probability for s in ss.scenarios)
-    if ss.scenarios and abs(total_p - 1.0) > PROB_TOL:
+    if not ss.scenarios:
+        report.violations.append("no scenarios")
+    elif abs(total_p - 1.0) > PROB_TOL:
         report.violations.append(f"probabilities sum to {total_p:g} != 1")
     vre_set = set(vre_ids)
     for s in ss.scenarios:

@@ -277,10 +277,11 @@ def test_vre_profit_requires_duals(t1):
 
 
 def test_sweep_price_zero_matches_quantity_only(t1):
-    table = price_sweep(t1, [0.0])
-    assert table.rows[0]["s_bid_usd"] == pytest.approx(
-        solve_bid_q(t1).s_bid, rel=1e-6
-    )
+    s_bid_q = solve_bid_q(t1).s_bid
+    for points in ([0.0], [0]):  # an integer point is swept, and written, as a float
+        table = price_sweep(t1, points)
+        assert table.rows[0]["s_bid_usd"] == pytest.approx(s_bid_q, rel=1e-6)
+        assert table.to_csv().splitlines()[1].startswith("0.000000,")
 
 
 def test_sweep_high_price_removes_wind_for_both_policies(t1):

@@ -1,5 +1,5 @@
-"""Every name a module exports in `__all__` exists, and every function the
-benchmark's traced run wraps is still there."""
+"""Every name a module exports in `__all__` exists, every function the
+benchmark's traced run wraps is still there, and HiGHS stays behind `lp`."""
 import importlib
 import inspect
 import types
@@ -37,3 +37,11 @@ def test_traced_functions_exist():
     assert spans.LINPROG == "lp.linprog"
     # the traced run counts each solve's size from these keywords
     assert {"c", "A_ub", "A_eq"} <= set(inspect.signature(lp.linprog).parameters)
+
+
+def test_only_lp_touches_the_private_highs_binding():
+    # scipy's `_highspy` is private: one module calls it, so a scipy release
+    # that changes it breaks one seam, the one tests/test_lp.py checks
+    package = Path(lp.__file__).resolve().parent
+    users = sorted(p.name for p in package.glob("*.py") if "_highspy" in p.read_text())
+    assert users == ["lp.py"]

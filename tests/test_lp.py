@@ -85,6 +85,57 @@ def test_certificates_within_tolerances():
     assert certs.complementarity <= 1e-5
 
 
+BROKEN = {
+    # a model and the move of x from its optimum that breaks one row or
+    # column bound by 1e-3
+    ">= row": (lambda: model_of({"x": 1.0}, [[1.0]], [GE], [3.0]), [-1e-3]),
+    "<= row": (lambda: model_of({"x": -1.0}, [[1.0]], [LE], [4.0], lb=0.0), [1e-3]),
+    "= row": (lambda: model_of({"x": 1.0, "y": 2.0}, [[1.0, 1.0]], [EQ], [7.0], lb=0.0),
+              [1e-3, 0.0]),
+    "column bound": (lambda: model_of({"x": 1.0}, lb=2.0), [-1e-3]),
+}
+LINPROG = lp.linprog
+
+
+def solve_altered(monkeypatch, model, alter):
+    """`solve(model)` with `alter` applied to linprog's optimal result."""
+
+    def altered(c, **kwargs):
+        res = LINPROG(c, **kwargs)
+        alter(res)
+        return res
+
+    monkeypatch.setattr(lp, "linprog", altered)
+    return solve(model)
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_optimum_outside_a_row_or_bound_fails_its_certificate(name, monkeypatch):
+    build, move = BROKEN[name]
+    assert solve(build()).certificates.primal_residual <= 1e-9
+
+    def shift(res):
+        res.x = res.x + np.array(move)
+
+    with pytest.raises(SolverError, match="primal residual 1.000e-03"):
+        solve_altered(monkeypatch, build(), shift)
+
+
+def test_nan_primal_or_wrong_objective_fails_its_certificate(monkeypatch):
+    build = BROKEN[">= row"][0]
+
+    def nan(res):
+        res.x = np.full_like(res.x, np.nan)
+
+    def off(res):
+        res.fun *= 1.01
+
+    with pytest.raises(SolverError, match="primal residual nan"):
+        solve_altered(monkeypatch, build(), nan)
+    with pytest.raises(SolverError, match="duality gap"):
+        solve_altered(monkeypatch, build(), off)
+
+
 def test_resolve_is_deterministic_in_objective():
     def build():
         return model_of({"x": 1.0, "y": 1.0}, [[1.0, 1.0]], [GE], [5.0])
@@ -230,23 +281,24 @@ def test_highs_binding_has_what_the_seam_calls():
 
 
 def scipy_reference(model):
-    """What `scipy.optimize.linprog(method="highs")` hands HiGHS for `model`:
-    [A_ub; A_eq] as one CSC matrix with duplicates summed, ">=" rows negated
-    into A_ub, and the row bounds."""
+    """The LP HiGHS should hold for `model`, assembled with scipy.sparse: the
+    inequality rows and then the "=" rows, each in model order and as
+    stated, as one CSC matrix with duplicates summed, and each row's bounds:
+    (-inf, rhs) for "<=", (rhs, inf) for ">=" and (rhs, rhs) for "="."""
     row, col, val = (np.array(a) for a in (model._row, model._col, model._val))
     sense, rhs = np.array(model.con_sense), np.array(model.con_rhs)
-    sign = np.where(sense == GE, -1.0, 1.0)
-    blocks, b = [], []
+    blocks, lower, upper = [], [], []
     for rows in (np.flatnonzero(sense != EQ), np.flatnonzero(sense == EQ)):
         at = np.full(model.n_cons, -1)
         at[rows] = np.arange(rows.size)
         on = np.isin(row, rows)
-        blocks.append(sparse.csr_matrix((val[on] * sign[row[on]], (at[row[on]], col[on])),
+        blocks.append(sparse.csr_matrix((val[on], (at[row[on]], col[on])),
                                         shape=(rows.size, model.n_vars)))
-        b.append(sign[rows] * rhs[rows])
+        lower.append(np.where(sense[rows] == LE, -np.inf, rhs[rows]))
+        upper.append(np.where(sense[rows] == GE, np.inf, rhs[rows]))
     A = sparse.vstack(blocks, format="csc")
     A.sum_duplicates()
-    return A, np.concatenate((np.full(b[0].size, -np.inf), b[1])), np.concatenate(b)
+    return A, np.concatenate(lower), np.concatenate(upper)
 
 
 def three_terms_at_one_coordinate():
@@ -296,4 +348,4 @@ def test_highs_gets_scipys_matrix_and_row_bounds(name, monkeypatch):
                           ("col_upper_", model.ub)):
         assert bits(getattr(loaded, field)) == bits(values), field
     if name == "three terms at one coordinate":
-        assert A.nnz == 4 and -((0.1 + 0.2) + 0.3) in A.data.tolist()
+        assert A.nnz == 4 and (0.1 + 0.2) + 0.3 in A.data.tolist()

@@ -35,6 +35,10 @@ def test_probabilities_must_sum_to_one(t1):
     )
     report = validate(bad)
     assert any("sum to 1.2" in v for v in report.violations)
+    # no scenarios at all is bad input too, not an expectation of zero
+    none = dataclasses.replace(t1, scenario_set=dataclasses.replace(t1.scenario_set,
+                                                                    scenarios=()))
+    assert validate(none).violations == ["no scenarios"]
 
 
 def test_vre_realization_above_capacity_flagged(t1):
