@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from .lp import EQ, GE, LE, Block, LpModel, LpStatus, Row
+from .lp import EQ, GE, LE, Block, LpModel, LpStatus
 from .lp import diagnose_infeasibility, solve
-from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve
+from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve, validated
 
 __all__ = [
     "DamStructure",
@@ -56,91 +55,116 @@ class BidSetError(ValueError):
     or hour, a missing curve, or inconsistent segment counts."""
 
 
-# variable-name helpers, some shared with the RTM builder
-def wname(k: str, t: int, s: int) -> str:
-    return f"W[{k},{t},{s}]"
+UNIT_VARS = ("pC", "uDA", "cDA")  # a unit's day-ahead columns at each hour
+UNIT_ROWS = ("p_ub", "p_lb", "su", "ramp_up", "ramp_dn")  # a unit's rows at each hour
 
 
-def _pw(k: str, t: int, s: int) -> str:
-    return f"pW[{k},{t},{s}]"
+def grid_names(names, ids, hours) -> list[str]:
+    """`v[i,t]` for each of `ids`, each hour and each `v` of `names`, the
+    last fastest: the names of `grid`'s columns or rows."""
+    return [f"{v}[{i},{t}]" for i in ids for t in hours for v in names]
 
 
-def hourly(var: str) -> Callable[[str, int], str]:
-    """The name of variable `var` at a (unit or bus, hour) key."""
-    return lambda i, t: f"{var}[{i},{t}]"
+def grid(first: int, ids: int, hours: int, per: int = 1) -> np.ndarray:
+    """The indices, laid out from `first` as `grid_names` names them, of
+    `per` columns at each (id, hour); one (id, hour) array per column."""
+    return first + np.arange(ids * hours * per).reshape(ids, hours, per).transpose(2, 0, 1)
 
 
-_pc, _u, _c, _th = map(hourly, ("pC", "uDA", "cDA", "thDA"))
-FREE, NONNEG = (-math.inf, math.inf), (0.0, math.inf)
+def per_hour(ids: int, hours: int, *values) -> np.ndarray:
+    """Each of `values`, one for every id or one for all, at each hour, in
+    `grid`'s layout."""
+    table = np.stack([np.broadcast_to(np.asarray(v, dtype=float), ids) for v in values], axis=-1)
+    return np.broadcast_to(table[:, None, :], (ids, hours, len(values))).ravel()
 
 
-def angle_bounds(instance: Instance, bus: str) -> tuple[float, float]:
-    """Free, but the slack bus's angle, the reference, is fixed at 0."""
-    return (0.0, 0.0) if bus == instance.network.slack_bus else FREE
+def attrs(items, name: str) -> np.ndarray:
+    """The attribute `name` of each of `items`."""
+    return np.array([getattr(item, name) for item in items], dtype=float)
 
 
-def network_rows(instance: Instance, market: str, angle: Callable[[str, int], str],
-                 injection: Callable) -> tuple[list[Row], dict[tuple[str, int], int]]:
-    """The DC network rows of one market, hour by hour.
+def bus_index(instance: Instance, items) -> np.ndarray:
+    """The bus of each of `items` (units or VRE units), as an index into the buses."""
+    at = {bus: i for i, bus in enumerate(instance.network.buses)}
+    return np.array([at[item.bus] for item in items], dtype=np.int64)
 
-    Each hour has one balance row per bus (the coefficients and rhs that
-    `injection(bus, hour)` returns, less the net outflow through the B-theta
-    terms on the `angle` variables) and both limits of every line. Returns
-    the rows and the balance row of each (bus, hour), bus by bus.
+
+def angle_bounds(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of each bus's angle: free, but the slack bus's, the
+    reference, is fixed at 0."""
+    slack = np.array([n == instance.network.slack_bus for n in instance.network.buses])
+    return np.where(slack, 0.0, -math.inf), np.where(slack, 0.0, math.inf)
+
+
+def network_rows(instance: Instance, market: str, angle: np.ndarray, injection,
+                 load: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The DC network rows of one market and the balance row of each (bus, hour).
+
+    Each hour has one balance row per bus, then both limits of each line.
+    A balance row holds the terms `injection`, each (bus, columns,
+    coefficient) with one column per bus-hour, less the net outflow through
+    the B-theta terms on the `angle` columns (bus, hour), and `load` as its
+    rhs.
     """
-    net = instance.network
-    rows: list[Row] = []
-    at: dict[tuple[str, int], int] = {}
-    for t in instance.hours:
-        for n in net.buses:
-            coeffs, rhs = injection(n, t)
-            for _, ln, sign in net.incident_lines(n):
-                b = 1.0 / ln.reactance
-                fr, to = angle(ln.from_bus, t), angle(ln.to_bus, t)
-                # flow (from -> to) leaves the sending end
-                coeffs[fr] = coeffs.get(fr, 0.0) - sign * b
-                coeffs[to] = coeffs.get(to, 0.0) + sign * b
-            at[(n, t)] = len(rows)
-            rows.append(Row(f"{market}_bal[{n},{t}]", coeffs, EQ, rhs))
-        for ln in net.lines:
-            b = 1.0 / ln.reactance
-            flow = {angle(ln.from_bus, t): b, angle(ln.to_bus, t): -b}
-            line = f"{ln.from_bus},{ln.to_bus},{t}"
-            rows.append(Row(f"{market}_flow_ub[{line}]", dict(flow), LE, ln.capacity))
-            rows.append(Row(f"{market}_flow_lb[{line}]", dict(flow), GE, -ln.capacity))
-    return rows, {(n, t): at[(n, t)] for n in net.buses for t in instance.hours}
+    net, hours = instance.network, instance.hours
+    fr, to, b = net.incidence
+    n_bus, n_line = len(net.buses), len(net.lines)
+    first = (n_bus + 2 * n_line) * np.arange(len(hours))  # each hour's first row
+    # a line's flow leaves its from-bus and enters its to-bus; each (bus,
+    # bus) coefficient is summed from 0.0 line by line
+    bus, other = np.stack([fr, fr, to, to], 1).ravel(), np.stack([fr, to, fr, to], 1).ravel()
+    pair, at = np.unique(bus * n_bus + other, return_inverse=True)
+    b_theta = np.zeros(pair.size)
+    np.add.at(b_theta, at, np.stack([-b, b, b, -b], 1).ravel())
+    flow = first + n_bus + 2 * np.arange(n_line)[:, None]
+    terms = [(first + bus[:, None], cols, coeff) for bus, cols, coeff in injection]
+    terms += [(first + (pair // n_bus)[:, None], angle[pair % n_bus], b_theta[:, None])]
+    terms += [(flow + side, angle[end], sign * b[:, None])
+              for side in (0, 1) for end, sign in ((fr, 1.0), (to, -1.0))]
+    rhs = np.empty((len(hours), n_bus + 2 * n_line))
+    rhs[:, :n_bus] = load.T
+    caps = attrs(net.lines, "capacity")
+    rhs[:, n_bus::2], rhs[:, n_bus + 1::2] = caps, -caps
+    lines = [f"{ln.from_bus},{ln.to_bus}" for ln in net.lines]
+    names = [name for t in hours for name in (
+        [f"{market}_bal[{n},{t}]" for n in net.buses]
+        + [f"{market}_flow_{side}[{ln},{t}]" for ln in lines for side in ("ub", "lb")])]
+    senses = ([EQ] * n_bus + [LE, GE] * n_line) * len(hours)
+    return (names, senses, rhs.ravel(), terms), first + np.arange(n_bus)[:, None]
 
 
-def unit_rows(instance: Instance, market: str, output: Callable, commit: Callable,
-              startup: Callable) -> list[Row]:
+def unit_rows(instance: Instance, market: str, output, commit: np.ndarray, startup) -> tuple:
     """Each conventional unit's p_max/p_min, start-up and ramp rows in one
-    market, hour by hour, the first hour's from `p_init` and `u_init`.
+    market, (unit, hour) by (unit, hour), the first hour's from `p_init` and
+    `u_init`.
 
-    `output(unit, hour)` and `startup(unit, hour)` return the coefficients
-    of the unit's output and start-up cost, and `commit` names its
-    commitment column.
+    `output` and `startup` are the terms of the unit's output and start-up
+    cost, each (columns, coefficient) with one column per unit-hour, and
+    `commit` its commitment columns.
     """
-    rows: list[Row] = []
-    for g in instance.units:
-        prev = None
-        for t in instance.hours:
-            out, u, at = output(g.id, t), commit(g.id, t), f"[{g.id},{t}]"
-            su = {**startup(g.id, t), u: -g.startup_cost}
-            rows.append(Row(f"{market}_p_ub{at}", {**out, u: -g.p_max}, LE, 0.0))
-            rows.append(Row(f"{market}_p_lb{at}", {**out, u: -g.p_min}, GE, 0.0))
-            if prev is None:
-                rows.append(Row(f"{market}_su{at}", su, GE, -g.startup_cost * g.u_init))
-                rows.append(Row(f"{market}_ramp_up{at}", {**out, u: -g.ramp_up}, LE, g.p_init))
-                rows.append(Row(f"{market}_ramp_dn{at}", out, GE,
-                                g.p_init - g.ramp_down * g.u_init))
-            else:
-                u_prev = commit(g.id, prev)
-                delta = {**out, **{v: -c for v, c in output(g.id, prev).items()}}
-                rows.append(Row(f"{market}_su{at}", {**su, u_prev: g.startup_cost}, GE, 0.0))
-                rows.append(Row(f"{market}_ramp_up{at}", {**delta, u: -g.ramp_up}, LE, 0.0))
-                rows.append(Row(f"{market}_ramp_dn{at}", {**delta, u_prev: g.ramp_down}, GE, 0.0))
-            prev = t
-    return rows
+    units, hours = instance.units, instance.hours
+    p_max, p_min, su_cost, ramp_up, ramp_dn, u_init, p_init = (attrs(units, a)[:, None] for a in (
+        "p_max", "p_min", "startup_cost", "ramp_up", "ramp_down", "u_init", "p_init"))
+    later = np.arange(len(hours)) > 0
+
+    def before(cols: np.ndarray, coeff) -> tuple:
+        """`coeff` on the previous hour's `cols`, but none at the first hour."""
+        return np.roll(cols, 1, axis=1), np.where(later, coeff, 0.0)
+
+    delta = [*output, *(before(cols, -coeff) for cols, coeff in output)]
+    terms = [
+        [*output, (commit, -p_max)],
+        [*output, (commit, -p_min)],
+        [*startup, (commit, -su_cost), before(commit, su_cost)],
+        [*delta, (commit, -ramp_up)],
+        [*delta, before(commit, ramp_dn)],
+    ]
+    rhs = np.zeros((len(units), len(hours), len(UNIT_ROWS)))
+    rhs[:, 0, 2:] = np.hstack([-su_cost * u_init, p_init, p_init - ramp_dn * u_init])
+    row = len(UNIT_ROWS) * np.arange(commit.size).reshape(commit.shape)
+    names = grid_names([f"{market}_{kind}" for kind in UNIT_ROWS], [g.id for g in units], hours)
+    return (names, [LE, GE, GE, LE, GE] * commit.size, rhs.ravel(),
+            [(row + k, cols, coeff) for k, kind in enumerate(terms) for cols, coeff in kind])
 
 
 @dataclass(frozen=True)
@@ -205,52 +229,56 @@ def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
 
 
 def _build_block(instance: Instance, seg_count: int) -> DamStructure:
-    hours = instance.hours
-    ss = instance.scenario_set
-
-    columns: dict[str, tuple[float, float, float]] = {}
-    curves = [(k.id, t) for k in instance.vre_units for t in hours]
+    validated(instance)
+    units, vres, buses, hours = (instance.units, instance.vre_units, instance.network.buses,
+                                 instance.hours)
+    n_unit, n_vre, n_bus, n_hour = len(units), len(vres), len(buses), len(hours)
+    curves = [(k.id, t) for k in vres for t in hours]
     keys = [(k, t, s) for k, t in curves for s in range(seg_count)]
+    pc, u, c = grid(0, n_unit, n_hour, len(UNIT_VARS))
+    pw = pc.size * 3 + np.arange(len(keys)).reshape(n_vre, n_hour, seg_count)
+    (theta,) = grid(pw.size + pc.size * 3, n_bus, n_hour)
+    w = theta.size + pw.size + pc.size * 3 + np.arange(len(keys))  # the coupled W
 
-    for g in instance.units:
-        for t in hours:
-            columns[_pc(g.id, t)] = (g.variable_cost, *FREE)
-            columns[_u(g.id, t)] = (g.no_load_cost, 0.0, 1.0)
-            columns[_c(g.id, t)] = (1.0, *NONNEG)
-    for key in keys:
-        columns[_pw(*key)] = (0.0, *NONNEG)
-    for n in instance.network.buses:
-        for t in hours:
-            columns[_th(n, t)] = (0.0, *angle_bounds(instance, n))
+    load = np.array([[instance.scenario_set.da_load.get((n, t), 0.0) for t in hours]
+                     for n in buses]).reshape(n_bus, n_hour)
+    injection = [(bus_index(instance, units), pc, 1.0),
+                 (np.repeat(bus_index(instance, vres), seg_count),
+                  pw.transpose(0, 2, 1).reshape(-1, n_hour), 1.0)]
+    network, bal = network_rows(instance, "da", theta, injection, load)
+    cap = np.arange(len(keys))
+    pw_cap = ([f"da_pw_cap[{k},{t},{s}]" for k, t, s in keys], [LE] * len(keys), 0.0,
+              [(cap, pw.ravel(), 1.0), (cap, w, -1.0)])
+    per_unit = unit_rows(instance, "da", [(pc, 1.0)], u, [(c, 1.0)])
 
-    def injection(n, t):
-        coeffs = {_pc(g.id, t): 1.0 for g in instance.units if g.bus == n}
-        coeffs.update((_pw(k.id, t, s), 1.0) for k in instance.vre_units if k.bus == n
-                      for s in range(seg_count))
-        return coeffs, ss.da_load.get((n, t), 0.0)
-
-    rows, balance = network_rows(instance, "da", _th, injection)
-    cap_rows = np.arange(len(rows), len(rows) + len(keys))
-    rows += [Row(f"da_pw_cap[{k},{t},{s}]", {_pw(k, t, s): 1.0, wname(k, t, s): -1.0}, LE, 0.0)
-             for k, t, s in keys]
-    rows += unit_rows(instance, "da", lambda g, t: {_pc(g, t): 1.0}, _u,
-                      lambda g, t: {_c(g, t): 1.0})
-
-    unit_keys = [(g.id, t) for g in instance.units for t in hours]
-    return DamStructure.from_rows(
-        rows, columns, {wname(*key): 0.0 for key in keys}, balance,
+    unit_keys = [(g.id, t) for g in units for t in hours]
+    bus_keys = [(n, t) for n in buses for t in hours]
+    return DamStructure.of(
+        [
+            (grid_names(UNIT_VARS, [g.id for g in units], hours),
+             per_hour(n_unit, n_hour, attrs(units, "variable_cost"),
+                      attrs(units, "no_load_cost"), 1.0),
+             per_hour(n_unit, n_hour, -math.inf, 0.0, 0.0),
+             per_hour(n_unit, n_hour, math.inf, 1.0, math.inf)),
+            ([f"pW[{k},{t},{s}]" for k, t, s in keys], 0.0, 0.0, math.inf),
+            (grid_names(("thDA",), buses, hours), 0.0,
+             *(per_hour(n_bus, n_hour, bound) for bound in angle_bounds(instance))),
+        ],
+        [f"W[{k},{t},{s}]" for k, t, s in keys], np.zeros(len(keys)),
+        [network, pw_cap, per_unit],
+        bus_keys, bal.ravel(),
         {
-            "p_conventional": (unit_keys, _pc),
-            "commitment": (unit_keys, _u),
-            "startup_cost": (unit_keys, _c),
-            "p_vre": (keys, _pw),
-            "angle": (list(balance), _th),
+            "p_conventional": (unit_keys, pc.ravel()),
+            "commitment": (unit_keys, u.ravel()),
+            "startup_cost": (unit_keys, c.ravel()),
+            "p_vre": (keys, pw.ravel()),
+            "angle": (bus_keys, theta.ravel()),
         },
         keys=keys,
         curves=curves,
         curve_of=np.repeat(np.arange(len(curves)), seg_count),
         curve_capacity=np.array([instance.vre(k).capacity for k, _t in curves], dtype=float),
-        cap_rows=cap_rows,
+        cap_rows=len(network[0]) + cap,
     )
 
 

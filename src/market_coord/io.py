@@ -22,7 +22,7 @@ from .model import (
     Scenario,
     SystemParams,
     VreUnit,
-    validate,
+    validated,
 )
 
 __all__ = [
@@ -204,12 +204,10 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
         scenario_set=ScenarioSet(hours=hours, da_load=da_load, scenarios=scenarios),
         system=system,
     )
-    report = validate(instance)
-    if not report.ok:
-        raise ParseError(
-            "instance validation failed: " + "; ".join(report.violations)
-        )
-    return instance
+    try:
+        return validated(instance)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def save_instance(instance: Instance, json_path: str | Path, csv_path: str | Path) -> None:

@@ -54,7 +54,6 @@ __all__ = [
     "LpModel",
     "LpSolution",
     "LpStatus",
-    "Row",
     "SolverError",
     "solve",
     "diagnose_infeasibility",
@@ -77,20 +76,6 @@ class LpStatus(Enum):
 
 FEAS_TOL = 1e-6  # absolute primal feasibility of an optimal solve
 GAP_TOL = 1e-6  # relative primal/dual objective gap of an optimal solve
-
-
-@dataclass
-class Row:
-    """A linear constraint: sum(coeffs[v] * v) `sense` rhs.
-
-    Coefficient keys are variable names; builders may include names that are
-    substituted or coupled in later (bid quantities, day-ahead schedules).
-    """
-
-    name: str
-    coeffs: dict[str, float]
-    sense: str
-    rhs: float
 
 
 class LpModel:
@@ -206,53 +191,6 @@ class LpModel:
             shape=(self.n_cons, self.n_vars),
         )
 
-    def to_lp_text(self) -> str:
-        """Dump in a readable LP-like text format (debugging aid)."""
-        lines = [f"\\ model {self.name}", "Minimize"]
-        terms = [
-            f"{c:+g} {v}" for v, c in zip(self.var_names, self.obj) if c != 0.0
-        ]
-        lines.append(" obj: " + " ".join(terms) if terms else " obj: 0")
-        lines.append("Subject To")
-        A = self._matrix()
-        for r, (name, sense, rhs) in enumerate(zip(self.con_names, self.con_sense, self.con_rhs)):
-            lo, hi = A.indptr[r], A.indptr[r + 1]
-            body = " ".join(f"{c:+g} {self.var_names[j]}"
-                            for j, c in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist()))
-            lines.append(f" {name}: {body} {sense} {rhs:g}")
-        lines.append("Bounds")
-        for v, lo, hi in zip(self.var_names, self.lb, self.ub):
-            lines.append(f" {lo:g} <= {v} <= {hi:g}")
-        lines.append("End")
-        return "\n".join(lines)
-
-
-def split_rows(rows: Sequence[Row], cols: Sequence[str], outside: Sequence[str]):
-    """The coefficients of `rows` as two sparse matrices, `(A, D)`.
-
-    `A` is over `cols`, the block's own variables, and `D` over `outside`, the
-    variables the rows couple to; every coefficient names one of the two.
-    Explicit zeros are dropped, and the entries of both are in row order.
-    """
-    own_at = {v: j for j, v in enumerate(cols)}
-    outside_at = {v: j for j, v in enumerate(outside)}
-    own: list[tuple[int, int, float]] = []
-    coupled: list[tuple[int, int, float]] = []
-    for r, row in enumerate(rows):
-        for var, c in row.coeffs.items():
-            if c == 0.0:
-                continue
-            if var in own_at:
-                own.append((r, own_at[var], c))
-            else:
-                coupled.append((r, outside_at[var], c))
-
-    def matrix(entries, n_cols):
-        r, c, v = zip(*entries) if entries else ((), (), ())
-        return sparse.coo_matrix((v, (r, c)), shape=(len(rows), n_cols))
-
-    return matrix(own, len(cols)), matrix(coupled, len(outside))
-
 
 def _bounds(bound, n: int) -> list[float]:
     """`n` variable bounds from one bound for all or one bound each."""
@@ -284,47 +222,58 @@ class Block:
     A: sparse.coo_matrix  # rows x cols
     d_cols: list[str]
     d_cost: np.ndarray  # objective coefficient of each coupled column
-    D: sparse.coo_matrix  # rows x d_cols, entries in row order
+    D: sparse.coo_matrix  # rows x d_cols, each row's terms in the row's order
     coupled: sparse.coo_matrix  # [A | D]
     bus_keys: list[tuple[str, int]]
     bal_rows: np.ndarray  # balance row of each bus_keys entry
     outputs: dict[str, tuple[list, np.ndarray]]  # result field -> (keys, column of each)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row], columns: dict[str, tuple[float, float, float]],
-                  d_cost: dict[str, float], balance: dict[tuple[str, int], int],
-                  outputs: dict, **extra):
-        """The block of `rows`, built once.
+    def of(cls, columns: Sequence[tuple], d_cols: list[str], d_cost, sections: Sequence[tuple],
+           bus_keys: list[tuple[str, int]], bal_rows: np.ndarray, outputs: dict, **extra):
+        """The block of index arrays, built once.
 
-        `columns` gives the objective coefficient and the lower and upper
-        bound of each own column, and `d_cost` the objective coefficient of
-        each coupled column, both in column order; `balance` the balance row
-        of each (bus, hour); `outputs` maps each result field to its keys
-        and the function naming the column of a key.
+        `columns` are the own columns kind by kind, each `(names, cost, lb,
+        ub)` with one value for all or one each; `d_cols` and `d_cost` are
+        the coupled columns. `sections` are the rows kind by kind, each
+        `(names, senses, rhs, terms)`, a term being arrays (row, column,
+        value) that broadcast together: the row counts within the section,
+        the column among the own columns and then the coupled ones. Explicit
+        zeros are dropped, and each row keeps its terms in the order given.
+        `bal_rows` are the balance rows of `bus_keys`, and `outputs` map each
+        result field to its keys and their columns.
         """
-        cols, d_cols = list(columns), list(d_cost)
-        A, D = split_rows(rows, cols, d_cols)
-        col = {v: j for j, v in enumerate(cols)}
-        cost, lb, ub = np.array(list(columns.values()), dtype=float).reshape(-1, 3).T
+        cols = [v for names, *_ in columns for v in names]
+        cost, lb, ub = (np.concatenate([np.broadcast_to(np.asarray(kind[i], dtype=float),
+                                                        len(kind[0])) for kind in columns])
+                        for i in (1, 2, 3))
+        rows: list[str] = []
+        sense: list[str] = []
+        rhs, entries = [], []
+        for names, senses, values, terms in sections:
+            entries += [[a.ravel() for a in np.broadcast_arrays(row + len(rows), col, val)]
+                        for row, col, val in terms]
+            rows += names
+            sense += senses
+            rhs.append(np.broadcast_to(np.asarray(values, dtype=float), len(names)))
+        row, col, val = (np.concatenate(a) for a in zip(*entries))
+        keep = val != 0.0
+        row, col, val = row[keep], col[keep], val[keep]
+        n, n_d = len(cols), len(d_cols)
+
+        def matrix(at, first: int, width: int) -> sparse.coo_matrix:
+            return sparse.coo_matrix((val[at], (row[at], col[at] - first)),
+                                     shape=(len(rows), width))
+
+        own = col < n
         return cls(
-            cols=cols,
-            cost=cost,
-            lb=lb,
-            ub=ub,
-            rows=[row.name for row in rows],
-            sense=[row.sense for row in rows],
-            rhs=np.array([row.rhs for row in rows], dtype=float),
-            A=A,
-            d_cols=d_cols,
-            d_cost=np.array(list(d_cost.values()), dtype=float),
-            D=D,
-            coupled=sparse.hstack([A, D], format="coo"),
-            bus_keys=list(balance),
-            bal_rows=np.array(list(balance.values()), dtype=np.int64),
-            outputs={
-                field: (keys, np.array([col[name(*key)] for key in keys], dtype=np.int64))
-                for field, (keys, name) in outputs.items()
-            },
+            cols=cols, cost=cost, lb=lb, ub=ub,
+            rows=rows, sense=sense, rhs=np.concatenate(rhs),
+            A=matrix(own, 0, n),
+            d_cols=d_cols, d_cost=np.asarray(d_cost, dtype=float),
+            D=matrix(~own, n, n_d),
+            coupled=matrix(slice(None), 0, n + n_d),
+            bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs,
             **extra,
         )
 
@@ -364,7 +313,8 @@ class Block:
 
     def balance_duals(self, y: np.ndarray) -> dict[tuple[str, int], float]:
         """The dual of each (bus, hour) balance row, its LMP, from the duals `y`."""
-        return dict(zip(self.bus_keys, y[self.bal_rows].tolist()))
+        # + 0.0 turns HiGHS's signed zero duals into 0.0 and leaves the rest
+        return dict(zip(self.bus_keys, (y[self.bal_rows] + 0.0).tolist()))
 
 
 @dataclass
@@ -533,8 +483,8 @@ def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs
     if highs.passModel(*model) == _highs.HighsStatus.kError:
         return None
     if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
-        raise ValueError(f"basis does not fit an LP of {highs.getNumRow()} rows "
-                         f"and {highs.getNumCol()} columns")
+        n_col, n_row = model[:2]
+        raise ValueError(f"basis does not fit an LP of {n_row} rows and {n_col} columns")
     return highs
 
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 __all__ = [
     "Line",
@@ -23,6 +26,7 @@ __all__ = [
     "Instance",
     "ValidationReport",
     "validate",
+    "validated",
     "expected_vre",
 ]
 
@@ -45,15 +49,14 @@ class Network:
     lines: tuple[Line, ...]
     slack_bus: str
 
-    def incident_lines(self, bus: str) -> list[tuple[int, Line, int]]:
-        """Lines touching `bus` as (line index, line, +1 if sending end else -1)."""
-        out = []
-        for idx, ln in enumerate(self.lines):
-            if ln.from_bus == bus:
-                out.append((idx, ln, +1))
-            elif ln.to_bus == bus:
-                out.append((idx, ln, -1))
-        return out
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each line's from-bus and to-bus, as indices into `buses`, and its
+        susceptance 1/reactance; built on first use."""
+        at = {bus: i for i, bus in enumerate(self.buses)}
+        return (np.array([at[ln.from_bus] for ln in self.lines], dtype=np.int64),
+                np.array([at[ln.to_bus] for ln in self.lines], dtype=np.int64),
+                1.0 / np.array([ln.reactance for ln in self.lines], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,19 @@ def validate(instance: Instance) -> ValidationReport:
     if instance.system.voll <= 0:
         report.violations.append("VoLL must be > 0")
     return report
+
+
+def validated(instance: Instance) -> Instance:
+    """`instance`, once `validate` finds it well-formed; ValueError naming
+    every violation otherwise. A well-formed instance is validated once."""
+    def check() -> bool:
+        report = validate(instance)
+        if not report.ok:
+            raise ValueError("instance validation failed: " + "; ".join(report.violations))
+        return True
+
+    cached(instance, "_validated", check)
+    return instance
 
 
 def price_errors(prices: Sequence[float], cap: float) -> list[str]:

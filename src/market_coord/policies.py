@@ -17,7 +17,7 @@ import numpy as np
 
 from .dam import DaDuals, DaSchedule, clear_dam, dam_structure
 from .lp import LpModel, LpStatus, solve
-from .model import BidCurve, Instance, expected_vre
+from .model import BidCurve, Instance, expected_vre, validated
 from .rtm import RtDispatch, append_scenarios, expected_rt_cost
 
 __all__ = [
@@ -69,7 +69,7 @@ def evaluate_bids(
 
 def myopic_bids(instance: Instance) -> list[BidCurve]:
     """Zero-price single-segment curves at the expected forecast, per unit."""
-    ss = instance.scenario_set
+    ss = validated(instance).scenario_set
     return [
         BidCurve(owner=k.id, hour=t, segments=((0.0, expected_vre(ss, k.id, t)),))
         for k in instance.vre_units

@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import NONNEG, DaSchedule, angle_bounds, hourly, network_rows, unit_rows
-from .dam import _c as _cda, _pc, _u as _uda  # the day-ahead columns
-from .lp import EQ, GE, Block, LpModel, LpStatus, Row, solve
-from .model import Instance, Scenario, cached
+from .dam import UNIT_VARS, DaSchedule, angle_bounds, attrs, bus_index, grid, grid_names
+from .dam import network_rows, per_hour, unit_rows
+from .lp import EQ, GE, Block, LpModel, LpStatus, solve
+from .model import Instance, Scenario, cached, validated
 
 __all__ = [
     "RtDispatch",
@@ -53,9 +53,6 @@ __all__ = [
 
 class RtmError(RuntimeError):
     """RT infeasibility; should not occur given shedding and curtailment backstops."""
-
-
-_ru, _rd, _urt, _crt, _cr, _sh, _th = map(hourly, ("rU", "rD", "uRT", "cRT", "pCr", "lsh", "thRT"))
 
 
 @dataclass(frozen=True)
@@ -93,74 +90,66 @@ class _Template(Block):
 
 
 def _build_template(instance: Instance) -> _Template:
-    hours = instance.hours
+    validated(instance)
+    units, vres, buses, hours = (instance.units, instance.vre_units, instance.network.buses,
+                                 instance.hours)
+    n_unit, n_vre, n_bus, n_hour = len(units), len(vres), len(buses), len(hours)
+    r_up, r_dn, u, c = grid(0, n_unit, n_hour, 4)
+    (curtail,) = grid(4 * u.size, n_vre, n_hour)
+    shed, theta = grid(4 * u.size + curtail.size, n_bus, n_hour, 2)
+    # the day-ahead unit columns, laid out as the day-ahead block's first
+    d_first = 4 * u.size + curtail.size + 2 * shed.size
+    pc_da, u_da, c_da = grid(d_first, n_unit, n_hour, len(UNIT_VARS))
 
-    columns: dict[str, tuple[float, float, float]] = {}
-    da_obj: dict[str, float] = {}
-
-    for g in instance.units:
-        for t in hours:
-            columns[_ru(g.id, t)] = (g.up_redispatch_cost, *NONNEG)
-            columns[_rd(g.id, t)] = (-g.down_redispatch_cost, *NONNEG)
-            columns[_urt(g.id, t)] = (g.no_load_cost, -np.inf, 1.0)
-            columns[_crt(g.id, t)] = (1.0, *NONNEG)
-            da_obj[_pc(g.id, t)] = 0.0
-            da_obj[_uda(g.id, t)] = -g.no_load_cost
-            da_obj[_cda(g.id, t)] = 0.0
-    # curtailment and shedding: upper bounds are each scenario's
-    for k in instance.vre_units:
-        for t in hours:
-            columns[_cr(k.id, t)] = (0.0, 0.0, 0.0)
-    for n in instance.network.buses:
-        for t in hours:
-            columns[_sh(n, t)] = (instance.system.voll, 0.0, 0.0)
-            columns[_th(n, t)] = (0.0, *angle_bounds(instance, n))
-
-    def injection(n, t):
-        coeffs: dict[str, float] = {}
-        for g in instance.units:
-            if g.bus == n:
-                coeffs[_ru(g.id, t)] = 1.0
-                coeffs[_rd(g.id, t)] = -1.0
-                coeffs[_pc(g.id, t)] = 1.0  # DA coupling
-        for k in instance.vre_units:
-            if k.bus == n:
-                coeffs[_cr(k.id, t)] = -1.0
-        coeffs[_sh(n, t)] = 1.0
-        return coeffs, 0.0
-
-    rows, balance = network_rows(instance, "rt", _th, injection)
+    unit_bus = bus_index(instance, units)
+    injection = [(unit_bus, r_up, 1.0), (unit_bus, r_dn, -1.0),
+                 (unit_bus, pc_da, 1.0),  # DA coupling
+                 (bus_index(instance, vres), curtail, -1.0),
+                 (np.arange(n_bus), shed, 1.0)]
+    network, bal = network_rows(instance, "rt", theta, injection, np.zeros((n_bus, n_hour)))
     # a unit's real-time output is its day-ahead output plus its redispatch
-    rows += unit_rows(instance, "rt",
-                      lambda g, t: {_ru(g, t): 1.0, _rd(g, t): -1.0, _pc(g, t): 1.0}, _urt,
-                      lambda g, t: {_crt(g, t): 1.0, _cda(g, t): 1.0})
+    per_unit = unit_rows(instance, "rt", [(r_up, 1.0), (r_dn, -1.0), (pc_da, 1.0)], u,
+                         [(c, 1.0), (c_da, 1.0)])
     # a slow unit keeps its day-ahead commitment, a fast one may only add to it
-    for g in instance.units:
-        fix, sense = ("fix", EQ) if g.start_class == "slow" else ("min", GE)
-        rows += [Row(f"rt_u_{fix}[{g.id},{t}]", {_urt(g.id, t): 1.0, _uda(g.id, t): -1.0},
-                     sense, 0.0) for t in hours]
+    slow = [g.start_class == "slow" for g in units]
+    row = np.arange(u.size).reshape(u.shape)
+    commitment = ([f"rt_u_{'fix' if s else 'min'}[{g.id},{t}]"
+                   for g, s in zip(units, slow) for t in hours],
+                  [EQ if s else GE for s in slow for _t in hours], 0.0,
+                  [(row, u, 1.0), (row, u_da, -1.0)])
 
-    unit_keys = [(g.id, t) for g in instance.units for t in hours]
-    vre_keys = [(k.id, t) for k in instance.vre_units for t in hours]
-    bus_keys = list(balance)
-    d_at = {v: j for j, v in enumerate(da_obj)}
-    return _Template.from_rows(
-        rows, columns, da_obj, balance,
+    unit_keys = [(g.id, t) for g in units for t in hours]
+    vre_keys = [(k.id, t) for k in vres for t in hours]
+    bus_keys = [(n, t) for n in buses for t in hours]
+    return _Template.of(
+        [
+            (grid_names(("rU", "rD", "uRT", "cRT"), [g.id for g in units], hours),
+             per_hour(n_unit, n_hour, attrs(units, "up_redispatch_cost"),
+                      -attrs(units, "down_redispatch_cost"), attrs(units, "no_load_cost"), 1.0),
+             per_hour(n_unit, n_hour, 0.0, 0.0, -np.inf, 0.0),
+             per_hour(n_unit, n_hour, np.inf, np.inf, 1.0, np.inf)),
+            # curtailment and shedding: upper bounds are each scenario's
+            (grid_names(("pCr",), [k.id for k in vres], hours), 0.0, 0.0, 0.0),
+            (grid_names(("lsh", "thRT"), buses, hours),
+             per_hour(n_bus, n_hour, instance.system.voll, 0.0),
+             *(per_hour(n_bus, n_hour, 0.0, bound) for bound in angle_bounds(instance))),
+        ],
+        grid_names(UNIT_VARS, [g.id for g in units], hours),
+        per_hour(n_unit, n_hour, 0.0, -attrs(units, "no_load_cost"), 0.0),
+        [network, per_unit, commitment],
+        bus_keys, bal.ravel(),
         {
-            "r_up": (unit_keys, _ru),
-            "r_down": (unit_keys, _rd),
-            "commitment": (unit_keys, _urt),
-            "startup_cost": (unit_keys, _crt),
-            "curtailment": (vre_keys, _cr),
-            "shed": (bus_keys, _sh),
-            "angle": (bus_keys, _th),
+            "r_up": (unit_keys, r_up.ravel()),
+            "r_down": (unit_keys, r_dn.ravel()),
+            "commitment": (unit_keys, u.ravel()),
+            "startup_cost": (unit_keys, c.ravel()),
+            "curtailment": (vre_keys, curtail.ravel()),
+            "shed": (bus_keys, shed.ravel()),
+            "angle": (bus_keys, theta.ravel()),
         },
-        vre_rows=np.array([balance[(instance.vre(k).bus, t)] for k, t in vre_keys],
-                          dtype=np.int64),
-        schedule={
-            name: (unit_keys, np.array([d_at[col(*key)] for key in unit_keys], dtype=np.int64))
-            for name, col in (("p_conventional", _pc), ("commitment", _uda), ("startup_cost", _cda))
-        },
+        vre_rows=bal[bus_index(instance, vres)].ravel(),
+        schedule={name: (unit_keys, (cols - d_first).ravel()) for name, cols in
+                  (("p_conventional", pc_da), ("commitment", u_da), ("startup_cost", c_da))},
     )
 
 

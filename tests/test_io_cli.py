@@ -93,6 +93,16 @@ def test_cli_clear_da_writes_outputs(tmp_path):
     assert "lmp_usd_per_mwh" in rows[0]
 
 
+def test_cli_clear_da_writes_no_signed_zero_lmp(tmp_path):
+    # HiGHS reports -0.0 on sys5's balance rows at hour 0
+    result = run_cli("-i", "sys5", "-o", str(tmp_path), "clear-da")
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "da_lmp.csv") as fh:
+        lmps = [row["lmp_usd_per_mwh"] for row in csv.DictReader(fh)]
+    assert "0.0" in lmps
+    assert [v for v in lmps if v.startswith("-0")] == []
+
+
 def test_cli_infeasible_da_exits_2(tmp_path):
     # double every day-ahead load on t1 so the single unit cannot serve it
     doc = json.loads((DATA / "t1.json").read_text())

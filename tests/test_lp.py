@@ -184,13 +184,6 @@ def test_solution_arrays_follow_column_and_row_order():
     assert sol.duals.tolist() == pytest.approx([2.0, 1.0])
 
 
-def test_lp_text_dump_mentions_rows_and_bounds():
-    model = model_of({"x": 1.0}, [[1.0]], [GE], [1.0], lb=0.0, ub=2.0)
-    text = model.to_lp_text()
-    assert " r0: +1 x >= 1" in text
-    assert " 0 <= x <= 2" in text
-
-
 def test_solve_from_the_optimal_basis_of_an_equal_shape():
     # min x + 2y s.t. x + y >= b, x <= 4, 0 <= x <= x_max, y >= 0, solved at
     # b = 5, x_max = 10 from the optimal basis of an LP with another rhs

@@ -1,10 +1,13 @@
 """Dispatch policies: sequential scoring, MyD, StD, and the comparison."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from market_coord import lp, model
+from market_coord.bilevel import solve_bid
 from market_coord.dam import BidSetError
 from market_coord.model import BidCurve, VreUnit
 from market_coord.policies import (
@@ -66,10 +69,52 @@ def test_malformed_bid_set_rejected_as_bad_input(sys5, malform):
 
 
 def test_no_vre_instance_score_ignores_bids(t1):
-    bare = dataclasses.replace(t1, vre_units=())
+    stale = dataclasses.replace(t1, vre_units=())
+    # its scenarios still report output for the dropped unit w1
+    with pytest.raises(ValueError, match="unknown VRE id 'w1'"):
+        evaluate_bids(stale, [])
+    ss = t1.scenario_set
+    bare = dataclasses.replace(stale, scenario_set=dataclasses.replace(ss, scenarios=tuple(
+        dataclasses.replace(s, vre_real={}) for s in ss.scenarios)))
     result = evaluate_bids(bare, [])
     # conventional unit serves 80 MW day-ahead; scenarios only carry wind
     assert result.f_da_true == pytest.approx(1600.0)
+
+
+@pytest.mark.parametrize("run", [
+    stochastic,
+    myopic,
+    lambda inst: evaluate_bids(inst, myopic_bids(inst)),
+    lambda inst: evaluate_bids(inst, [BidCurve("w1", 0, ((0.0, 30.0),))]),
+    lambda inst: solve_bid(inst, (0.0,)),
+], ids=["stochastic", "myopic", "evaluate_bids", "evaluate_given_bids", "solve_bid"])
+def test_instance_without_scenarios_rejected_before_any_lp(t1, monkeypatch, run):
+    empty = dataclasses.replace(
+        t1, scenario_set=dataclasses.replace(t1.scenario_set, scenarios=()))
+    monkeypatch.setattr(lp, "linprog", lambda *a, **k: pytest.fail("an LP was solved"))
+    with pytest.raises(ValueError, match="no scenarios"):
+        run(empty)
+
+
+def test_instance_validated_once(t1, monkeypatch):
+    calls = []
+    monkeypatch.setattr(model, "validate", lambda inst: calls.append(inst) or
+                        model.ValidationReport())
+    fresh = dataclasses.replace(t1)
+    myopic(fresh)
+    myopic(fresh)
+    stochastic(fresh)
+    solve_bid(fresh, (0.0, 10.0))
+    assert calls == [fresh]
+
+
+def test_myopic_lmps_carry_no_signed_zero(sys5):
+    # HiGHS reports -0.0 on some of sys5's balance rows
+    result = myopic(sys5)
+    lmps = [*result.da_duals.balance.values()]
+    lmps += [v for d in result.rt_dispatches for v in d.lmp.values()]
+    assert 0.0 in lmps
+    assert [v for v in lmps if math.copysign(1.0, v) < 0 and v == 0.0] == []
 
 
 def test_myopic_bids_expected_forecast_per_unit(t1):
