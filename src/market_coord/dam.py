@@ -10,9 +10,13 @@ true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
 it with the quantities fixed (`rhs - D @ q`) and the prices written into a
 copy of the costs; the bilevel module appends it with the quantities kept as
 decision variables. Each column carries its bounds, declared with its cost,
-so no row bounds a single variable. Its network rows come from
-`network_rows` and its unit rows from `unit_rows`, which the real-time
-market shares.
+so no row bounds a single variable.
+The block is built from index arrays (`lp.Block.of`): each column and row
+sits at a position computed from its (unit, hour), (bus, hour), (line,
+hour) or (VRE, hour, segment), in the layout `grid` and `grid_names` share,
+and no name is looked up. `network_rows` writes the balance and line rows
+from the network's line arrays, and `unit_rows` the five unit row kinds from
+per-unit arrays; the real-time template calls both with its own columns.
 The block owns the bid layout, one key (unit, hour, segment) per segment:
 `_check_bids` maps curves to key-ordered prices and quantities, and
 `DamStructure.bid_curves` maps them back.
@@ -56,7 +60,8 @@ class BidSetError(ValueError):
 
 
 UNIT_VARS = ("pC", "uDA", "cDA")  # a unit's day-ahead columns at each hour
-UNIT_ROWS = ("p_ub", "p_lb", "su", "ramp_up", "ramp_dn")  # a unit's rows at each hour
+# a unit's rows at each hour, with their senses
+UNIT_ROWS = {"p_ub": LE, "p_lb": GE, "su": GE, "ramp_up": LE, "ramp_dn": GE}
 
 
 def grid_names(names, ids, hours) -> list[str]:
@@ -112,8 +117,9 @@ def network_rows(instance: Instance, market: str, angle: np.ndarray, injection,
     first = (n_bus + 2 * n_line) * np.arange(len(hours))  # each hour's first row
     # a line's flow leaves its from-bus and enters its to-bus; each (bus,
     # bus) coefficient is summed from 0.0 line by line
-    bus, other = np.stack([fr, fr, to, to], 1).ravel(), np.stack([fr, to, fr, to], 1).ravel()
-    pair, at = np.unique(bus * n_bus + other, return_inverse=True)
+    row_bus = np.stack([fr, fr, to, to], 1).ravel()
+    col_bus = np.stack([fr, to, fr, to], 1).ravel()
+    pair, at = np.unique(row_bus * n_bus + col_bus, return_inverse=True)
     b_theta = np.zeros(pair.size)
     np.add.at(b_theta, at, np.stack([-b, b, b, -b], 1).ravel())
     flow = first + n_bus + 2 * np.arange(n_line)[:, None]
@@ -159,11 +165,11 @@ def unit_rows(instance: Instance, market: str, output, commit: np.ndarray, start
         [*delta, (commit, -ramp_up)],
         [*delta, before(commit, ramp_dn)],
     ]
-    rhs = np.zeros((len(units), len(hours), len(UNIT_ROWS)))
-    rhs[:, 0, 2:] = np.hstack([-su_cost * u_init, p_init, p_init - ramp_dn * u_init])
+    rhs = np.zeros((len(units), len(hours), len(UNIT_ROWS)))  # 0.0 after the first hour
+    rhs[:, :1, 2:] = np.stack([-su_cost * u_init, p_init, p_init - ramp_dn * u_init], axis=-1)
     row = len(UNIT_ROWS) * np.arange(commit.size).reshape(commit.shape)
     names = grid_names([f"{market}_{kind}" for kind in UNIT_ROWS], [g.id for g in units], hours)
-    return (names, [LE, GE, GE, LE, GE] * commit.size, rhs.ravel(),
+    return (names, [*UNIT_ROWS.values()] * commit.size, rhs.ravel(),
             [(row + k, cols, coeff) for k, kind in enumerate(terms) for cols, coeff in kind])
 
 
@@ -236,9 +242,10 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     curves = [(k.id, t) for k in vres for t in hours]
     keys = [(k, t, s) for k, t in curves for s in range(seg_count)]
     pc, u, c = grid(0, n_unit, n_hour, len(UNIT_VARS))
-    pw = pc.size * 3 + np.arange(len(keys)).reshape(n_vre, n_hour, seg_count)
-    (theta,) = grid(pw.size + pc.size * 3, n_bus, n_hour)
-    w = theta.size + pw.size + pc.size * 3 + np.arange(len(keys))  # the coupled W
+    n_unit_cols = len(UNIT_VARS) * pc.size
+    pw = n_unit_cols + np.arange(len(keys)).reshape(n_vre, n_hour, seg_count)
+    (theta,) = grid(n_unit_cols + pw.size, n_bus, n_hour)
+    w = n_unit_cols + pw.size + theta.size + np.arange(len(keys))  # coupled, after the own
 
     load = np.array([[instance.scenario_set.da_load.get((n, t), 0.0) for t in hours]
                      for n in buses]).reshape(n_bus, n_hour)
@@ -254,7 +261,7 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     unit_keys = [(g.id, t) for g in units for t in hours]
     bus_keys = [(n, t) for n in buses for t in hours]
     return DamStructure.of(
-        [
+        columns=[
             (grid_names(UNIT_VARS, [g.id for g in units], hours),
              per_hour(n_unit, n_hour, attrs(units, "variable_cost"),
                       attrs(units, "no_load_cost"), 1.0),
@@ -264,10 +271,10 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             (grid_names(("thDA",), buses, hours), 0.0,
              *(per_hour(n_bus, n_hour, bound) for bound in angle_bounds(instance))),
         ],
-        [f"W[{k},{t},{s}]" for k, t, s in keys], np.zeros(len(keys)),
-        [network, pw_cap, per_unit],
-        bus_keys, bal.ravel(),
-        {
+        d_cols=[f"W[{k},{t},{s}]" for k, t, s in keys], d_cost=np.zeros(len(keys)),
+        sections=[network, pw_cap, per_unit],
+        bus_keys=bus_keys, bal_rows=bal.ravel(),
+        outputs={
             "p_conventional": (unit_keys, pc.ravel()),
             "commitment": (unit_keys, u.ravel()),
             "startup_cost": (unit_keys, c.ravel()),
@@ -277,7 +284,7 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
         keys=keys,
         curves=curves,
         curve_of=np.repeat(np.arange(len(curves)), seg_count),
-        curve_capacity=np.array([instance.vre(k).capacity for k, _t in curves], dtype=float),
+        curve_capacity=np.repeat(attrs(vres, "capacity"), n_hour),
         cap_rows=len(network[0]) + cap,
     )
 

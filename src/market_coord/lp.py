@@ -3,7 +3,9 @@
 A model is built in blocks: `LpModel.add_vars` appends columns,
 `LpModel.add_rows` a sparse block of rows and `LpModel.add_coeffs` terms to
 rows already there. `solve` returns the primal in column order and the duals
-in row order, as arrays.
+in row order, as arrays. A market's LP is a `Block`, built once from index
+arrays (`Block.of`: column kinds, and row sections whose terms are arrays of
+row, column and coefficient) and appended to models (`Block.append_to`).
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
@@ -312,8 +314,9 @@ class Block:
                 for field, (keys, cols) in self.outputs.items()}
 
     def balance_duals(self, y: np.ndarray) -> dict[tuple[str, int], float]:
-        """The dual of each (bus, hour) balance row, its LMP, from the duals `y`."""
-        # + 0.0 turns HiGHS's signed zero duals into 0.0 and leaves the rest
+        """The dual of each (bus, hour) balance row, its LMP, from the duals
+        `y`; a signed zero dual reads 0.0."""
+        # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
         return dict(zip(self.bus_keys, (y[self.bal_rows] + 0.0).tolist()))
 
 

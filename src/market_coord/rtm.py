@@ -6,10 +6,12 @@ shedding and curtailment columns (that load and that output), and the
 day-ahead schedule only through the rhs. Each instance therefore carries one
 `lp.Block`, its template, built on first use: the matrix over the real-time
 variables, the coupling `D` to the day-ahead `pC`/`uDA`/`cDA` variables,
-the costs, the column bounds and the row senses. Its network and unit rows
-come from `dam.network_rows` and `dam.unit_rows`, as the day-ahead block's
-do. `rtm_structure` pairs the template with one scenario's rhs and upper
-bounds. `build_rtm` appends it with the day-ahead schedule fixed
+the costs, the column bounds and the row senses. It is built from index
+arrays, as the day-ahead block is, and its network and unit rows come from
+the same builders (`dam.network_rows`, `dam.unit_rows`). It couples to the
+day-ahead columns by position: they are laid out as the day-ahead block's
+first columns. `rtm_structure` pairs the template with one scenario's rhs
+and upper bounds. `build_rtm` appends it with the day-ahead schedule fixed
 (`rhs - D @ x_DA`); the stochastic and bilevel modules append every
 scenario's block with `D` kept (`append_scenarios`), so the day-ahead
 variables are shared decisions.
@@ -122,7 +124,7 @@ def _build_template(instance: Instance) -> _Template:
     vre_keys = [(k.id, t) for k in vres for t in hours]
     bus_keys = [(n, t) for n in buses for t in hours]
     return _Template.of(
-        [
+        columns=[
             (grid_names(("rU", "rD", "uRT", "cRT"), [g.id for g in units], hours),
              per_hour(n_unit, n_hour, attrs(units, "up_redispatch_cost"),
                       -attrs(units, "down_redispatch_cost"), attrs(units, "no_load_cost"), 1.0),
@@ -134,11 +136,11 @@ def _build_template(instance: Instance) -> _Template:
              per_hour(n_bus, n_hour, instance.system.voll, 0.0),
              *(per_hour(n_bus, n_hour, 0.0, bound) for bound in angle_bounds(instance))),
         ],
-        grid_names(UNIT_VARS, [g.id for g in units], hours),
-        per_hour(n_unit, n_hour, 0.0, -attrs(units, "no_load_cost"), 0.0),
-        [network, per_unit, commitment],
-        bus_keys, bal.ravel(),
-        {
+        d_cols=grid_names(UNIT_VARS, [g.id for g in units], hours),
+        d_cost=per_hour(n_unit, n_hour, 0.0, -attrs(units, "no_load_cost"), 0.0),
+        sections=[network, per_unit, commitment],
+        bus_keys=bus_keys, bal_rows=bal.ravel(),
+        outputs={
             "r_up": (unit_keys, r_up.ravel()),
             "r_down": (unit_keys, r_dn.ravel()),
             "commitment": (unit_keys, u.ravel()),
