@@ -14,7 +14,7 @@ from .model import (
     validate,
 )
 from .lp import LpModel, LpSolution, LpStatus, SolverError, solve
-from .dam import DaDuals, DamInfeasibleError, DaSchedule, build_dam, clear_dam
+from .dam import DamInfeasibleError, DaSchedule, build_dam, clear_dam
 from .rtm import RtDispatch, build_rtm, clear_rtm, expected_rt_cost
 from .policies import (
     ComparisonTable,

@@ -5,7 +5,9 @@ bid quantities and all per-scenario re-dispatch, the lower level clears the
 day-ahead market. Lower-level optimality is imposed through dual feasibility
 plus one strong-duality equality; the bilinear dual-times-quantity products
 in the dual objective are replaced by auxiliary variables boxed with
-McCormick envelopes, leaving one LP.
+McCormick envelopes, leaving one LP. Its parts (the quantities W, the
+lower-level primal and duals, the auxiliaries and each scenario's
+re-dispatch) are joined by the column indices `LpModel.add_vars` returns.
 
 Reported costs always come from re-running the sequential markets on the
 extracted quantities, never from the relaxed objective.
@@ -86,17 +88,16 @@ def build_relaxed_bid(
     w_bar = block.capacity
 
     # upper level: bid quantities, per segment and per curve within capacity
-    model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
+    w = model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
     model.add_rows(
         [f"w_total[{k},{t}]" for k, t in curves],
         sparse.coo_matrix((np.ones(n_keys), (block.curve_of, np.arange(n_keys))),
                           shape=(len(curves), n_keys)),
-        [LE] * len(curves), block.curve_capacity, block.d_cols,
+        [LE] * len(curves), block.curve_capacity, w,
     )
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
-    primal_at = model.n_vars
-    block.append_to(model)
+    primal = block.append_to(model, coupled=w)
 
     # lower-level duals, one per row and one per finite column bound, which
     # acts as a row: >= 0 on ">=" rows and lower bounds, <= 0 on "<=" rows
@@ -107,10 +108,9 @@ def build_relaxed_bid(
     dual_rhs = np.concatenate([block.rhs, block.lb[at_lb], block.ub[at_ub]])
     lb = np.where(sense == GE, 0.0, -math.inf)
     lb[block.cap_rows] = -lam_bar
-    duals = ([f"y[{r}]" for r in block.rows] + [f"zl[{block.cols[j]}]" for j in at_lb]
+    names = ([f"y[{r}]" for r in block.rows] + [f"zl[{block.cols[j]}]" for j in at_lb]
              + [f"zu[{block.cols[j]}]" for j in at_ub])
-    dual_at = model.n_vars
-    model.add_vars(duals, np.zeros(len(duals)), lb, np.where(sense == LE, 0.0, math.inf))
+    duals = model.add_vars(names, np.zeros(len(names)), lb, np.where(sense == LE, 0.0, math.inf))
 
     # dual feasibility: A^T y + z = c, one row per lower-level primal variable
     A, z_at = block.A, len(block.rows) + np.arange(bounded.size)
@@ -125,8 +125,7 @@ def build_relaxed_bid(
     # envelopes v + lam_bar w >= 0, v - w_bar y >= 0,
     # v + lam_bar w - w_bar y <= lam_bar w_bar and v <= 0, key by key
     tags = [f"{k},{t},{s}" for k, t, s in block.keys]
-    aux = [f"v[{tag}]" for tag in tags]
-    model.add_vars(aux, np.zeros(n_keys))
+    aux = model.add_vars([f"v[{tag}]" for tag in tags], np.zeros(n_keys))
     key = np.arange(n_keys)[:, None]
     coeff = np.stack([np.ones(n_keys), np.full(n_keys, lam_bar), -w_bar])
     rhs = np.zeros((n_keys, 4))
@@ -137,17 +136,17 @@ def build_relaxed_bid(
                            ((4 * key + _MC_ROW).ravel(), (_MC_FACTOR * n_keys + key).ravel())),
                           shape=(4 * n_keys, 3 * n_keys)),
         [GE, GE, LE, LE] * n_keys, rhs.ravel(),
-        aux + block.d_cols + [duals[r] for r in block.cap_rows.tolist()],
+        np.concatenate([aux, w, duals[block.cap_rows]]),
     )
 
     # strong duality: lower primal objective equals the dual objective,
     # with each product replaced by its auxiliary
     sd = np.concatenate([bid_cost, -dual_rhs, -np.ones(n_keys)])
     model.add_rows(["strong_duality"], sparse.coo_matrix(sd[None, :]), [EQ], [0.0],
-                   block.cols + duals + aux)
+                   np.concatenate([primal, duals, aux]))
 
     # re-dispatch blocks, coupled to the shared day-ahead schedule
-    append_scenarios(instance, model)
+    append_scenarios(instance, model, primal[0])
 
     ctx = RelaxedContext(
         prices=prices,
@@ -156,9 +155,9 @@ def build_relaxed_bid(
         bid_cost=bid_cost,
         lam_bar=lam_bar,
         dual_rhs=dual_rhs,
-        quantities=slice(0, primal_at),
-        primal=slice(primal_at, dual_at),
-        duals=slice(dual_at, dual_at + len(duals)),
+        quantities=w,
+        primal=primal,
+        duals=duals,
     )
     return model, ctx
 
@@ -174,9 +173,9 @@ class RelaxedContext:
     # columns of the relaxed LP: W in structure.keys order, the lower-level
     # primal in structure.cols order, and the duals: one per structure row,
     # then one per finite column bound
-    quantities: slice
-    primal: slice
-    duals: slice
+    quantities: np.ndarray
+    primal: np.ndarray
+    duals: np.ndarray
 
 
 @dataclass
@@ -213,12 +212,13 @@ def solve_bid(
     # the least total quantity; that vertex needs the least envelope slack.
     relaxed_objective = sol.objective
     cap = relaxed_objective + 1e-7 * max(1.0, abs(relaxed_objective))
-    model.add_rows(["relaxed_opt_cap"],
-                   sparse.coo_matrix(np.array(model.obj)[None, :]), [LE], [cap], model.var_names)
+    model.add_rows(["relaxed_opt_cap"], sparse.coo_matrix(np.array(model.obj)[None, :]),
+                   [LE], [cap], np.arange(model.n_vars))
     model.obj = [0.0] * model.n_vars
     structure = ctx.structure
-    for (_k, _t, s), w, price in zip(structure.keys, structure.d_cols, ctx.key_prices.tolist()):
-        model.add_obj(w, price + 1e-3 + 1e-6 * s)
+    for (_k, _t, s), j, price in zip(structure.keys, ctx.quantities.tolist(),
+                                     ctx.key_prices.tolist()):
+        model.obj[j] += price + 1e-3 + 1e-6 * s
     refined = solve(model)
     if refined.status is LpStatus.OPTIMAL:
         sol = refined
@@ -257,20 +257,15 @@ def solve_bid_q(
 class TheoremReport:
     """Multi-segment vs quantity-only cost comparison.
 
-    Equality is asserted only when the price vector contains a zero-price
-    segment; otherwise the report is informational.
+    Equality, within `THEOREM_TOL`, is asserted only when the price vector
+    contains a zero-price segment; otherwise the report is informational.
     """
 
     s_bid: float
     s_bid_q: float
     relative_gap: float
-    has_zero_segment: bool
-    tolerance: float
+    has_zero_segment: bool  # whether equality is asserted
     passed: bool | None  # None when equality is not asserted
-
-    @property
-    def asserted(self) -> bool:
-        return self.has_zero_segment
 
 
 def verify_theorem1(
@@ -288,14 +283,11 @@ def verify_theorem1(
         s_bid_q=single.s_bid,
         relative_gap=gap,
         has_zero_segment=has_zero,
-        tolerance=THEOREM_TOL,
         passed=(gap <= THEOREM_TOL) if has_zero else None,
     )
 
 
-def collapse_to_single_segment(
-    multi_solution: BilevelSolution, da: DaSchedule
-) -> list[BidCurve]:
+def collapse_to_single_segment(da: DaSchedule) -> list[BidCurve]:
     """Fold a multi-segment solution into zero-price single-segment curves.
 
     The collapsed quantity per (unit, hour) is the total dispatched segment
@@ -365,7 +357,7 @@ def vre_profit(instance: Instance, result: PolicyResult) -> dict[str, float]:
         total = 0.0
         for t in instance.hours:
             sched = result.da.vre_total(k.id, t)
-            total += result.da_duals.balance[(k.bus, t)] * sched
+            total += result.da_duals[(k.bus, t)] * sched
             for disp in result.rt_dispatches:
                 scen = scen_by_id[disp.scenario_id]
                 realized = scen.vre_real.get((k.id, t), 0.0) - disp.curtailment[(k.id, t)]
@@ -395,7 +387,7 @@ class SweepTable:
 
 def _load_weighted_lmps(instance: Instance, result: PolicyResult) -> tuple[float, float]:
     ss = instance.scenario_set
-    da_num = sum(result.da_duals.balance[(n, t)] * ss.da_load.get((n, t), 0.0)
+    da_num = sum(result.da_duals[(n, t)] * ss.da_load.get((n, t), 0.0)
                  for n in instance.network.buses for t in instance.hours)
     da_den = sum(ss.da_load.values()) or 1.0
     rt_num = rt_den = 0.0

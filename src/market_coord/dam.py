@@ -30,13 +30,12 @@ import numpy as np
 from scipy import sparse
 
 from .lp import EQ, GE, LE, Block, LpModel, LpStatus
-from .lp import diagnose_infeasibility, solve
+from .lp import diagnose_infeasibility, solve, unsigned
 from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve, validated
 
 __all__ = [
     "DamStructure",
     "DaSchedule",
-    "DaDuals",
     "DamInfeasibleError",
     "BidSetError",
     "dam_structure",
@@ -306,11 +305,6 @@ class DaSchedule:
         return sum(v for (kk, tt, _), v in self.p_vre.items() if kk == k and tt == t)
 
 
-@dataclass
-class DaDuals:
-    balance: dict[tuple[str, int], float]  # the LMP
-
-
 def check_prices(instance: Instance, prices) -> tuple[float, ...]:
     """`prices` as floats; BidSetError unless they follow the curve price rules."""
     prices = tuple(float(p) for p in prices)
@@ -370,11 +364,11 @@ def build_dam(
     if da_slack:
         loaded, load = _loaded(instance, block)
         shed = [f"lshDA[{n},{t}]" for n, t in (block.bus_keys[i] for i in loaded)]
-        model.add_vars(shed, np.full(len(shed), instance.system.voll), 0.0, load)
+        cols = model.add_vars(shed, np.full(len(shed), instance.system.voll), 0.0, load)
         model.add_coeffs(sparse.coo_matrix(
             (np.ones(len(shed)), (block.bal_rows[loaded], np.arange(len(shed)))),
             shape=(model.n_cons, len(shed)),
-        ), shed)
+        ), cols)
     return model, block
 
 
@@ -382,8 +376,9 @@ def clear_dam(
     instance: Instance,
     bids,
     da_slack: bool = False,
-) -> tuple[DaSchedule, DaDuals]:
-    """Solve the day-ahead market and return the schedule with its duals."""
+) -> tuple[DaSchedule, dict[tuple[str, int], float]]:
+    """Solve the day-ahead market and return the schedule and the LMP of
+    each (bus, hour)."""
     model, block = build_dam(instance, bids, da_slack=da_slack)
     sol = solve(model)
     if sol.status is LpStatus.INFEASIBLE:
@@ -398,8 +393,9 @@ def clear_dam(
     f_true = block.true_cost(x)
     shed = {}
     if da_slack:  # the shedding columns follow the block's
-        shed = dict(zip([block.bus_keys[i] for i in _loaded(instance, block)[0]], x[n:].tolist()))
+        shed = dict(zip([block.bus_keys[i] for i in _loaded(instance, block)[0]],
+                        unsigned(x[n:]).tolist()))
         for val in shed.values():
             f_true += instance.system.voll * val
     schedule = DaSchedule(**block.read(x), f_da_bid=sol.objective, f_da_true=f_true, shed=shed)
-    return schedule, DaDuals(balance=block.balance_duals(sol.duals))
+    return schedule, block.balance_duals(sol.duals)

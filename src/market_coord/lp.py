@@ -1,11 +1,12 @@
 """LP layer over HiGHS with mandatory dual extraction.
 
-A model is built in blocks: `LpModel.add_vars` appends columns,
-`LpModel.add_rows` a sparse block of rows and `LpModel.add_coeffs` terms to
-rows already there. `solve` returns the primal in column order and the duals
-in row order, as arrays. A market's LP is a `Block`, built once from index
-arrays (`Block.of`: column kinds, and row sections whose terms are arrays of
-row, column and coefficient) and appended to models (`Block.append_to`).
+A model is built in blocks, each column addressed by its index:
+`LpModel.add_vars` appends columns and returns their indices, `add_rows` a
+sparse block of rows and `add_coeffs` terms to rows already there; names are
+labels, for diagnosis. `solve` returns the primal in column order and the
+duals in row order, as arrays. A market's LP is a `Block`, built once from
+index arrays (`Block.of`) and appended to models (`Block.append_to`), coupled
+to another block's columns by their indices.
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
@@ -81,38 +82,48 @@ GAP_TOL = 1e-6  # relative primal/dual objective gap of an optimal solve
 
 
 class LpModel:
-    """Sparse LP with named columns and rows (minimization), built in blocks.
+    """Sparse LP (minimization), built in blocks and addressed by position.
 
     Constraint coefficients live in one coordinate list (row, column, value)
-    in the order they were added; `add_vars` appends columns, `add_rows` a
-    sparse block of rows and `add_coeffs` terms to existing rows.
+    in the order they were added. Each block keeps the names it was given and
+    a suffix; `var_names` and `con_names` spell them out on demand.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.var_names: list[str] = []
-        self._var_index: dict[str, int] = {}
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.obj: list[float] = []
-        self.con_names: list[str] = []
-        self._con_index: dict[str, int] = {}
         self.con_sense: list[str] = []
         self.con_rhs: list[float] = []
+        self._var_labels: list[tuple[Sequence[str], str]] = []
+        self._con_labels: list[tuple[Sequence[str], str]] = []
         self._row = array("q")
         self._col = array("q")
         self._val = array("d")
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.lb)
 
     @property
     def n_cons(self) -> int:
-        return len(self.con_names)
+        return len(self.con_sense)
 
-    def add_vars(self, names: Sequence[str], obj, lb=-math.inf, ub=math.inf) -> None:
-        """Append variables `names` with objective coefficients `obj`.
+    @property
+    def var_names(self) -> list[str]:
+        """The name of each column, in column order."""
+        return [v + suffix for names, suffix in self._var_labels for v in names]
+
+    @property
+    def con_names(self) -> list[str]:
+        """The name of each row, in row order."""
+        return [r + suffix for names, suffix in self._con_labels for r in names]
+
+    def add_vars(self, names: Sequence[str], obj, lb=-math.inf, ub=math.inf,
+                 suffix: str = "") -> np.ndarray:
+        """Append variables `names`, each ending in `suffix`, with objective
+        coefficients `obj`, and return their column indices.
 
         `lb` and `ub` are one bound for all of them or one bound each; the
         default is free.
@@ -122,23 +133,21 @@ class LpModel:
             raise ValueError(f"{len(names)} variables but {obj.shape} objective coefficients")
         if not np.all(np.isfinite(obj)):
             raise ValueError("non-finite objective coefficient")
-        self._extend_index(self._var_index, names, "variable")
-        self.var_names.extend(names)
+        first = self.n_vars
+        self._var_labels.append((names, suffix))
         self.lb.extend(_bounds(lb, len(names)))
         self.ub.extend(_bounds(ub, len(names)))
         self.obj.extend(obj.tolist())
-
-    def add_obj(self, name: str, coeff: float) -> None:
-        """Accumulate an objective coefficient onto an existing variable."""
-        self.obj[self._var_index[name]] += coeff
+        return np.arange(first, first + len(names))
 
     def add_rows(self, names: Sequence[str], matrix: sparse.coo_matrix, sense: Sequence[str],
-                 rhs, columns: Sequence[str]) -> None:
-        """Append one constraint per row of the sparse COO `matrix`.
+                 rhs, columns, suffix: str = "") -> None:
+        """Append one constraint per row of the sparse COO `matrix`, named
+        `names`, each ending in `suffix`.
 
-        Row i reads `sum_j matrix[i, j] * columns[j]  sense[i]  rhs[i]`, where
-        `columns` names an existing variable for each matrix column. Rows keep
-        their order and explicit zeros are dropped.
+        Row i reads `sum_j matrix[i, j] * x[columns[j]]  sense[i]  rhs[i]`,
+        where `columns` holds the index of an existing variable for each
+        matrix column. Rows keep their order and explicit zeros are dropped.
         """
         rhs = np.asarray(rhs, dtype=float)
         if matrix.shape != (len(names), len(columns)):
@@ -152,16 +161,15 @@ class LpModel:
             raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
         if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(matrix.data))):
             raise ValueError("non-finite rhs or coefficient in row block")
-        start = len(self.con_names)
-        self._extend_index(self._con_index, names, "constraint")
-        self.con_names.extend(names)
+        self._append(matrix, columns, self.n_cons)
+        self._con_labels.append((names, suffix))
         self.con_sense.extend(sense)
         self.con_rhs.extend(rhs.tolist())
-        self._append(matrix, columns, start)
 
-    def add_coeffs(self, matrix: sparse.coo_matrix, columns: Sequence[str]) -> None:
+    def add_coeffs(self, matrix: sparse.coo_matrix, columns) -> None:
         """Add the sparse COO `matrix`, one row per existing constraint, to the
-        coefficients of the variables `columns`; explicit zeros are dropped."""
+        coefficients of the variables at the indices `columns`; explicit
+        zeros are dropped."""
         if matrix.shape != (self.n_cons, len(columns)):
             raise ValueError(f"block of shape {matrix.shape} for {self.n_cons} rows "
                              f"and {len(columns)} columns")
@@ -169,22 +177,14 @@ class LpModel:
             raise ValueError("non-finite coefficient in block")
         self._append(matrix, columns, 0)
 
-    def _append(self, matrix: sparse.coo_matrix, columns: Sequence[str], first_row: int) -> None:
-        col_of = np.fromiter(
-            (self._var_index[v] for v in columns), dtype=np.int64, count=len(columns)
-        )
+    def _append(self, matrix: sparse.coo_matrix, columns, first_row: int) -> None:
+        columns = np.asarray(columns, dtype=np.int64)
+        if columns.size and not (0 <= columns.min() and columns.max() < self.n_vars):
+            raise ValueError(f"column index outside the model's {self.n_vars} columns")
         keep = matrix.data != 0.0
         self._row.frombytes((matrix.row[keep].astype(np.int64) + first_row).tobytes())
-        self._col.frombytes(col_of[matrix.col[keep]].tobytes())
+        self._col.frombytes(columns[matrix.col[keep]].tobytes())
         self._val.frombytes(matrix.data[keep].astype(float).tobytes())
-
-    @staticmethod
-    def _extend_index(index: dict[str, int], names: Sequence[str], kind: str) -> None:
-        start = len(index)
-        new = dict(zip(names, range(start, start + len(names))))
-        if len(new) != len(names) or not index.keys().isdisjoint(new):
-            raise ValueError(f"duplicate {kind} id in block")
-        index.update(new)
 
     def _matrix(self) -> sparse.csr_matrix:
         """All constraint coefficients, one row per constraint."""
@@ -211,7 +211,8 @@ class Block:
     Row i reads `A[i] x + D[i] z  sense[i]  rhs[i]`, where `x` are the
     block's own columns `cols`, each within `[lb, ub]`, and `z` the columns
     `d_cols` it is coupled to, which belong to another block. `append_to`
-    either fixes `z` at given values or keeps it as variables of the model.
+    either fixes `z` at given values or joins it to the model's columns at
+    given indices. `cols`, `rows` and `d_cols` are names, labels only.
     """
 
     cols: list[str]
@@ -280,44 +281,49 @@ class Block:
         )
 
     def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,
-                  suffix: str = "", weight: float = 1.0) -> float:
-        """Append the block's columns and rows to `model`.
+                  suffix: str = "", weight: float = 1.0, coupled=None) -> np.ndarray:
+        """Append the block's columns and rows to `model` and return the
+        indices of its own columns there.
 
-        With `fixed`, the coupled columns are substituted at those values and
-        their cost, a constant, is returned. Without, they stay variables of
-        `model`, their cost joins its objective and 0.0 is returned. `rhs`,
-        `ub` and `cost` replace the block's own, `suffix` ends every column
-        and row name, and every cost is scaled by `weight`.
+        With `fixed`, the coupled columns are substituted at those values;
+        their cost, a constant, stays out of the model. Without, they are the
+        model's columns at the indices `coupled`, and their cost joins its
+        objective. `rhs`, `ub` and `cost` replace the block's own, `suffix`
+        ends every column and row name, and every cost is scaled by `weight`.
         """
         rhs = self.rhs if rhs is None else rhs
         cost = self.cost if cost is None else cost
-        cols = [v + suffix for v in self.cols] if suffix else self.cols
-        rows = [r + suffix for r in self.rows] if suffix else self.rows
-        d_cost = weight * self.d_cost
-        model.add_vars(cols, weight * cost, self.lb, self.ub if ub is None else ub)
-        if fixed is not None:
-            fixed = np.asarray(fixed, dtype=float)
+        cols = model.add_vars(self.cols, weight * cost, self.lb, self.ub if ub is None else ub,
+                              suffix)
+        if fixed is None:
+            for j, c in zip(coupled.tolist(), (weight * self.d_cost).tolist()):
+                model.obj[j] += c
+            matrix, columns = self.coupled, np.concatenate([cols, coupled])
+        else:
             # rhs - D @ fixed, subtracted term by term in row order, as
             # substituting the values into each row in turn does
             rhs = rhs.copy()
-            np.subtract.at(rhs, self.D.row, self.D.data * fixed[self.D.col])
-            model.add_rows(rows, self.A, self.sense, rhs, cols)
-            return sum((d_cost * fixed).tolist())
-        for v, c in zip(self.d_cols, d_cost.tolist()):
-            model.add_obj(v, c)
-        model.add_rows(rows, self.coupled, self.sense, rhs, cols + self.d_cols)
-        return 0.0
+            np.subtract.at(rhs, self.D.row, self.D.data * np.asarray(fixed, float)[self.D.col])
+            matrix, columns = self.A, cols
+        model.add_rows(self.rows, matrix, self.sense, rhs, columns, suffix)
+        return cols
 
     def read(self, x: np.ndarray) -> dict[str, dict]:
-        """Each result field as {key: value} from the primal `x`."""
-        return {field: dict(zip(keys, x[cols].tolist()))
+        """Each result field as {key: value} from the primal `x`; a signed
+        zero reads 0.0."""
+        return {field: dict(zip(keys, unsigned(x[cols]).tolist()))
                 for field, (keys, cols) in self.outputs.items()}
 
     def balance_duals(self, y: np.ndarray) -> dict[tuple[str, int], float]:
         """The dual of each (bus, hour) balance row, its LMP, from the duals
         `y`; a signed zero dual reads 0.0."""
-        # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
-        return dict(zip(self.bus_keys, (y[self.bal_rows] + 0.0).tolist()))
+        return dict(zip(self.bus_keys, unsigned(y[self.bal_rows]).tolist()))
+
+
+def unsigned(values: np.ndarray) -> np.ndarray:
+    """`values` with each -0.0, which HiGHS may report, as 0.0: + 0.0 leaves
+    every other value as it is."""
+    return values + 0.0
 
 
 @dataclass

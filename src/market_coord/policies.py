@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import DaDuals, DaSchedule, clear_dam, dam_structure
+from .dam import DaSchedule, clear_dam, dam_structure
 from .lp import LpModel, LpStatus, solve
 from .model import BidCurve, Instance, expected_vre, validated
 from .rtm import RtDispatch, append_scenarios, expected_rt_cost
@@ -42,7 +42,7 @@ class PolicyResult:
     expected_rt: float
     bids: tuple[BidCurve, ...] = ()
     da: DaSchedule | None = None
-    da_duals: DaDuals | None = None
+    da_duals: dict[tuple[str, int], float] | None = None  # the day-ahead LMPs
     rt_dispatches: list[RtDispatch] = field(default_factory=list)
 
 
@@ -53,7 +53,7 @@ def evaluate_bids(
     threads: int | None = None,
 ) -> PolicyResult:
     """Score a bid-curve set through the sequential DAM -> RTM pipeline."""
-    da, duals = clear_dam(instance, bids)
+    da, lmps = clear_dam(instance, bids)
     e_rt, dispatches = expected_rt_cost(instance, da, threads=threads)
     return PolicyResult(
         policy=policy,
@@ -62,7 +62,7 @@ def evaluate_bids(
         expected_rt=e_rt,
         bids=tuple(bids),
         da=da,
-        da_duals=duals,
+        da_duals=lmps,
         rt_dispatches=dispatches,
     )
 
@@ -92,7 +92,7 @@ def stochastic(instance: Instance) -> PolicyResult:
     block = dam_structure(instance, 1)
     model = LpModel(name="std")
     block.append_to(model, block.capacity)
-    append_scenarios(instance, model)
+    append_scenarios(instance, model, 0)
     sol = solve(model)
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")

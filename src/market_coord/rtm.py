@@ -13,8 +13,8 @@ day-ahead columns by position: they are laid out as the day-ahead block's
 first columns. `rtm_structure` pairs the template with one scenario's rhs
 and upper bounds. `build_rtm` appends it with the day-ahead schedule fixed
 (`rhs - D @ x_DA`); the stochastic and bilevel modules append every
-scenario's block with `D` kept (`append_scenarios`), so the day-ahead
-variables are shared decisions.
+scenario's block with `D` kept on the first columns of their day-ahead
+block (`append_scenarios`), so the day-ahead variables are shared decisions.
 
 Since scenarios differ only in the rhs and in finite column bounds, the
 optimal basis of one scenario's LP stays dual feasible for every other.
@@ -168,13 +168,15 @@ def rtm_structure(instance: Instance,
     return (tpl, *tpl.of_scenario(scenario))
 
 
-def append_scenarios(instance: Instance, model: LpModel) -> None:
-    """Append every scenario's real-time block to `model`, which holds the
-    day-ahead variables they share; names carry `@<scenario id>` and costs,
-    including the day-ahead terms of f_RT, are weighted by probability."""
+def append_scenarios(instance: Instance, model: LpModel, first: int) -> None:
+    """Append every scenario's real-time block to `model`, coupled to the
+    first columns of its day-ahead block, which starts at column `first`;
+    names carry `@<scenario id>` and costs, including the day-ahead terms of
+    f_RT, are weighted by probability."""
     for scen in instance.scenario_set.scenarios:
         tpl, rhs, ub = rtm_structure(instance, scen)
-        tpl.append_to(model, rhs=rhs, ub=ub, suffix=f"@{scen.id}", weight=scen.probability)
+        tpl.append_to(model, rhs=rhs, ub=ub, suffix=f"@{scen.id}", weight=scen.probability,
+                      coupled=first + np.arange(len(tpl.d_cols)))
 
 
 @dataclass
@@ -201,8 +203,9 @@ def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpM
     """
     tpl, rhs, ub = rtm_structure(instance, _find_scenario(instance, scenario_id))
     model = LpModel(name=f"rtm[{scenario_id}]")
-    offset = tpl.append_to(model, tpl.day_ahead(da), rhs=rhs, ub=ub)
-    return model, tpl, offset
+    x_da = tpl.day_ahead(da)
+    tpl.append_to(model, x_da, rhs=rhs, ub=ub)
+    return model, tpl, sum((tpl.d_cost * x_da).tolist())
 
 
 def _find_scenario(instance: Instance, scenario_id: str) -> Scenario:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from market_coord.bilevel import (
+    THEOREM_TOL,
     McCormickBounds,
     build_relaxed_bid,
     collapse_to_single_segment,
@@ -202,14 +203,14 @@ def test_complementarity_residual_within_envelope_bound(t1):
 
 def test_theorem_equality_with_zero_segment(t1):
     report = verify_theorem1(t1, (0.0, 5.0))
-    assert report.asserted
+    assert report.has_zero_segment
     assert report.passed
-    assert report.relative_gap <= report.tolerance
+    assert report.relative_gap <= THEOREM_TOL
 
 
 def test_theorem_informational_without_zero_segment(t1):
     report = verify_theorem1(t1, (10.0, 20.0))
-    assert not report.asserted
+    assert not report.has_zero_segment
     assert report.passed is None
 
 
@@ -219,18 +220,18 @@ def test_collapse_sums_dispatched_segments():
         p_vre={("w1", 0, 0): 10.0, ("w1", 0, 1): 5.0, ("w1", 0, 2): 0.0},
         angle={}, f_da_bid=0.0, f_da_true=0.0,
     )
-    curves = collapse_to_single_segment(None, da)
+    curves = collapse_to_single_segment(da)
     assert curves == [BidCurve(owner="w1", hour=0, segments=((0.0, 15.0),))]
     empty = DaSchedule(
         p_conventional={}, commitment={}, startup_cost={},
         p_vre={("w1", 0, 0): 0.0}, angle={}, f_da_bid=0.0, f_da_true=0.0,
     )
-    assert collapse_to_single_segment(None, empty)[0].total_quantity == 0.0
+    assert collapse_to_single_segment(empty)[0].total_quantity == 0.0
 
 
 def test_collapse_preserves_t1_cost(t1):
     sol = solve_bid(t1, (0.0, 5.0))
-    collapsed = collapse_to_single_segment(sol, sol.policy_result.da)
+    collapsed = collapse_to_single_segment(sol.policy_result.da)
     score = evaluate_bids(t1, collapsed)
     assert score.s_total == pytest.approx(sol.s_bid, rel=0.005)
 

@@ -68,7 +68,7 @@ def _stochastic(instance) -> LpModel:
     block = dam_structure(instance, 1)
     model = LpModel(name="std")
     block.append_to(model, block.capacity)
-    append_scenarios(instance, model)
+    append_scenarios(instance, model, 0)
     return model
 
 
@@ -170,6 +170,17 @@ def test_highs_inputs_unchanged(digests, key):
 
 def test_every_model_pinned(digests):
     assert sorted(digests) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("inst_name", INSTANCES)
+def test_names_are_unique(inst_name):
+    # a diagnosis names a row or column, so each name must be one row's or
+    # one column's
+    instance = INSTANCES[inst_name]()
+    for model_name, build in MODELS.items():
+        model = build(instance)
+        for names in (model.var_names, model.con_names):
+            assert len(set(names)) == len(names), model_name
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ def myd_t1_bid():
 
 
 def test_t1_expected_forecast_bid_schedule_and_lmp(t1):
-    da, duals = clear_dam(t1, myd_t1_bid())
+    da, lmps = clear_dam(t1, myd_t1_bid())
     assert da.p_vre[("w1", 0, 0)] == pytest.approx(30.0)
     assert da.p_conventional[("g1", 0)] == pytest.approx(50.0)
     assert da.f_da_true == pytest.approx(1000.0)
-    assert duals.balance[("b1", 0)] == pytest.approx(20.0)
+    assert lmps[("b1", 0)] == pytest.approx(20.0)
 
 
 def test_t1_zero_bid_conventional_serves_all(t1):
@@ -125,10 +125,10 @@ def test_slow_start_unit_ramp_binds_on_sys5(sys5):
 
 
 def test_multi_hour_lmp_at_marginal_unit(sys3):
-    da, duals = clear_dam(sys3, zero_bid(sys3))
+    da, lmp = clear_dam(sys3, zero_bid(sys3))
     # with wind absent the $40 unit is marginal somewhere every hour
     for t in sys3.hours:
-        lmps = [duals.balance[(n, t)] for n in sys3.network.buses]
+        lmps = [lmp[(n, t)] for n in sys3.network.buses]
         assert max(lmps) >= 15.0 - 1e-6
 
 

@@ -2,6 +2,7 @@
 benchmark's traced run wraps is still there, and HiGHS stays behind `lp`."""
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -45,3 +46,12 @@ def test_only_lp_touches_the_private_highs_binding():
     package = Path(lp.__file__).resolve().parent
     users = sorted(p.name for p in package.glob("*.py") if "_highspy" in p.read_text())
     assert users == ["lp.py"]
+
+
+def test_only_lp_reads_lp_names():
+    # columns and rows are addressed by position; their names are labels
+    # that only `lp`'s diagnosis spells out
+    package = Path(lp.__file__).resolve().parent
+    readers = sorted(p.name for p in package.glob("*.py")
+                     if re.search(r"\b(var_names|con_names)\b", p.read_text()))
+    assert readers == ["lp.py"]

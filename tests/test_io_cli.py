@@ -103,6 +103,17 @@ def test_cli_clear_da_writes_no_signed_zero_lmp(tmp_path):
     assert [v for v in lmps if v.startswith("-0")] == []
 
 
+def test_cli_clear_da_schedule_has_no_signed_zero(tmp_path):
+    # HiGHS reports -0.0 in some of sys5's day-ahead primal values
+    result = run_cli("-i", "sys5", "-o", str(tmp_path), "clear-da")
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "da_schedule.csv") as fh:
+        values = [v for row in csv.DictReader(fh) for k, v in row.items()
+                  if k not in ("unit_id", "hour")]
+    assert "0.0" in values
+    assert [v for v in values if v.startswith("-0")] == []
+
+
 def test_cli_infeasible_da_exits_2(tmp_path):
     # double every day-ahead load on t1 so the single unit cannot serve it
     doc = json.loads((DATA / "t1.json").read_text())

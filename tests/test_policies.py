@@ -111,10 +111,19 @@ def test_instance_validated_once(t1, monkeypatch):
 def test_myopic_lmps_carry_no_signed_zero(sys5):
     # HiGHS reports -0.0 on some of sys5's balance rows
     result = myopic(sys5)
-    lmps = [*result.da_duals.balance.values()]
+    lmps = [*result.da_duals.values()]
     lmps += [v for d in result.rt_dispatches for v in d.lmp.values()]
     assert 0.0 in lmps
     assert [v for v in lmps if math.copysign(1.0, v) < 0 and v == 0.0] == []
+
+
+def test_myopic_schedule_and_dispatch_carry_no_signed_zero(sys5):
+    # HiGHS reports -0.0 in some of sys5's primal values
+    result = myopic(sys5)
+    values = [v for part in (result.da, *result.rt_dispatches) for field in vars(part).values()
+              if isinstance(field, dict) for v in field.values()]
+    assert 0.0 in values
+    assert [v for v in values if math.copysign(1.0, v) < 0 and v == 0.0] == []
 
 
 def test_myopic_bids_expected_forecast_per_unit(t1):
