@@ -26,7 +26,6 @@ from .policies import (
 )
 from .bilevel import (
     BilevelSolution,
-    McCormickBounds,
     TheoremReport,
     collapse_to_single_segment,
     oracle_grid_search,

@@ -34,7 +34,6 @@ from .policies import PolicyResult, evaluate_bids, myopic_bids
 from .rtm import append_scenarios
 
 __all__ = [
-    "McCormickBounds",
     "BilevelSolution",
     "TheoremReport",
     "SweepTable",
@@ -56,30 +55,14 @@ _MC_ROW = np.array([0, 0, 1, 1, 2, 2, 2, 3])
 _MC_FACTOR = np.array([0, 1, 0, 2, 0, 1, 2, 0])
 
 
-@dataclass(frozen=True)
-class McCormickBounds:
-    """Box bounds for the dual-times-quantity products.
+def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedContext"]:
+    """The relaxed bid LP at fixed segment prices, and the map of its columns.
 
-    The cap-row dual magnitude is bounded by `dual_bound`; default is VoLL,
-    the largest marginal price the model can produce.
+    The McCormick box on each cap-row dual is [-VoLL, 0]: VoLL is the
+    largest marginal price the model can produce.
     """
-
-    dual_bound: float | None = None
-
-    def resolved(self, instance: Instance) -> float:
-        bound = instance.system.voll if self.dual_bound is None else self.dual_bound
-        if bound <= 0:
-            raise ValueError(f"dual bound must be > 0, got {bound}")
-        return bound
-
-
-def build_relaxed_bid(
-    instance: Instance,
-    prices,
-    bounds: McCormickBounds = McCormickBounds(),
-) -> tuple[LpModel, "RelaxedContext"]:
     prices = check_prices(instance, prices)
-    lam_bar = bounds.resolved(instance)
+    lam_bar = instance.system.voll
     block = dam_structure(instance, len(prices))
     key_prices = block.key_prices(prices)
     bid_cost = block.priced(key_prices)
@@ -153,7 +136,6 @@ def build_relaxed_bid(
         key_prices=key_prices,
         structure=block,
         bid_cost=bid_cost,
-        lam_bar=lam_bar,
         dual_rhs=dual_rhs,
         quantities=w,
         primal=primal,
@@ -168,7 +150,6 @@ class RelaxedContext:
     key_prices: np.ndarray  # the price of each structure key
     structure: DamStructure
     bid_cost: np.ndarray  # lower-level cost of each structure column
-    lam_bar: float
     dual_rhs: np.ndarray  # each dual's coefficient in the dual objective, W at zero
     # columns of the relaxed LP: W in structure.keys order, the lower-level
     # primal in structure.cols order, and the duals: one per structure row,
@@ -190,19 +171,12 @@ class BilevelSolution:
     bids: tuple[BidCurve, ...] = ()
 
 
-def solve_bid(
-    instance: Instance,
-    prices,
-    bounds: McCormickBounds = McCormickBounds(),
-    policy_name: str = "BiD",
-) -> BilevelSolution:
+def solve_bid(instance: Instance, prices) -> BilevelSolution:
     """Optimize bid quantities for fixed prices and score them sequentially."""
-    model, ctx = build_relaxed_bid(instance, prices, bounds)
+    model, ctx = build_relaxed_bid(instance, prices)
     sol = solve(model)
     if sol.status is LpStatus.INFEASIBLE:
-        raise RuntimeError(
-            "relaxed bid LP is infeasible; the dual bound box may be too tight"
-        )
+        raise RuntimeError("relaxed bid LP is infeasible")
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"relaxed bid LP ended {sol.status.value}")
 
@@ -226,7 +200,7 @@ def solve_bid(
     z = sol.primal
     w, y = z[ctx.quantities], z[ctx.duals]
     bids = structure.bid_curves(ctx.key_prices, w)
-    result = evaluate_bids(instance, bids, policy=policy_name)
+    result = evaluate_bids(instance, bids, policy="BiD")
 
     # lower-level strong-duality residual with the true bilinear products
     primal_obj = ctx.bid_cost @ z[ctx.primal]
@@ -245,12 +219,11 @@ def solve_bid(
     )
 
 
-def solve_bid_q(
-    instance: Instance,
-    bounds: McCormickBounds = McCormickBounds(),
-) -> BilevelSolution:
+def solve_bid_q(instance: Instance) -> BilevelSolution:
     """Quantity-only variant: one segment at zero price."""
-    return solve_bid(instance, (0.0,), bounds, policy_name="BiD-q")
+    sol = solve_bid(instance, (0.0,))
+    sol.policy_result.policy = "BiD-q"
+    return sol
 
 
 @dataclass
@@ -268,13 +241,9 @@ class TheoremReport:
     passed: bool | None  # None when equality is not asserted
 
 
-def verify_theorem1(
-    instance: Instance,
-    prices,
-    bounds: McCormickBounds = McCormickBounds(),
-) -> TheoremReport:
-    multi = solve_bid(instance, prices, bounds)  # checks the prices before any LP
-    single = solve_bid_q(instance, bounds)
+def verify_theorem1(instance: Instance, prices) -> TheoremReport:
+    multi = solve_bid(instance, prices)  # checks the prices before any LP
+    single = solve_bid_q(instance)
     scale = max(1.0, abs(single.s_bid))
     gap = abs(multi.s_bid - single.s_bid) / scale
     has_zero = any(abs(p) < 1e-12 for p in multi.prices)
@@ -319,7 +288,7 @@ def oracle_grid_search(
         raise ValueError(
             f"grid search over {len(block.keys)} dimensions exceeds the guard of {ORACLE_MAX_DIMS}"
         )
-    if grid_step <= 0:
+    if not grid_step > 0:  # NaN too
         raise ValueError("grid step must be > 0")
     axes = []
     for cap in block.capacity.tolist():
@@ -402,17 +371,13 @@ def _load_weighted_lmps(instance: Instance, result: PolicyResult) -> tuple[float
     return da_num / da_den, rt_num / (rt_den or 1.0)
 
 
-def price_sweep(
-    instance: Instance,
-    price_points,
-    bounds: McCormickBounds = McCormickBounds(),
-) -> SweepTable:
+def price_sweep(instance: Instance, price_points) -> SweepTable:
     """Score MyD-at-price and BiD-at-price over single-segment price points."""
     # every point, before the first LP
     price_points = [check_prices(instance, (price,))[0] for price in price_points]
     table = SweepTable()
     for price in price_points:
-        bid_sol = solve_bid(instance, (price,), bounds)
+        bid_sol = solve_bid(instance, (price,))
         myd_bids = [
             BidCurve(owner=b.owner, hour=b.hour,
                      segments=((price, b.segments[0][1]),))

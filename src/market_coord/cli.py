@@ -1,15 +1,20 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 infeasible market problem, 3 failed assertion
-(benchmark chain or theorem check), 4 bad input (a missing or malformed
-instance, bid file or bid set, or a bad option value such as a price list,
-grid step or scenario id). A value click itself refuses, such as
-`--threads 0`, is a usage error and exits 2.
+Exit codes: 0 success, 2 infeasible market problem or a usage error click
+reports (an unknown option, a value that is not a number), 3 failed
+assertion (benchmark chain or theorem check), 4 bad input (a missing or
+malformed instance, bid file or bid set, a malformed MARKET_COORD_THREADS,
+or a bad option value such as a price list, sweep range, grid step or
+scenario id).
+
+The scenario fan-out width is MARKET_COORD_THREADS alone (default 1); every
+command that re-dispatches scenarios reads it.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -94,10 +99,8 @@ class _Main(click.Group):
 @click.option("--output", "-o", default=".", show_default=True,
               help="Directory for CSV outputs.")
 @click.option("--json", "json_out", is_flag=True, help="Machine-readable stdout.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Scenario fan-out width (MARKET_COORD_THREADS also honored).")
 @click.pass_context
-def main(ctx, instance, scenarios, output, json_out, threads):
+def main(ctx, instance, scenarios, output, json_out):
     """Two-settlement market clearing and VRE bid-curve optimization."""
     ctx.ensure_object(dict)
     try:
@@ -105,7 +108,7 @@ def main(ctx, instance, scenarios, output, json_out, threads):
     except (ValueError, TypeError, KeyError, OSError) as exc:  # ParseError is a ValueError
         _bad_input(exc)
     try:
-        ctx.obj["threads"] = thread_count(threads)
+        thread_count()  # read again by every fan-out; checked once here
     except ValueError as exc:  # a malformed MARKET_COORD_THREADS
         _bad_input(exc)
     ctx.obj["output"] = output
@@ -160,7 +163,7 @@ def clear_rt_cmd(obj, scenario, bids_path):
 def evaluate_cmd(obj, bids_path):
     """Score a bid-curve file through the sequential markets."""
     inst = obj["instance"]
-    result = policies.evaluate_bids(inst, mio.load_bids(bids_path), threads=obj["threads"])
+    result = policies.evaluate_bids(inst, mio.load_bids(bids_path))
     _emit(obj, {"s_usd": result.s_total, "f_da_true_usd": result.f_da_true,
                 "expected_rt_usd": result.expected_rt},
           f"S=${result.s_total:.2f} (DA ${result.f_da_true:.2f} "
@@ -171,7 +174,7 @@ def evaluate_cmd(obj, bids_path):
 @click.pass_obj
 def myd_cmd(obj):
     """Myopic policy: expected-forecast quantity at zero price."""
-    result = policies.myopic(obj["instance"], threads=obj["threads"])
+    result = policies.myopic(obj["instance"])
     mio.save_bids(result.bids, _output(obj, "myd_bids.csv"))
     _emit(obj, {"s_myd_usd": result.s_total},
           f"S_MyD=${result.s_total:.2f}")
@@ -211,6 +214,9 @@ def optimize_bid_cmd(obj, prices):
 @click.pass_obj
 def sweep_price_cmd(obj, start, stop, step):
     """Single-segment price sweep comparing BiD and MyD outcomes."""
+    for name, value in (("--from", start), ("--to", stop), ("--step", step)):
+        if not math.isfinite(value):
+            _bad_input(f"{name} must be finite, got {value}")
     if step <= 0:
         _bad_input("--step must be > 0")
     points = []
@@ -218,6 +224,8 @@ def sweep_price_cmd(obj, start, stop, step):
     while p <= stop + 1e-9:
         points.append(round(p, 9))
         p += step
+    if not points:
+        _bad_input(f"--from {start} is above --to {stop}: the sweep is empty")
     table = bilevel.price_sweep(obj["instance"], points)
     path = _output(obj, "price_sweep.csv")
     path.write_text(table.to_csv())

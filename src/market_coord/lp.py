@@ -79,6 +79,7 @@ class LpStatus(Enum):
 
 FEAS_TOL = 1e-6  # absolute primal feasibility of an optimal solve
 GAP_TOL = 1e-6  # relative primal/dual objective gap of an optimal solve
+DIAGNOSIS_TOP = 10  # names `diagnose_infeasibility` lists at most
 
 
 class LpModel:
@@ -620,7 +621,7 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
                       duals=y[highs_row], certificates=certs, basis=res.basis)
 
 
-def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
+def diagnose_infeasibility(model: LpModel) -> list[str]:
     """Name the constraints that cannot be met, via HiGHS's feasibility relaxation.
 
     Columns whose lower bound exceeds their upper bound are named first, by
@@ -629,7 +630,7 @@ def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
     every column bound kept, and reports rows violated above tolerance.
     """
     lb, ub = np.array(model.lb), np.array(model.ub)
-    crossed = _worst((lb - ub).tolist(), model.var_names, top)
+    crossed = _worst((lb - ub).tolist(), model.var_names)
     if crossed:
         return crossed
     highs_row, A, _, row_bounds, _ = _highs_form(model)
@@ -639,11 +640,12 @@ def diagnose_infeasibility(model: LpModel, top: int = 10) -> list[str]:
                          != _highs.HighsStatus.kOk):
         return ["elastic diagnosis failed"]
     excess = _excess(np.array(highs.getSolution().row_value), *row_bounds)
-    return _worst(excess[highs_row].tolist(), model.con_names, top)
+    return _worst(excess[highs_row].tolist(), model.con_names)
 
 
-def _worst(violation: list[float], names: list[str], top: int) -> list[str]:
-    """The `top` names with the largest violation above 1e-7, largest first."""
+def _worst(violation: list[float], names: list[str]) -> list[str]:
+    """The `DIAGNOSIS_TOP` names with the largest violation above 1e-7,
+    largest first."""
     scored = sorted(((v, name) for v, name in zip(violation, names) if v > 1e-7),
                     reverse=True)
-    return [f"{name} (violation {v:.4g})" for v, name in scored[:top]]
+    return [f"{name} (violation {v:.4g})" for v, name in scored[:DIAGNOSIS_TOP]]

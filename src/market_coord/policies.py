@@ -46,15 +46,10 @@ class PolicyResult:
     rt_dispatches: list[RtDispatch] = field(default_factory=list)
 
 
-def evaluate_bids(
-    instance: Instance,
-    bids,
-    policy: str = "custom",
-    threads: int | None = None,
-) -> PolicyResult:
+def evaluate_bids(instance: Instance, bids, policy: str = "custom") -> PolicyResult:
     """Score a bid-curve set through the sequential DAM -> RTM pipeline."""
     da, lmps = clear_dam(instance, bids)
-    e_rt, dispatches = expected_rt_cost(instance, da, threads=threads)
+    e_rt, dispatches = expected_rt_cost(instance, da)
     return PolicyResult(
         policy=policy,
         s_total=da.f_da_true + e_rt,
@@ -77,8 +72,8 @@ def myopic_bids(instance: Instance) -> list[BidCurve]:
     ]
 
 
-def myopic(instance: Instance, threads: int | None = None) -> PolicyResult:
-    result = evaluate_bids(instance, myopic_bids(instance), threads=threads)
+def myopic(instance: Instance) -> PolicyResult:
+    result = evaluate_bids(instance, myopic_bids(instance))
     result.policy = "MyD"
     return result
 
@@ -167,16 +162,12 @@ def compare(
                            chain_violation=violation)
 
 
-def random_bid_set(
-    instance: Instance,
-    rng: np.random.Generator,
-    seg_count: int = 1,
-    max_price: float | None = None,
-) -> list[BidCurve]:
-    """Sample a feasible bid-curve set: nondecreasing prices, quantities
-    summing to at most installed capacity. Used by dominance property tests."""
-    if max_price is None:
-        max_price = instance.system.bid_price_cap
+def random_bid_set(instance: Instance, rng: np.random.Generator,
+                   seg_count: int = 1) -> list[BidCurve]:
+    """Sample a feasible bid-curve set: nondecreasing prices up to the bid
+    price cap, quantities summing to at most installed capacity. Used by
+    dominance property tests."""
+    max_price = instance.system.bid_price_cap
     bids = []
     for k in instance.vre_units:
         for t in instance.hours:

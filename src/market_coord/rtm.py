@@ -26,7 +26,9 @@ may price anywhere between two redispatch costs, the scenario is solved
 again from scratch. Every scenario's LMPs, f_RT and dispatch are thus a
 standalone `clear_rtm`'s (which always solves from scratch), up to rounding,
 whichever scenario comes first; a dispatch may differ only where the LP has
-more than one optimal primal, at equal f_RT.
+more than one optimal primal, at equal f_RT. The warm scenarios fan out over
+`thread_count()` threads: MARKET_COORD_THREADS, default 1, the package's one
+setting that no argument carries, read on every `expected_rt_cost` call.
 """
 from __future__ import annotations
 
@@ -245,32 +247,25 @@ def _redispatch(instance: Instance, da: DaSchedule, scenario_id: str,
     return dispatch, sol.basis
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Scenario fan-out width; MARKET_COORD_THREADS overrides the default of 1.
+def thread_count() -> int:
+    """Scenario fan-out width: MARKET_COORD_THREADS, 1 when unset or empty.
 
-    Raises ValueError, naming where the width came from, unless it is an
-    integer of at least 1.
+    Raises ValueError, naming the variable, unless it is an integer of at
+    least 1.
     """
-    if requested is not None:
-        source, value = "threads", requested
-    else:
-        env = os.environ.get("MARKET_COORD_THREADS")
-        if not env:
-            return 1
-        try:
-            source, value = "MARKET_COORD_THREADS", int(env)
-        except ValueError:
-            raise ValueError(f"MARKET_COORD_THREADS must be an integer, got {env!r}") from None
+    env = os.environ.get("MARKET_COORD_THREADS")
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"MARKET_COORD_THREADS must be an integer, got {env!r}") from None
     if value < 1:
-        raise ValueError(f"{source} must be at least 1, got {value}")
+        raise ValueError(f"MARKET_COORD_THREADS must be at least 1, got {value}")
     return value
 
 
-def expected_rt_cost(
-    instance: Instance,
-    da: DaSchedule,
-    threads: int | None = None,
-) -> tuple[float, list[RtDispatch]]:
+def expected_rt_cost(instance: Instance, da: DaSchedule) -> tuple[float, list[RtDispatch]]:
     """Probability-weighted re-dispatch cost over all scenarios.
 
     The first scenario is solved from scratch and every other one from its
@@ -279,10 +274,10 @@ def expected_rt_cost(
     leaves non-unique is solved from scratch. Each scenario's result is
     therefore a function of the schedule, the first scenario and its own
     data alone, and the reduction runs in scenario order, so totals do not
-    depend on the fan-out width.
+    depend on the fan-out width, `thread_count()`, read on every call.
     """
     scenarios = instance.scenario_set.scenarios
-    workers = thread_count(threads)
+    workers = thread_count()
     # solved before any thread starts, so that threads never race to build
     # the template
     first, basis = _redispatch(instance, da, scenarios[0].id)

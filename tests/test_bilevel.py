@@ -4,7 +4,6 @@ import pytest
 
 from market_coord.bilevel import (
     THEOREM_TOL,
-    McCormickBounds,
     build_relaxed_bid,
     collapse_to_single_segment,
     oracle_grid_search,
@@ -59,20 +58,15 @@ def test_price_above_the_cap_rejected_before_any_lp(t1, monkeypatch, call):
     assert solves == []
 
 
-def test_nonpositive_dual_bound_rejected(t1):
-    with pytest.raises(ValueError):
-        build_relaxed_bid(t1, (0.0,), McCormickBounds(dual_bound=0.0))
-    with pytest.raises(ValueError):
-        build_relaxed_bid(t1, (0.0,), McCormickBounds(dual_bound=-5.0))
-
-
 def test_relaxed_model_structure_t1(t1):
     model, ctx = build_relaxed_bid(t1, (0.0,))
     aux = [v for v in model.var_names if v.startswith("v[")]
     assert len(aux) == 1  # one (unit, hour, segment) product on T1
     assert "strong_duality" in model.con_names
     assert "w_total[w1,0]" in model.con_names
-    assert ctx.lam_bar == pytest.approx(1000.0)  # defaults to VoLL
+    # the McCormick box on the cap-row dual is [-VoLL, 0]
+    y = ctx.duals[ctx.structure.cap_rows]
+    assert [(model.lb[j], model.ub[j]) for j in y] == [(-t1.system.voll, 0.0)]
 
 
 @pytest.mark.parametrize("name", ["t1", "sys3", "sys5"])
@@ -139,7 +133,7 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     assert (sense, rhs) == ("=", 0.0)
 
     # upper level: W in [0, capacity], and one w_total row per (unit, hour)
-    lam = ctx.lam_bar
+    lam = inst.system.voll
     for k in inst.vre_units:
         for t in inst.hours:
             w = [f"W[{k.id},{t},{s}]" for s in range(len(prices))]

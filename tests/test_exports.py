@@ -55,3 +55,12 @@ def test_only_lp_reads_lp_names():
     readers = sorted(p.name for p in package.glob("*.py")
                      if re.search(r"\b(var_names|con_names)\b", p.read_text()))
     assert readers == ["lp.py"]
+
+
+def test_only_rtm_reads_the_environment():
+    # the scenario fan-out width, MARKET_COORD_THREADS, is the package's one
+    # setting outside its arguments, and `rtm.thread_count` reads it
+    package = Path(lp.__file__).resolve().parent
+    readers = sorted(p.name for p in package.glob("*.py")
+                     if re.search(r"\b(environ|getenv)\b", p.read_text()))
+    assert readers == ["rtm.py"]

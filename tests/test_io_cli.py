@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from market_coord import io as mio
+from market_coord import io as mio, rtm
 from market_coord.cli import main
 from market_coord.model import BidCurve
 
@@ -160,13 +160,6 @@ def test_cli_evaluate_nonfinite_bid_exits_4(tmp_path, row):
     assert "non-finite price or quantity" in result.output
 
 
-@pytest.mark.parametrize("width", ["0", "-2"])
-def test_cli_thread_count_below_one_rejected(width):
-    result = run_cli("-i", "t1", "--threads", width, "myd")
-    assert result.exit_code == 2
-    assert "--threads" in result.output
-
-
 @pytest.mark.parametrize("width", ["-3", "two"])
 @pytest.mark.parametrize("command", ["myd", "evaluate"])
 def test_cli_malformed_thread_environment_is_bad_input(tmp_path, command, width):
@@ -177,6 +170,33 @@ def test_cli_malformed_thread_environment_is_bad_input(tmp_path, command, width)
                      env={"MARKET_COORD_THREADS": width})
     assert result.exit_code == 4, result.output
     assert "bad input: MARKET_COORD_THREADS" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["compare"],
+    ["sweep-price", "--from", "0", "--to", "40", "--step", "40"],
+    ["verify-theorem1", "--prices", "0,15"],
+])
+def test_cli_thread_environment_reaches_every_fanout(tmp_path, monkeypatch, args):
+    # one setting, MARKET_COORD_THREADS, sets the width of every scenario
+    # fan-out, and the width never changes a result
+    pools = []
+
+    class Counted(rtm.ThreadPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(kw.get("max_workers"))
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(rtm, "ThreadPoolExecutor", Counted)
+    outputs = {}
+    for width in ("1", "2"):
+        result = run_cli("-i", "sys3", "-o", str(tmp_path), "--json", *args,
+                         env={"MARKET_COORD_THREADS": width})
+        assert result.exit_code == 0, result.output
+        outputs[width] = result.output
+        assert (pools != []) == (width == "2")
+    assert set(pools) == {2}
+    assert outputs["2"] == outputs["1"]
 
 
 def test_cli_myd_and_std(tmp_path):
@@ -246,6 +266,11 @@ def test_cli_unknown_instance_errors():
     (["clear-rt", "--scenario", "nope"], "unknown scenario 'nope'"),
     (["-i", "missing.json", "myd"], "missing.json"),
     (["optimize-bid", "--prices", "0,5000"], "bid price cap"),
+    (["sweep-price", "--from", "0", "--to", "10", "--step", "nan"], "--step must be finite"),
+    (["sweep-price", "--from", "nan", "--to", "10", "--step", "5"], "--from must be finite"),
+    (["sweep-price", "--from", "0", "--to", "inf", "--step", "5"], "--to must be finite"),
+    (["sweep-price", "--from", "20", "--to", "10", "--step", "5"], "the sweep is empty"),
+    (["oracle", "--step", "nan"], "grid step"),
 ])
 def test_cli_bad_input_exits_4(tmp_path, args, message):
     instance = [] if args[0] == "-i" else ["-i", "t1"]

@@ -115,19 +115,22 @@ def test_unknown_scenario_id_raises(t1, t1_myd_da):
         clear_rtm(t1, t1_myd_da, "s99")
 
 
-def test_threaded_fanout_matches_sequential():
+def test_threaded_fanout_matches_sequential(monkeypatch):
     # fresh instances: the threaded run starts without a real-time template
     cold = mio.bundled_instance("sys5")
     da, _ = clear_dam(cold, zero_bid(cold))
-    par = expected_rt_cost(cold, da, threads=3)
+    monkeypatch.setenv("MARKET_COORD_THREADS", "3")
+    par = expected_rt_cost(cold, da)
     other = mio.bundled_instance("sys5")
-    assert expected_rt_cost(other, da, threads=1) == par
+    monkeypatch.setenv("MARKET_COORD_THREADS", "1")
+    assert expected_rt_cost(other, da) == par
 
 
 def test_thread_count_honors_environment(monkeypatch):
     monkeypatch.setenv("MARKET_COORD_THREADS", "3")
     assert thread_count() == 3
-    assert thread_count(2) == 2
+    monkeypatch.setenv("MARKET_COORD_THREADS", "")
+    assert thread_count() == 1
     monkeypatch.setenv("MARKET_COORD_THREADS", "two")
     with pytest.raises(ValueError, match="MARKET_COORD_THREADS"):
         thread_count()
@@ -135,10 +138,8 @@ def test_thread_count_honors_environment(monkeypatch):
         monkeypatch.setenv("MARKET_COORD_THREADS", bad)
         with pytest.raises(ValueError, match="MARKET_COORD_THREADS must be at least 1"):
             thread_count()
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        thread_count(0)
     monkeypatch.delenv("MARKET_COORD_THREADS")
-    assert thread_count() >= 1
+    assert thread_count() == 1
 
 
 def test_template_built_once_and_warm_scores_bitwise_equal():
