@@ -174,29 +174,22 @@ class BilevelSolution:
 def solve_bid(instance: Instance, prices) -> BilevelSolution:
     """Optimize bid quantities for fixed prices and score them sequentially."""
     model, ctx = build_relaxed_bid(instance, prices)
-    sol = solve(model)
+    # The relaxed optimum is often flat in the bid quantities: envelope slack
+    # lets the lower level claim dispatch of out-of-merit segments. Among the
+    # optimal points (the LP's optimal face, exactly), prefer quantities in
+    # cheap segments and the least total quantity; that vertex needs the
+    # least envelope slack.
+    structure = ctx.structure
+    tie_break = np.zeros(model.n_vars)
+    tie_break[ctx.quantities] = (ctx.key_prices + 1e-3
+                                 + 1e-6 * np.array([s for *_, s in structure.keys]))
+    sol = solve(model, then=tie_break)
     if sol.status is LpStatus.INFEASIBLE:
         raise RuntimeError("relaxed bid LP is infeasible")
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"relaxed bid LP ended {sol.status.value}")
 
-    # The relaxed optimum is often flat in the bid quantities: envelope slack
-    # lets the lower level claim dispatch of out-of-merit segments. Re-solve
-    # with the objective pinned, preferring quantities in cheap segments and
-    # the least total quantity; that vertex needs the least envelope slack.
     relaxed_objective = sol.objective
-    cap = relaxed_objective + 1e-7 * max(1.0, abs(relaxed_objective))
-    model.add_rows(["relaxed_opt_cap"], sparse.coo_matrix(np.array(model.obj)[None, :]),
-                   [LE], [cap], np.arange(model.n_vars))
-    model.obj = [0.0] * model.n_vars
-    structure = ctx.structure
-    for (_k, _t, s), j, price in zip(structure.keys, ctx.quantities.tolist(),
-                                     ctx.key_prices.tolist()):
-        model.obj[j] += price + 1e-3 + 1e-6 * s
-    refined = solve(model)
-    if refined.status is LpStatus.OPTIMAL:
-        sol = refined
-
     z = sol.primal
     w, y = z[ctx.quantities], z[ctx.duals]
     bids = structure.bid_curves(ctx.key_prices, w)

@@ -33,6 +33,13 @@ solve with its basis matrix shows the duals at `prices` to be the LP's only
 optimal ones (then a solve from scratch reports them too, up to rounding);
 otherwise the LP is solved again from scratch.
 
+An LP with more than one optimal primal can break the tie by a second
+cost: `solve(model, then=costs)` minimizes `costs` over the first solve's
+exact optimal face, fixing each column with a nonzero reduced cost and each
+row with a nonzero dual at its bound, on a fresh HiGHS object. The primal
+comes from that second solve; the duals, the basis and the certificates
+from the first, whose duals are optimal for the whole face.
+
 Sign convention (minimization), HiGHS's own: duals of ">="-constraints are
 >= 0, duals of "<="-constraints are <= 0, equality duals are free. Every
 optimal solve is certified: primal feasibility, primal/dual objective gap,
@@ -426,7 +433,7 @@ _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
 def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
-            prices=()) -> SimpleNamespace:
+            prices=(), then=None) -> SimpleNamespace:
     """min c x  s.t.  row_lower <= A x <= row_upper,  lb <= x <= ub.
 
     `A_ub` and `A_eq` are the inequality and the equality rows of one
@@ -442,7 +449,14 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     duals at `prices` to be the LP's only optimal ones; otherwise the LP is
     solved again from scratch, so they are what a solve from scratch reports.
 
-    Returns HiGHS's model status and simplex iterations (`nit`, both solves
+    With `then`, a second cost vector, `then` is minimized over the optimal
+    face that the first solve's duals mark out (see `_face`), on a fresh
+    HiGHS object loaded with the same arrays once the first is freed.
+    `x` is that second solve's, with `fun = c @ x`; every dual and the basis
+    stay the first solve's, which are optimal for every point of the face.
+    If the second solve does not end optimal, the first `x` stands.
+
+    Returns HiGHS's model status and simplex iterations (`nit`, every solve
     counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
     rows, the bound duals `lower` and `upper` and `basis`.
     """
@@ -466,11 +480,20 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
         return SimpleNamespace(status=status, nit=nit)
     x, y, z = optimum
     optimal = highs.getBasis()
+    fun = highs.getInfo().objective_function_value
+    if then is not None:
+        del highs  # one HiGHS object alive at a time
+        highs = _load(_pass_model(then, A, *_face(c, x, y, z, bounds, row_bounds)))
+        highs.run()
+        nit += _iterations(highs)
+        face = _optimum(highs)
+        if face is not None:
+            x = face[0]
+            fun = float(c @ x)
     # a bound's dual is the column dual where the column sits at that bound
     at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=A.shape[1])
     return SimpleNamespace(
-        status=status, nit=nit, x=x,
-        fun=highs.getInfo().objective_function_value, row_dual=y,
+        status=status, nit=nit, x=x, fun=fun, row_dual=y,
         lower=np.where(at == _AT_LOWER, z, 0.0),
         upper=np.where(at == _AT_UPPER, z, 0.0),
         basis=optimal if len(prices) else None,
@@ -483,6 +506,28 @@ def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
     # HiGHS refuses an empty integrality array
     return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
             *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
+
+
+def _face(c, x: np.ndarray, y: np.ndarray, z: np.ndarray, bounds, row_bounds) -> tuple:
+    """The column and the row bounds that cut the LP `min c x` down to its
+    optimal face, from one optimum: the primal `x`, the row duals `y` and
+    the column duals `z`.
+
+    Every optimal primal is complementary to every optimal dual. So a
+    feasible point is optimal exactly when each column with a nonzero
+    reduced cost stays where `x` has it, at its bound, and each row with a
+    nonzero dual stays at the bound that dual prices: the lower one for
+    `y > 0`, the upper one for `y < 0`. Nonzero means above
+    `1e-9 (1 + max |c|)`. A row is held only at a finite bound, so a dual
+    of the wrong sign, within HiGHS's tolerance, pins nothing.
+    """
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    fixed = np.abs(z) > tol
+    lower, upper = row_bounds
+    at_lower = (y > tol) & np.isfinite(lower)
+    at_upper = (y < -tol) & np.isfinite(upper)
+    return ((np.where(fixed, x, bounds[0]), np.where(fixed, x, bounds[1])),
+            (np.where(at_upper, upper, lower), np.where(at_lower, lower, upper)))
 
 
 def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
@@ -569,8 +614,16 @@ def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
 
 
 def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
-          prices: Sequence[int] = ()) -> LpSolution:
+          prices: Sequence[int] = (), then=None) -> LpSolution:
     """Solve `model` and return primal/dual certificates.
+
+    With `then`, one cost per column, the primal returned minimizes `then`
+    over `model`'s optimal face: among the optimal points, the best by
+    `then` (ValueError if it is not one finite cost per column). Its
+    objective is `model`'s own at that point. The duals, the basis and the
+    certificates come from the first solve, whose duals are optimal for
+    every point of the face, so the certificates hold the returned primal
+    to them.
 
     `prices` are rows whose duals the caller reports; with them the solution
     keeps its optimal basis. With `basis`, the optimal basis of an LP that
@@ -582,12 +635,17 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     the feasibility/duality-gap certificates. Infeasible and unbounded are
     ordinary statuses, not errors.
     """
+    if then is not None:
+        then = np.asarray(then, dtype=float)
+        if then.shape != (model.n_vars,) or not np.all(np.isfinite(then)):
+            raise ValueError(f"second costs must be {model.n_vars} finite values, "
+                             f"not of shape {then.shape}")
     highs_row, A, rhs, row_bounds, m = _highs_form(model)
     lbv, ubv = np.array(model.lb, dtype=float), np.array(model.ub, dtype=float)
     A_ub, A_eq = A.split(m)
     res = linprog(np.array(model.obj), A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds,
                   bounds=(lbv, ubv), basis=basis,
-                  prices=highs_row[np.asarray(prices, dtype=np.int64)])
+                  prices=highs_row[np.asarray(prices, dtype=np.int64)], then=then)
     if res.status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=LpStatus.INFEASIBLE)
     if res.status == _highs.HighsModelStatus.kUnbounded:

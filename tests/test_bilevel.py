@@ -1,4 +1,6 @@
 """Bid-quantity optimization: relaxation structure, extraction, verifiers."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,11 @@ def test_sweep_table_headers_carry_units(sys3):
     table = price_sweep(sys3, [0.0, 40.0])
     header = table.to_csv().splitlines()[0]
     assert "usd" in header and "mw" in header
+
+
+@pytest.mark.parametrize("prices", [(0.0,), (0.0, 15.0, 35.0)])
+def test_solve_bid_ignores_scenario_order(sys3, prices):
+    ss = sys3.scenario_set
+    reversed_ = dataclasses.replace(
+        sys3, scenario_set=dataclasses.replace(ss, scenarios=ss.scenarios[::-1]))
+    assert solve_bid(reversed_, prices).quantities == solve_bid(sys3, prices).quantities

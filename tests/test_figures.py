@@ -4,6 +4,10 @@ A change to how the LPs are stated (row order, bounds as rows or as column
 bounds) may move HiGHS to another optimal vertex, but it must not move these
 figures: each policy's S from `compare`, the T1 grid oracle and the sys3
 price sweep's costs and day-ahead wind.
+
+On all three systems S_BiD equals S_StD: `solve_bid` picks its quantities
+on the relaxed bid LP's exact optimal face, and the T1 figure is the grid
+oracle's 1100 too. Each BiD pin is therefore written as the StD value.
 """
 import pytest
 
@@ -13,14 +17,15 @@ from conftest import rel_close
 
 PINNED = 1e-9
 
+S_STD = {"t1": 1100.0, "sys3": 3281.25, "sys5": 6322.833333333335}
 COMPARE_S = {
-    "t1": {"MyD": 1250.0, "BiD": 1100.00011, "StD": 1100.0},
-    "sys3": {"MyD": 3290.625, "BiD": 3281.250328125, "StD": 3281.25},
-    "sys5": {"MyD": 6392.083333333336, "BiD": 6322.833965616668, "StD": 6322.833333333335},
+    "t1": {"MyD": 1250.0, "BiD": S_STD["t1"], "StD": S_STD["t1"]},
+    "sys3": {"MyD": 3290.625, "BiD": S_STD["sys3"], "StD": S_STD["sys3"]},
+    "sys5": {"MyD": 6392.083333333336, "BiD": S_STD["sys5"], "StD": S_STD["sys5"]},
 }
 
 # price -> (s_bid_usd, s_myd_usd, da_wind_bid_mw, da_wind_myd_mw)
-_LOW = (3281.250328125, 3290.625, 64.99996249999998, 66.5)
+_LOW = (S_STD["sys3"], 3290.625, 65.0, 66.5)
 _HIGH = (4187.5, 4187.5, 0.0, 0.0)
 SYS3_SWEEP = {price: _LOW for price in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)}
 SYS3_SWEEP.update({price: _HIGH for price in (30.0, 35.0, 40.0, 50.0)})

@@ -145,6 +145,45 @@ def test_resolve_is_deterministic_in_objective():
     assert a.objective == pytest.approx(b.objective, rel=1e-6)
 
 
+def tied():
+    """min x + y  s.t.  x + y >= 1,  x, y in [0, 1]: every point of the
+    segment x + y = 1 is optimal."""
+    return model_of({"x": 1.0, "y": 1.0}, [[1.0, 1.0]], [GE], [1.0], lb=0.0, ub=1.0)
+
+
+@pytest.mark.parametrize("then, expected", [((1.0, 0.0), [0.0, 1.0]), ((0.0, 1.0), [1.0, 0.0])])
+def test_second_cost_picks_its_point_of_the_optimal_face(then, expected):
+    sol = solve(tied(), then=then)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.primal.tolist() == pytest.approx(expected)
+    assert sol.objective == pytest.approx(1.0)
+    # the duals are the first solve's
+    assert sol.duals.tolist() == solve(tied()).duals.tolist()
+
+
+def test_second_cost_cannot_trade_away_the_first():
+    # (-1, -1) alone would go to (1, 1) at cost 2; the face keeps x + y = 1
+    sol = solve(tied(), then=(-1.0, -1.0))
+    assert sol.objective == pytest.approx(1.0)
+    assert sum(sol.primal.tolist()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("then", [(1.0,), (1.0, 0.0, 0.0), (1.0, math.nan)])
+def test_second_cost_of_the_wrong_shape_rejected(then):
+    with pytest.raises(ValueError, match="second costs"):
+        solve(tied(), then=then)
+
+
+def test_second_cost_logs_one_certificate_per_solve():
+    log = lp.certificate_log(True)
+    try:
+        solve(tied(), then=(1.0, 0.0))
+        solve(tied(), then=(0.0, 1.0))
+        assert len(log) == 2
+    finally:
+        lp.certificate_log(False)
+
+
 def test_nonfinite_coefficient_rejected():
     with pytest.raises(ValueError, match="non-finite objective"):
         LpModel().add_vars(["x"], [float("nan")])
