@@ -1,29 +1,21 @@
 """Instance ingestion and serialization.
 
 Network, units, and system parameters live in one JSON document; scenarios
-are columnar CSV (scenario_id, probability, hour, entity_id, value_mw) where
-the entity id resolves to either a VRE unit (output realization) or a bus
-(real-time load). Bid curves are CSV with one row per segment.
+are columnar CSV (`SCENARIO_COLUMNS`) where the entity id resolves to either
+a VRE unit (output realization) or a bus (real-time load). Bid curves are
+CSV (`BID_COLUMNS`) with one row per segment. Each JSON record is one table
+in `RECORDS`, which `load_instance` reads by and `save_instance` writes by.
 """
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .model import (
-    BidCurve,
-    ConventionalUnit,
-    Instance,
-    Line,
-    Network,
-    ScenarioSet,
-    Scenario,
-    SystemParams,
-    VreUnit,
-    validated,
-)
+from .model import BidCurve, ConventionalUnit, Instance, Line, Network, Scenario, ScenarioSet
+from .model import SystemParams, VreUnit, validated
 
 __all__ = [
     "ParseError",
@@ -42,109 +34,154 @@ class ParseError(ValueError):
     """Malformed input file; message names the file and offending field."""
 
 
-def _require(mapping: dict, key: str, where: str, kind: type = object):
-    """Field `key` of `mapping`, which must be a `kind`."""
+@dataclass(frozen=True)
+class DaLoad:
+    """One day-ahead load entry: `load` MW at `bus` in `hour`."""
+
+    bus: str
+    hour: int
+    load: float
+
+
+REQUIRED = object()  # the default of a field that must be given
+
+# Each JSON record's fields, in file order: (JSON key, attribute, kind,
+# default). A field whose default is None may also be null.
+RECORDS: dict[type, tuple[tuple[str, str, type, object], ...]] = {
+    Line: (
+        ("from", "from_bus", str, REQUIRED), ("to", "to_bus", str, REQUIRED),
+        ("reactance", "reactance", float, REQUIRED),
+        ("capacity_mw", "capacity", float, REQUIRED),
+    ),
+    ConventionalUnit: (
+        ("id", "id", str, REQUIRED), ("bus", "bus", str, REQUIRED),
+        ("variable_cost_usd_per_mwh", "variable_cost", float, REQUIRED),
+        ("no_load_cost_usd_per_h", "no_load_cost", float, 0.0),
+        ("startup_cost_usd", "startup_cost", float, 0.0),
+        ("up_redispatch_cost_usd_per_mwh", "up_redispatch_cost", float, 0.0),
+        ("down_redispatch_cost_usd_per_mwh", "down_redispatch_cost", float, 0.0),
+        ("p_max_mw", "p_max", float, REQUIRED), ("p_min_mw", "p_min", float, 0.0),
+        ("ramp_up_mw_per_h", "ramp_up", float, 0.0),
+        ("ramp_down_mw_per_h", "ramp_down", float, 0.0),
+        ("start_class", "start_class", str, "fast"),
+        ("u_init", "u_init", float, 0.0), ("p_init_mw", "p_init", float, 0.0),
+    ),
+    VreUnit: (
+        ("id", "id", str, REQUIRED), ("bus", "bus", str, REQUIRED),
+        ("capacity_mw", "capacity", float, REQUIRED),
+    ),
+    SystemParams: (
+        ("voll_usd_per_mwh", "voll", float, REQUIRED),
+        ("price_cap_usd_per_mwh", "price_cap", float, None),
+    ),
+    DaLoad: (
+        ("bus", "bus", str, REQUIRED), ("hour", "hour", int, REQUIRED),
+        ("load_mw", "load", float, REQUIRED),
+    ),
+}
+
+# Each CSV format's columns, in file order: (header, kind)
+SCENARIO_COLUMNS = (("scenario_id", str), ("probability", float), ("hour", int),
+                    ("entity_id", str), ("value_mw", float))
+BID_COLUMNS = (("vre_id", str), ("hour", int), ("segment", int),
+               ("price_usd_per_mwh", float), ("quantity_mw", float))
+
+
+# Each kind of JSON value: its name in messages, and the values it accepts
+# (by `type`, not `isinstance`, so that true and false are not numbers)
+_KINDS = {
+    str: ("str", lambda v: isinstance(v, str)),
+    float: ("number", lambda v: type(v) in (int, float)),
+    int: ("whole number", lambda v: type(v) is int or type(v) is float and v.is_integer()),
+    dict: ("dict", lambda v: isinstance(v, dict)),
+    list: ("list", lambda v: isinstance(v, list)),
+}
+
+
+def _field(mapping: dict, key: str, where: str, kind: type, default=REQUIRED):
+    """Field `key` of `mapping` as a `kind`; `default` where it is missing
+    (unless REQUIRED) and, for a default of None, where it is null."""
     if key not in mapping:
-        raise ParseError(f"{where}: missing field {key!r}")
-    if not isinstance(mapping[key], kind):
-        raise ParseError(f"{where}: field {key!r} is not a {kind.__name__}: {mapping[key]!r}")
-    return mapping[key]
+        if default is REQUIRED:
+            raise ParseError(f"{where}: missing field {key!r}")
+        return default
+    value = mapping[key]
+    if value is None and default is None:
+        return None
+    name, accepts = _KINDS[kind]
+    try:
+        if accepts(value):
+            return kind(value)
+    except OverflowError:  # a JSON integer beyond any float
+        pass
+    raise ParseError(f"{where}: field {key!r} is not a {name}: {value!r}")
 
 
-def _list(mapping: dict, key: str, where: str, item: type = dict, required=False) -> list:
-    """Field `key` of `mapping`, a list of `item`s; if not `required`, [] where missing."""
-    value = _require(mapping if required else {key: [], **mapping}, key, where, list)
-    if not all(isinstance(v, item) for v in value):
+def _section(mapping: dict, key: str, where: str, item: type = dict, required=False) -> list:
+    """Field `key` of `mapping`, a list of `item`s; [] where missing unless `required`."""
+    value = _field(mapping, key, where, list, REQUIRED if required else [])
+    if not all(_KINDS[item][1](v) for v in value):
         raise ParseError(f"{where}: field {key!r} is not a list of {item.__name__}: {value!r}")
-    return value
+    return [item(v) for v in value]
 
 
-def _number(mapping: dict, key: str, where: str, default=None, kind=float):
-    """Field `key` of `mapping` as a `kind`; `default`, if given, where it is missing."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: field {key!r} is not a number: {value!r}") from None
+def _read(cls: type, entry: dict, where: str):
+    """The `cls` record that JSON object `entry` holds, read by its table."""
+    return cls(**{attr: _field(entry, key, where, kind, default)
+                  for key, attr, kind, default in RECORDS[cls]})
 
 
-def _load_json(path: str | Path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def _records(mapping: dict, key: str, where: str, cls: type) -> tuple:
+    """The `cls` records in section `key` of `mapping`."""
+    return tuple(_read(cls, entry, where) for entry in _section(mapping, key, where))
 
 
-def _parse_units(doc: dict, where: str) -> tuple[ConventionalUnit, ...]:
-    units = []
-    for entry in _list(doc, "conventional_units", where):
-        units.append(
-            ConventionalUnit(
-                id=_require(entry, "id", where),
-                bus=_require(entry, "bus", where),
-                variable_cost=_number(entry, "variable_cost_usd_per_mwh", where),
-                no_load_cost=_number(entry, "no_load_cost_usd_per_h", where, 0.0),
-                startup_cost=_number(entry, "startup_cost_usd", where, 0.0),
-                up_redispatch_cost=_number(entry, "up_redispatch_cost_usd_per_mwh", where, 0.0),
-                down_redispatch_cost=_number(entry, "down_redispatch_cost_usd_per_mwh", where, 0.0),
-                p_max=_number(entry, "p_max_mw", where),
-                p_min=_number(entry, "p_min_mw", where, 0.0),
-                ramp_up=_number(entry, "ramp_up_mw_per_h", where, 0.0),
-                ramp_down=_number(entry, "ramp_down_mw_per_h", where, 0.0),
-                start_class=entry.get("start_class", "fast"),
-                u_init=_number(entry, "u_init", where, 0.0),
-                p_init=_number(entry, "p_init_mw", where, 0.0),
-            )
-        )
-    return tuple(units)
+def _written(record) -> dict:
+    """`record` as its JSON object, written by its table."""
+    return {key: getattr(record, attr) for key, attr, _, _ in RECORDS[type(record)]}
+
+
+def _csv_rows(path: str | Path, columns: tuple):
+    """Each nonblank data row of the CSV file at `path`: its line number and
+    the values of `columns`, each read as its kind."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        names = [name for name, _ in columns]
+        if not set(names).issubset(header):
+            raise ParseError(f"{path}: expected columns {sorted(names)}")
+        at = [(header.index(name), kind) for name, kind in columns]
+        for row in filter(None, reader):
+            if len(row) < len(header):
+                raise ParseError(f"{path}:{reader.line_num}: row has {len(row)} of "
+                                 f"{len(header)} columns")
+            try:
+                yield reader.line_num, [kind(row[i]) for i, kind in at]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _write_csv(path: str | Path, columns: tuple, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _ in columns])
+        writer.writerows(rows)
 
 
 def _parse_scenarios_csv(path: str | Path, vre_ids: set[str], buses: set[str]):
     probs: dict[str, float] = {}
-    vre: dict[str, dict] = {}
-    load: dict[str, dict] = {}
+    realized: dict[str, tuple[dict, dict]] = {}  # scenario: (VRE output, load)
     hours: set[int] = set()
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"scenario_id", "probability", "hour", "entity_id", "value_mw"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: expected columns {sorted(needed)}")
-        for lineno, row in enumerate(reader, start=2):
-            sid = row["scenario_id"]
-            try:
-                prob = float(row["probability"])
-                hour = int(row["hour"])
-                value = float(row["value_mw"])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if sid not in probs:
-                probs[sid] = prob
-                order.append(sid)
-                vre[sid] = {}
-                load[sid] = {}
-            elif abs(probs[sid] - prob) > 1e-12:
-                raise ParseError(
-                    f"{path}:{lineno}: scenario {sid!r} probability changed"
-                )
-            hours.add(hour)
-            ent = row["entity_id"]
-            if ent in vre_ids:
-                vre[sid][(ent, hour)] = value
-            elif ent in buses:
-                load[sid][(ent, hour)] = value
-            else:
-                raise ParseError(
-                    f"{path}:{lineno}: entity {ent!r} is neither a VRE unit nor a bus"
-                )
-    if not order:
+    for lineno, (sid, prob, hour, ent, value) in _csv_rows(path, SCENARIO_COLUMNS):
+        if abs(probs.setdefault(sid, prob) - prob) > 1e-12:
+            raise ParseError(f"{path}:{lineno}: scenario {sid!r} probability changed")
+        if ent not in vre_ids and ent not in buses:
+            raise ParseError(f"{path}:{lineno}: entity {ent!r} is neither a VRE unit nor a bus")
+        hours.add(hour)
+        realized.setdefault(sid, ({}, {}))[ent not in vre_ids][(ent, hour)] = value
+    if not probs:
         raise ParseError(f"{path}: no scenarios")
-    scenarios = tuple(
-        Scenario(id=sid, probability=probs[sid], vre_real=vre[sid], rt_load=load[sid])
-        for sid in order
-    )
-    return scenarios, hours
+    return tuple(Scenario(sid, prob, *realized[sid]) for sid, prob in probs.items()), hours
 
 
 def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Instance:
@@ -153,57 +190,28 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
     `network_path` holds network, units, system parameters, and day-ahead
     load in one JSON document.
     """
-    doc = _load_json(network_path)
     where = str(network_path)
-    net_doc = _require(doc, "network", where, dict)
-    lines = tuple(
-        Line(
-            from_bus=_require(entry, "from", where),
-            to_bus=_require(entry, "to", where),
-            reactance=_number(entry, "reactance", where),
-            capacity=_number(entry, "capacity_mw", where),
-        )
-        for entry in _list(net_doc, "lines", where)
-    )
-    network = Network(
-        buses=tuple(_list(net_doc, "buses", where, str, required=True)),
-        lines=lines,
-        slack_bus=_require(net_doc, "slack_bus", where),
-    )
-    units = _parse_units(doc, where)
-    vre_units = tuple(
-        VreUnit(
-            id=_require(entry, "id", where),
-            bus=_require(entry, "bus", where),
-            capacity=_number(entry, "capacity_mw", where),
-        )
-        for entry in _list(doc, "vre_units", where)
-    )
-    sys_doc = _require(doc, "system", where, dict)
-    system = SystemParams(
-        voll=_number(sys_doc, "voll_usd_per_mwh", where),
-        price_cap=(
-            None
-            if sys_doc.get("price_cap_usd_per_mwh") is None
-            else _number(sys_doc, "price_cap_usd_per_mwh", where)
-        ),
-    )
-    da_load = {
-        (_require(entry, "bus", where), _number(entry, "hour", where, kind=int)):
-            _number(entry, "load_mw", where)
-        for entry in _list(doc, "da_load", where)
-    }
+    try:
+        with open(network_path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: the document is not a JSON object: {doc!r:.40}")
+    net_doc = _field(doc, "network", where, dict)
+    network = Network(tuple(_section(net_doc, "buses", where, str, required=True)),
+                      _records(net_doc, "lines", where, Line),
+                      _field(net_doc, "slack_bus", where, str))
+    units = _records(doc, "conventional_units", where, ConventionalUnit)
+    vre_units = _records(doc, "vre_units", where, VreUnit)
+    system = _read(SystemParams, _field(doc, "system", where, dict), where)
+    da_load = {(d.bus, d.hour): d.load for d in _records(doc, "da_load", where, DaLoad)}
     scenarios, csv_hours = _parse_scenarios_csv(
         scenarios_path, {v.id for v in vre_units}, set(network.buses)
     )
-    hours = tuple(sorted(set(_list(doc, "hours", where, int)) | csv_hours))
-    instance = Instance(
-        network=network,
-        units=units,
-        vre_units=vre_units,
-        scenario_set=ScenarioSet(hours=hours, da_load=da_load, scenarios=scenarios),
-        system=system,
-    )
+    hours = tuple(sorted(set(_section(doc, "hours", where, int)) | csv_hours))
+    instance = Instance(network, units, vre_units, ScenarioSet(hours, da_load, scenarios),
+                        system)
     try:
         return validated(instance)
     except ValueError as exc:
@@ -212,90 +220,54 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
 
 def save_instance(instance: Instance, json_path: str | Path, csv_path: str | Path) -> None:
     """Write an instance back to its two-file form (round-trip inverse)."""
+    network = instance.network
     doc = {
         "network": {
-            "buses": list(instance.network.buses),
-            "lines": [
-                {"from": l.from_bus, "to": l.to_bus, "reactance": l.reactance,
-                 "capacity_mw": l.capacity}
-                for l in instance.network.lines
-            ],
-            "slack_bus": instance.network.slack_bus,
+            "buses": list(network.buses),
+            "lines": [_written(line) for line in network.lines],
+            "slack_bus": network.slack_bus,
         },
-        "conventional_units": [
-            {
-                "id": u.id, "bus": u.bus,
-                "variable_cost_usd_per_mwh": u.variable_cost,
-                "no_load_cost_usd_per_h": u.no_load_cost,
-                "startup_cost_usd": u.startup_cost,
-                "up_redispatch_cost_usd_per_mwh": u.up_redispatch_cost,
-                "down_redispatch_cost_usd_per_mwh": u.down_redispatch_cost,
-                "p_max_mw": u.p_max, "p_min_mw": u.p_min,
-                "ramp_up_mw_per_h": u.ramp_up, "ramp_down_mw_per_h": u.ramp_down,
-                "start_class": u.start_class,
-                "u_init": u.u_init, "p_init_mw": u.p_init,
-            }
-            for u in instance.units
-        ],
-        "vre_units": [
-            {"id": v.id, "bus": v.bus, "capacity_mw": v.capacity}
-            for v in instance.vre_units
-        ],
-        "system": {
-            "voll_usd_per_mwh": instance.system.voll,
-            "price_cap_usd_per_mwh": instance.system.price_cap,
-        },
+        "conventional_units": [_written(u) for u in instance.units],
+        "vre_units": [_written(v) for v in instance.vre_units],
+        "system": _written(instance.system),
         "hours": list(instance.hours),
-        "da_load": [
-            {"bus": n, "hour": t, "load_mw": v}
-            for (n, t), v in sorted(instance.scenario_set.da_load.items())
-        ],
+        "da_load": [_written(DaLoad(n, t, v))
+                    for (n, t), v in sorted(instance.scenario_set.da_load.items())],
     }
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "probability", "hour", "entity_id", "value_mw"])
-        for s in instance.scenario_set.scenarios:
-            for (k, t), v in sorted(s.vre_real.items()):
-                writer.writerow([s.id, s.probability, t, k, v])
-            for (n, t), v in sorted(s.rt_load.items()):
-                writer.writerow([s.id, s.probability, t, n, v])
+    _write_csv(csv_path, SCENARIO_COLUMNS, (
+        [s.id, s.probability, t, entity, v]
+        for s in instance.scenario_set.scenarios
+        for realized in (s.vre_real, s.rt_load)
+        for (entity, t), v in sorted(realized.items())
+    ))
 
 
 def load_bids(path: str | Path) -> list[BidCurve]:
-    """Read bid curves from CSV (vre_id, hour, segment, price, quantity)."""
+    """Read bid curves from CSV (`BID_COLUMNS`); each curve's `segment`
+    column must read 0..n-1, once each."""
     rows: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"vre_id", "hour", "segment", "price_usd_per_mwh", "quantity_mw"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: expected columns {sorted(needed)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                key = (row["vre_id"], int(row["hour"]))
-                rows.setdefault(key, []).append(
-                    (int(row["segment"]), float(row["price_usd_per_mwh"]),
-                     float(row["quantity_mw"]))
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for _, (k, t, segment, price, qty) in _csv_rows(path, BID_COLUMNS):
+        rows.setdefault((k, t), []).append((segment, price, qty))
     bids = []
     for (k, t), segs in sorted(rows.items()):
         segs.sort()
-        bids.append(BidCurve(owner=k, hour=t,
-                             segments=tuple((p, q) for _, p, q in segs)))
+        numbers = [s for s, _, _ in segs]
+        if numbers != list(range(len(segs))):
+            raise ParseError(f"{path}: curve ({k},{t}) has segments {numbers}, "
+                             f"not 0..{len(segs) - 1} once each")
+        bids.append(BidCurve(k, t, tuple((p, q) for _, p, q in segs)))
     return bids
 
 
 def save_bids(bids, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vre_id", "hour", "segment", "price_usd_per_mwh", "quantity_mw"])
-        for b in sorted(bids, key=lambda b: (b.owner, b.hour)):
-            for s, (price, qty) in enumerate(b.segments):
-                writer.writerow([b.owner, b.hour, s, price, qty])
+    _write_csv(path, BID_COLUMNS, (
+        [b.owner, b.hour, s, price, qty]
+        for b in sorted(bids, key=lambda b: (b.owner, b.hour))
+        for s, (price, qty) in enumerate(b.segments)
+    ))
 
 
 def bundled_instance(name: str) -> Instance:

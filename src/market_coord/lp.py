@@ -428,8 +428,6 @@ _OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimple
 _COLWISE = int(_highs.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
-_AT_LOWER = int(_highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
 
 
 def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
@@ -458,7 +456,7 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
 
     Returns HiGHS's model status and simplex iterations (`nit`, every solve
     counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
-    rows, the bound duals `lower` and `upper` and `basis`.
+    rows, the column duals `col_dual` and, with `prices`, `basis`.
     """
     A = A_ub.matrix
     model = _pass_model(c, A, bounds, row_bounds)
@@ -479,7 +477,7 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     if optimum is None:
         return SimpleNamespace(status=status, nit=nit)
     x, y, z = optimum
-    optimal = highs.getBasis()
+    optimal = highs.getBasis() if len(prices) else None
     fun = highs.getInfo().objective_function_value
     if then is not None:
         del highs  # one HiGHS object alive at a time
@@ -490,14 +488,8 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
         if face is not None:
             x = face[0]
             fun = float(c @ x)
-    # a bound's dual is the column dual where the column sits at that bound
-    at = np.fromiter(map(int, optimal.col_status), dtype=np.int8, count=A.shape[1])
-    return SimpleNamespace(
-        status=status, nit=nit, x=x, fun=fun, row_dual=y,
-        lower=np.where(at == _AT_LOWER, z, 0.0),
-        upper=np.where(at == _AT_UPPER, z, 0.0),
-        basis=optimal if len(prices) else None,
-    )
+    return SimpleNamespace(status=status, nit=nit, x=x, fun=fun, row_dual=y, col_dual=z,
+                           basis=optimal)
 
 
 def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
@@ -653,7 +645,10 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     if res.status != _OPTIMAL:
         raise SolverError(f"solver failure on {model.name!r}: HiGHS status {res.status.name}")
 
-    x, y, zl, zu = res.x, res.row_dual, res.lower, res.upper
+    # a column dual prices the bound its sign points at, as in `_face`:
+    # z > 0 the lower bound, z < 0 the upper
+    x, y, z = res.x, res.row_dual, res.col_dual
+    zl, zu = np.where(z > 0, z, 0.0), np.where(z < 0, z, 0.0)
 
     # certificates, over HiGHS's rows: one product A @ x
     Ax = A @ x

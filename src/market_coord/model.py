@@ -8,7 +8,7 @@ concurrent solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -184,6 +184,14 @@ class ValidationReport:
         return not self.violations
 
 
+def _check_finite(where: str, record, report: ValidationReport) -> None:
+    """Report each number field of dataclass `record` that is not finite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            report.violations.append(f"{where}: {f.name} {value} is not finite")
+
+
 def _check_network(net: Network, report: ValidationReport) -> None:
     buses = set(net.buses)
     if len(buses) != len(net.buses):
@@ -191,6 +199,7 @@ def _check_network(net: Network, report: ValidationReport) -> None:
     if net.slack_bus not in buses:
         report.violations.append(f"slack bus {net.slack_bus!r} is not a declared bus")
     for ln in net.lines:
+        _check_finite(f"line ({ln.from_bus},{ln.to_bus})", ln, report)
         if ln.from_bus not in buses or ln.to_bus not in buses:
             report.violations.append(
                 f"line ({ln.from_bus},{ln.to_bus}) references an undeclared bus"
@@ -224,6 +233,7 @@ def _check_network(net: Network, report: ValidationReport) -> None:
 
 
 def _check_unit(u: ConventionalUnit, buses: set[str], report: ValidationReport) -> None:
+    _check_finite(f"unit {u.id}", u, report)
     if u.bus not in buses:
         report.violations.append(f"unit {u.id}: bus {u.bus!r} not declared")
     if not (0 <= u.p_min <= u.p_max):
@@ -267,6 +277,7 @@ def validate(instance: Instance) -> ValidationReport:
     if len(set(vre_ids)) != len(vre_ids):
         report.violations.append("duplicate VRE unit ids")
     for v in instance.vre_units:
+        _check_finite(f"VRE {v.id}", v, report)
         if v.bus not in buses:
             report.violations.append(f"VRE {v.id}: bus {v.bus!r} not declared")
         if v.capacity <= 0:
@@ -281,7 +292,9 @@ def validate(instance: Instance) -> ValidationReport:
             report.violations.append(f"day-ahead load references unknown bus {n!r}")
         if t not in hours:
             report.violations.append(f"day-ahead load references unknown hour {t}")
-        if val < 0:
+        if not math.isfinite(val):
+            report.violations.append(f"day-ahead load at ({n},{t}) is not finite")
+        elif val < 0:
             report.violations.append(f"day-ahead load at ({n},{t}) is negative")
 
     total_p = sum(s.probability for s in ss.scenarios)
@@ -291,7 +304,9 @@ def validate(instance: Instance) -> ValidationReport:
         report.violations.append(f"probabilities sum to {total_p:g} != 1")
     vre_set = set(vre_ids)
     for s in ss.scenarios:
-        if s.probability <= 0:
+        if not math.isfinite(s.probability):
+            report.violations.append(f"scenario {s.id}: probability {s.probability} is not finite")
+        elif s.probability <= 0:
             report.violations.append(f"scenario {s.id}: probability must be > 0")
         for (k, t), w in s.vre_real.items():
             if k not in vre_set:
@@ -312,9 +327,12 @@ def validate(instance: Instance) -> ValidationReport:
                 report.violations.append(f"scenario {s.id}: unknown bus {n!r}")
             if t not in hours:
                 report.violations.append(f"scenario {s.id}: unknown hour {t}")
-            if val < 0:
+            if not math.isfinite(val):
+                report.violations.append(f"scenario {s.id}: load at ({n},{t}) is not finite")
+            elif val < 0:
                 report.violations.append(f"scenario {s.id}: load at ({n},{t}) negative")
 
+    _check_finite("system", instance.system, report)
     if instance.system.voll <= 0:
         report.violations.append("VoLL must be > 0")
     return report

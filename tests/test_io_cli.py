@@ -1,6 +1,8 @@
 """File formats, round trips, and the command-line interface."""
 import csv
+import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -340,9 +342,20 @@ def test_cli_scenario_without_vre_output_is_bad_input(tmp_path, command):
     (lambda doc: doc.update(system=5), "'system'"),
     (lambda doc: doc.update(hours=5), "'hours'"),
     (lambda doc: doc.update(network=5), "'network'"),
+    (lambda doc: doc["conventional_units"][0].update(id=[1]), "'id'"),
+    (lambda doc: doc["vre_units"][0].update(bus=1), "'bus'"),
+    (lambda doc: doc["network"].update(slack_bus=["b1"]), "'slack_bus'"),
+    (lambda doc: doc["network"].update(lines=[{"from": "b1", "to": 2, "reactance": 0.1,
+                                               "capacity_mw": 10.0}]), "'to'"),
+    (lambda doc: doc["da_load"][0].update(hour=1.7), "'hour'"),
+    (lambda doc: doc.update(hours=[0, True]), "'hours'"),
+    (lambda doc: doc["conventional_units"][0].update(p_max_mw=True), "'p_max_mw'"),
+    (lambda doc: doc["conventional_units"][0].update(p_max_mw=10 ** 400), "'p_max_mw'"),
 ], ids=["da-load-without-bus", "voll-not-a-number", "voll-a-list", "lines-of-numbers",
         "buses-a-number", "units-of-numbers", "vre-of-strings", "da-load-of-numbers",
-        "system-a-number", "hours-a-number", "network-a-number"])
+        "system-a-number", "hours-a-number", "network-a-number", "id-a-list", "bus-a-number",
+        "slack-bus-a-list", "line-end-a-number", "hour-not-whole", "hours-with-a-bool",
+        "p-max-a-bool", "p-max-beyond-any-float"])
 def test_malformed_instance_value_names_file_and_field(tmp_path, edit, field):
     doc = json.loads((DATA / "t1.json").read_text())
     edit(doc)
@@ -351,3 +364,89 @@ def test_malformed_instance_value_names_file_and_field(tmp_path, edit, field):
     with pytest.raises(mio.ParseError) as err:
         mio.load_instance(path, DATA / "t1_scenarios.csv")
     assert str(path) in str(err.value) and field in str(err.value)
+
+
+@pytest.mark.parametrize("cls", mio.RECORDS)
+def test_each_record_table_names_every_field(cls):
+    table = mio.RECORDS[cls]
+    assert [attr for _, attr, _, _ in table] == [f.name for f in dataclasses.fields(cls)]
+    assert len({key for key, _, _, _ in table}) == len(table)
+
+
+def test_instance_with_every_optional_field_set_round_trips(tmp_path, sys5):
+    units = tuple(dataclasses.replace(u, no_load_cost=1.5, startup_cost=2.5,
+                                      up_redispatch_cost=u.variable_cost + 3.0,
+                                      down_redispatch_cost=0.5, p_min=1.0, ramp_up=7.0,
+                                      ramp_down=6.0, start_class="slow", u_init=1.0,
+                                      p_init=2.0)
+                  for u in sys5.units)
+    instance = dataclasses.replace(sys5, units=units,
+                                   system=dataclasses.replace(sys5.system, price_cap=250.0))
+    json_path, csv_path = tmp_path / "sys.json", tmp_path / "sys_scenarios.csv"
+    mio.save_instance(instance, json_path, csv_path)
+    again = mio.load_instance(json_path, csv_path)
+    assert again == instance and again.system.bid_price_cap == 250.0
+    assert again.units[0].start_class == "slow" and again.units[0].p_init == 2.0
+
+
+NONFINITE = [
+    (lambda doc: doc["system"].update(voll_usd_per_mwh=math.nan), "voll nan is not finite"),
+    (lambda doc: doc["conventional_units"][0].update(variable_cost_usd_per_mwh=math.nan),
+     "unit g1: variable_cost nan is not finite"),
+    (lambda doc: doc["conventional_units"][0].update(ramp_up_mw_per_h=math.nan),
+     "unit g1: ramp_up nan is not finite"),
+    (lambda doc: doc["da_load"][0].update(load_mw=math.nan),
+     "day-ahead load at (b1,0) is not finite"),
+    (lambda doc: doc["vre_units"][0].update(capacity_mw=math.inf),
+     "VRE w1: capacity inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("edit, message", NONFINITE,
+                         ids=["voll", "variable-cost", "ramp", "da-load", "vre-capacity"])
+def test_cli_nonfinite_instance_number_is_bad_input(tmp_path, edit, message):
+    doc = json.loads((DATA / "t1.json").read_text())
+    edit(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
+    result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "compare")
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("s1,nan,0,w1,50.0\ns1,nan,0,b1,80.0\n", "scenario s1: probability nan is not finite"),
+    ("s1,1.0,0,w1,50.0\ns1,1.0,0,b1,nan\n", "scenario s1: load at (b1,0) is not finite"),
+], ids=["probability", "rt-load"])
+def test_cli_nonfinite_scenario_value_is_bad_input(tmp_path, rows, message):
+    shutil.copy(DATA / "t1.json", tmp_path / "bad.json")
+    (tmp_path / "bad_scenarios.csv").write_text(
+        "scenario_id,probability,hour,entity_id,value_mw\n" + rows)
+    result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "compare")
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("segments", [(0, 0), (0, 7), (-3,), (1,)],
+                         ids=["repeated", "gap", "negative", "not-from-zero"])
+def test_bid_segments_must_count_from_zero(tmp_path, segments):
+    bids = tmp_path / "bids.csv"
+    bids.write_text("vre_id,hour,segment,price_usd_per_mwh,quantity_mw\n"
+                    + "".join(f"w1,0,{s},0.0,5.0\n" for s in segments))
+    with pytest.raises(mio.ParseError) as err:
+        mio.load_bids(bids)
+    assert str(bids) in str(err.value) and "curve (w1,0)" in str(err.value)
+    result = run_cli("-i", "t1", "evaluate", "--bids", str(bids))
+    assert result.exit_code == 4, result.output
+    assert "curve (w1,0)" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_json_document_not_an_object_is_bad_input(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(mio.ParseError, match="not a JSON object") as err:
+        mio.load_instance(path, DATA / "t1_scenarios.csv")
+    assert str(path) in str(err.value)

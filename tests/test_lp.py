@@ -136,6 +136,26 @@ def test_nan_primal_or_wrong_objective_fails_its_certificate(monkeypatch):
         solve_altered(monkeypatch, build(), off)
 
 
+def test_bound_duals_are_read_by_sign(monkeypatch):
+    # x sits at its upper bound and y at its lower: HiGHS's column duals are
+    # -1 and 1, and the certificates price ub * -1 + lb * 1 into the dual
+    # objective; no basis is read back unless prices are named
+    results = []
+
+    def kept(c, **kwargs):
+        results.append(LINPROG(c, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lp, "linprog", kept)
+    model = LpModel()
+    model.add_vars(["x", "y"], [-1.0, 1.0], [0.0, 1.0], [3.0, 5.0])
+    sol = solve(model)
+    assert sol.objective == pytest.approx(-2.0)
+    assert results[0].col_dual.tolist() == pytest.approx([-1.0, 1.0])
+    assert results[0].basis is None
+    assert sol.certificates.duality_gap <= 1e-12 and sol.certificates.complementarity == 0.0
+
+
 def test_resolve_is_deterministic_in_objective():
     def build():
         return model_of({"x": 1.0, "y": 1.0}, [[1.0, 1.0]], [GE], [5.0])

@@ -1,5 +1,7 @@
 """Domain types, instance validation, and the expected-output helper."""
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -12,7 +14,9 @@ from market_coord.model import (
     expected_vre,
     validate,
     validate_bid_curve,
+    validated,
 )
+from market_coord.policies import myopic, stochastic
 
 
 def test_bundled_instances_validate_clean(bundled):
@@ -52,6 +56,39 @@ def test_vre_realization_above_capacity_flagged(t1):
     )
     report = validate(bad)
     assert not report.ok
+
+
+def _with_scenario(instance, **changes):
+    first, *rest = instance.scenario_set.scenarios
+    scenarios = (dataclasses.replace(first, **changes), *rest)
+    return dataclasses.replace(
+        instance, scenario_set=dataclasses.replace(instance.scenario_set, scenarios=scenarios))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda i: dataclasses.replace(i, system=SystemParams(voll=math.nan)),
+     "system: voll nan is not finite"),
+    (lambda i: dataclasses.replace(i, system=SystemParams(voll=1000.0, price_cap=math.inf)),
+     "system: price_cap inf is not finite"),
+    (lambda i: dataclasses.replace(
+        i, units=(dataclasses.replace(i.units[0], ramp_down=math.nan),)),
+     "unit g1: ramp_down nan is not finite"),
+    (lambda i: dataclasses.replace(
+        i, vre_units=(dataclasses.replace(i.vre_units[0], capacity=math.inf),)),
+     "VRE w1: capacity inf is not finite"),
+    (lambda i: dataclasses.replace(i, scenario_set=dataclasses.replace(
+        i.scenario_set, da_load={("b1", 0): math.inf})),
+     "day-ahead load at (b1,0) is not finite"),
+    (lambda i: _with_scenario(i, probability=math.nan), "scenario s1: probability nan"),
+    (lambda i: _with_scenario(i, rt_load={("b1", 0): math.nan}),
+     "scenario s1: load at (b1,0) is not finite"),
+], ids=["voll", "price-cap", "ramp", "vre-capacity", "da-load", "probability", "rt-load"])
+def test_nonfinite_number_fails_validation_before_any_lp(t1, change, message):
+    bad = change(t1)
+    assert any(message in v for v in validate(bad).violations)
+    for call in (validated, myopic, stochastic):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
 
 
 def test_validate_is_pure_and_idempotent(t1):
