@@ -19,7 +19,9 @@ from the network's line arrays, and `unit_rows` the five unit row kinds from
 per-unit arrays; the real-time template calls both with its own columns.
 The block owns the bid layout, one key (unit, hour, segment) per segment:
 `_check_bids` maps curves to key-ordered prices and quantities, and
-`DamStructure.bid_curves` maps them back.
+`DamStructure.bid_curves` maps them back. Both markets declare VoLL shedding
+as a column kind of their block: the real-time template per (bus, hour), and
+the block `build_dam(..., da_slack=True)` clears per loaded (bus, hour).
 """
 from __future__ import annotations
 
@@ -27,10 +29,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .lp import EQ, GE, LE, Block, LpModel, LpStatus
-from .lp import diagnose_infeasibility, solve, unsigned
+from .lp import diagnose_infeasibility, solve
 from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve, validated
 
 __all__ = [
@@ -176,9 +177,11 @@ def unit_rows(instance: Instance, market: str, output, commit: np.ndarray, start
 class DamStructure(Block):
     """Bid-independent block of the day-ahead LP for one segment count.
 
-    Its coupled columns are the bid quantities `W[k,t,s]`, one per key.
+    Its coupled columns are the bid quantities `W[k,t,s]`, one per key; its
+    own end with the shedding columns, if it has any.
     """
 
+    seg_count: int  # segments per curve
     keys: list[tuple[str, int, int]]  # (k, t, s) of each bid segment, curve by curve
     curves: list[tuple[str, int]]  # (k, t) of each bid curve
     curve_of: np.ndarray  # curve of each key
@@ -213,8 +216,7 @@ class DamStructure(Block):
         """The curves of key-ordered `prices` and `quantities`, each quantity
         clipped at zero and each curve scaled down to its unit's capacity."""
         prices, quantities = np.asarray(prices).tolist(), np.asarray(quantities).tolist()
-        n = len(self.keys) // max(len(self.curves), 1)  # segments per curve
-        bids = []
+        n, bids = self.seg_count, []
         for c, ((k, t), cap) in enumerate(zip(self.curves, self.curve_capacity.tolist())):
             at = slice(c * n, (c + 1) * n)
             qs = [max(0.0, q) for q in quantities[at]]
@@ -233,7 +235,8 @@ def dam_structure(instance: Instance, seg_count: int) -> DamStructure:
     return cached(instance, f"_dam_block[{seg_count}]", lambda: _build_block(instance, seg_count))
 
 
-def _build_block(instance: Instance, seg_count: int) -> DamStructure:
+def _build_block(instance: Instance, seg_count: int, shed: bool = False) -> DamStructure:
+    """The day-ahead block, with a VoLL-priced `lshDA` column per loaded (bus, hour) if `shed`."""
     validated(instance)
     units, vres, buses, hours = (instance.units, instance.vre_units, instance.network.buses,
                                  instance.hours)
@@ -244,13 +247,17 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
     n_unit_cols = len(UNIT_VARS) * pc.size
     pw = n_unit_cols + np.arange(len(keys)).reshape(n_vre, n_hour, seg_count)
     (theta,) = grid(n_unit_cols + pw.size, n_bus, n_hour)
-    w = n_unit_cols + pw.size + theta.size + np.arange(len(keys))  # coupled, after the own
-
     load = np.array([[instance.scenario_set.da_load.get((n, t), 0.0) for t in hours]
                      for n in buses]).reshape(n_bus, n_hour)
+    loaded = (load > 0) & shed  # with a shedding column each, in (bus, hour) order
+    first = n_unit_cols + pw.size + theta.size
+    lsh = first - 1 + np.cumsum(loaded).reshape(load.shape)  # the column, where loaded
+    w = first + np.count_nonzero(loaded) + np.arange(len(keys))  # coupled, after the own
+
     injection = [(bus_index(instance, units), pc, 1.0),
                  (np.repeat(bus_index(instance, vres), seg_count),
-                  pw.transpose(0, 2, 1).reshape(-1, n_hour), 1.0)]
+                  pw.transpose(0, 2, 1).reshape(-1, n_hour), 1.0),
+                 (np.arange(n_bus), lsh, 1.0 * loaded)]  # zero, and so dropped, if unloaded
     network, bal = network_rows(instance, "da", theta, injection, load)
     cap = np.arange(len(keys))
     pw_cap = ([f"da_pw_cap[{k},{t},{s}]" for k, t, s in keys], [LE] * len(keys), 0.0,
@@ -259,6 +266,7 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
 
     unit_keys = [(g.id, t) for g in units for t in hours]
     bus_keys = [(n, t) for n in buses for t in hours]
+    shed_keys = [key for key, on in zip(bus_keys, loaded.ravel()) if on]
     return DamStructure.of(
         columns=[
             (grid_names(UNIT_VARS, [g.id for g in units], hours),
@@ -269,6 +277,8 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             ([f"pW[{k},{t},{s}]" for k, t, s in keys], 0.0, 0.0, math.inf),
             (grid_names(("thDA",), buses, hours), 0.0,
              *(per_hour(n_bus, n_hour, bound) for bound in angle_bounds(instance))),
+            ([f"lshDA[{n},{t}]" for n, t in shed_keys], instance.system.voll, 0.0,
+             load[loaded]),
         ],
         d_cols=[f"W[{k},{t},{s}]" for k, t, s in keys], d_cost=np.zeros(len(keys)),
         sections=[network, pw_cap, per_unit],
@@ -279,7 +289,9 @@ def _build_block(instance: Instance, seg_count: int) -> DamStructure:
             "startup_cost": (unit_keys, c.ravel()),
             "p_vre": (keys, pw.ravel()),
             "angle": (bus_keys, theta.ravel()),
+            "shed": (shed_keys, lsh[loaded]),
         },
+        seg_count=seg_count,
         keys=keys,
         curves=curves,
         curve_of=np.repeat(np.arange(len(curves)), seg_count),
@@ -342,41 +354,23 @@ def _check_bids(instance: Instance, bids) -> tuple[DamStructure, np.ndarray, np.
     return block, prices, qtys
 
 
-def _loaded(instance: Instance, block: DamStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The bus_keys entries with day-ahead load, and that load."""
-    load = np.array([instance.scenario_set.da_load.get(key, 0.0) for key in block.bus_keys])
-    loaded = np.flatnonzero(load > 0)
-    return loaded, load[loaded]
-
-
-def build_dam(
-    instance: Instance, bids, da_slack: bool = False
-) -> tuple[LpModel, DamStructure]:
+def build_dam(instance: Instance, bids, da_slack: bool = False) -> tuple[LpModel, DamStructure]:
     """Instantiate the day-ahead LP for a concrete set of bid curves.
 
-    `da_slack` adds a VoLL-priced shedding variable per loaded bus/hour, in
-    its balance row, for exploratory runs; the market formulation itself has
-    none.
+    `da_slack` clears it on a block, built for the call, with a VoLL-priced
+    shedding column per loaded bus/hour, for exploratory runs; the market
+    formulation itself has none.
     """
     block, prices, qtys = _check_bids(instance, bids)
+    if da_slack:  # the same bid layout, with the shedding columns
+        block = _build_block(instance, block.seg_count, shed=True)
     model = LpModel(name="dam")
     block.append_to(model, qtys, cost=block.priced(prices))
-    if da_slack:
-        loaded, load = _loaded(instance, block)
-        shed = [f"lshDA[{n},{t}]" for n, t in (block.bus_keys[i] for i in loaded)]
-        cols = model.add_vars(shed, np.full(len(shed), instance.system.voll), 0.0, load)
-        model.add_coeffs(sparse.coo_matrix(
-            (np.ones(len(shed)), (block.bal_rows[loaded], np.arange(len(shed)))),
-            shape=(model.n_cons, len(shed)),
-        ), cols)
     return model, block
 
 
-def clear_dam(
-    instance: Instance,
-    bids,
-    da_slack: bool = False,
-) -> tuple[DaSchedule, dict[tuple[str, int], float]]:
+def clear_dam(instance: Instance, bids,
+              da_slack: bool = False) -> tuple[DaSchedule, dict[tuple[str, int], float]]:
     """Solve the day-ahead market and return the schedule and the LMP of
     each (bus, hour)."""
     model, block = build_dam(instance, bids, da_slack=da_slack)
@@ -389,13 +383,6 @@ def clear_dam(
         )
     if sol.status is not LpStatus.OPTIMAL:
         raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
-    x, n = sol.primal, len(block.cols)
-    f_true = block.true_cost(x)
-    shed = {}
-    if da_slack:  # the shedding columns follow the block's
-        shed = dict(zip([block.bus_keys[i] for i in _loaded(instance, block)[0]],
-                        unsigned(x[n:]).tolist()))
-        for val in shed.values():
-            f_true += instance.system.voll * val
-    schedule = DaSchedule(**block.read(x), f_da_bid=sol.objective, f_da_true=f_true, shed=shed)
+    schedule = DaSchedule(**block.read(sol.primal), f_da_bid=sol.objective,
+                          f_da_true=block.true_cost(sol.primal))
     return schedule, block.balance_duals(sol.duals)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -91,7 +92,7 @@ BID_COLUMNS = (("vre_id", str), ("hour", int), ("segment", int),
 # (by `type`, not `isinstance`, so that true and false are not numbers)
 _KINDS = {
     str: ("str", lambda v: isinstance(v, str)),
-    float: ("number", lambda v: type(v) in (int, float)),
+    float: ("finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
     int: ("whole number", lambda v: type(v) is int or type(v) is float and v.is_integer()),
     dict: ("dict", lambda v: isinstance(v, dict)),
     list: ("list", lambda v: isinstance(v, list)),
@@ -132,8 +133,9 @@ def _read(cls: type, entry: dict, where: str):
 
 
 def _records(mapping: dict, key: str, where: str, cls: type) -> tuple:
-    """The `cls` records in section `key` of `mapping`."""
-    return tuple(_read(cls, entry, where) for entry in _section(mapping, key, where))
+    """The `cls` records in section `key` of `mapping`, each `key[i]` in messages."""
+    return tuple(_read(cls, entry, f"{where}: {key}[{i}]")
+                 for i, entry in enumerate(_section(mapping, key, where)))
 
 
 def _written(record) -> dict:
@@ -173,6 +175,9 @@ def _parse_scenarios_csv(path: str | Path, vre_ids: set[str], buses: set[str]):
     realized: dict[str, tuple[dict, dict]] = {}  # scenario: (VRE output, load)
     hours: set[int] = set()
     for lineno, (sid, prob, hour, ent, value) in _csv_rows(path, SCENARIO_COLUMNS):
+        for name, number in (("probability", prob), ("value_mw", value)):
+            if not math.isfinite(number):
+                raise ParseError(f"{path}:{lineno}: {name} {number} is not finite")
         if abs(probs.setdefault(sid, prob) - prob) > 1e-12:
             raise ParseError(f"{path}:{lineno}: scenario {sid!r} probability changed")
         if ent not in vre_ids and ent not in buses:
@@ -188,7 +193,8 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
     """Parse and validate an instance; fails fast on any violation.
 
     `network_path` holds network, units, system parameters, and day-ahead
-    load in one JSON document.
+    load in one JSON document. A non-finite number fails where it is read, by
+    its JSON key or CSV line; `validated`'s other violations name both files.
     """
     where = str(network_path)
     try:
@@ -204,7 +210,7 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
                       _field(net_doc, "slack_bus", where, str))
     units = _records(doc, "conventional_units", where, ConventionalUnit)
     vre_units = _records(doc, "vre_units", where, VreUnit)
-    system = _read(SystemParams, _field(doc, "system", where, dict), where)
+    system = _read(SystemParams, _field(doc, "system", where, dict), f"{where}: system")
     da_load = {(d.bus, d.hour): d.load for d in _records(doc, "da_load", where, DaLoad)}
     scenarios, csv_hours = _parse_scenarios_csv(
         scenarios_path, {v.id for v in vre_units}, set(network.buses)
@@ -215,7 +221,7 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
     try:
         return validated(instance)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(f"{network_path} and {scenarios_path}: {exc}") from None
 
 
 def save_instance(instance: Instance, json_path: str | Path, csv_path: str | Path) -> None:

@@ -1,12 +1,13 @@
 """LP layer over HiGHS with mandatory dual extraction.
 
 A model is built in blocks, each column addressed by its index:
-`LpModel.add_vars` appends columns and returns their indices, `add_rows` a
-sparse block of rows and `add_coeffs` terms to rows already there; names are
-labels, for diagnosis. `solve` returns the primal in column order and the
-duals in row order, as arrays. A market's LP is a `Block`, built once from
-index arrays (`Block.of`) and appended to models (`Block.append_to`), coupled
-to another block's columns by their indices.
+`LpModel.add_vars` appends columns and returns their indices, and `add_rows`
+a sparse block of rows, which never changes after; names are labels, for
+diagnosis. `solve` returns the primal in column order and the duals in row
+order, as arrays. A market's LP is a `Block`, built once from index arrays
+(`Block.of`) and appended to models (`Block.append_to`), coupled to another
+block's columns by their indices. Each market declares all of its column
+kinds in its block, VoLL shedding included.
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
@@ -169,30 +170,16 @@ class LpModel:
             raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
         if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(matrix.data))):
             raise ValueError("non-finite rhs or coefficient in row block")
-        self._append(matrix, columns, self.n_cons)
-        self._con_labels.append((names, suffix))
-        self.con_sense.extend(sense)
-        self.con_rhs.extend(rhs.tolist())
-
-    def add_coeffs(self, matrix: sparse.coo_matrix, columns) -> None:
-        """Add the sparse COO `matrix`, one row per existing constraint, to the
-        coefficients of the variables at the indices `columns`; explicit
-        zeros are dropped."""
-        if matrix.shape != (self.n_cons, len(columns)):
-            raise ValueError(f"block of shape {matrix.shape} for {self.n_cons} rows "
-                             f"and {len(columns)} columns")
-        if not np.all(np.isfinite(matrix.data)):
-            raise ValueError("non-finite coefficient in block")
-        self._append(matrix, columns, 0)
-
-    def _append(self, matrix: sparse.coo_matrix, columns, first_row: int) -> None:
         columns = np.asarray(columns, dtype=np.int64)
         if columns.size and not (0 <= columns.min() and columns.max() < self.n_vars):
             raise ValueError(f"column index outside the model's {self.n_vars} columns")
         keep = matrix.data != 0.0
-        self._row.frombytes((matrix.row[keep].astype(np.int64) + first_row).tobytes())
+        self._row.frombytes((matrix.row[keep].astype(np.int64) + self.n_cons).tobytes())
         self._col.frombytes(columns[matrix.col[keep]].tobytes())
         self._val.frombytes(matrix.data[keep].astype(float).tobytes())
+        self._con_labels.append((names, suffix))
+        self.con_sense.extend(sense)
+        self.con_rhs.extend(rhs.tolist())
 
     def _matrix(self) -> sparse.csr_matrix:
         """All constraint coefficients, one row per constraint."""
@@ -234,7 +221,6 @@ class Block:
     d_cols: list[str]
     d_cost: np.ndarray  # objective coefficient of each coupled column
     D: sparse.coo_matrix  # rows x d_cols, each row's terms in the row's order
-    coupled: sparse.coo_matrix  # [A | D]
     bus_keys: list[tuple[str, int]]
     bal_rows: np.ndarray  # balance row of each bus_keys entry
     outputs: dict[str, tuple[list, np.ndarray]]  # result field -> (keys, column of each)
@@ -270,23 +256,17 @@ class Block:
         row, col, val = (np.concatenate(a) for a in zip(*entries))
         keep = val != 0.0
         row, col, val = row[keep], col[keep], val[keep]
-        n, n_d = len(cols), len(d_cols)
+        n = len(cols)
 
         def matrix(at, first: int, width: int) -> sparse.coo_matrix:
             return sparse.coo_matrix((val[at], (row[at], col[at] - first)),
                                      shape=(len(rows), width))
 
         own = col < n
-        return cls(
-            cols=cols, cost=cost, lb=lb, ub=ub,
-            rows=rows, sense=sense, rhs=np.concatenate(rhs),
-            A=matrix(own, 0, n),
-            d_cols=d_cols, d_cost=np.asarray(d_cost, dtype=float),
-            D=matrix(~own, n, n_d),
-            coupled=matrix(slice(None), 0, n + n_d),
-            bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs,
-            **extra,
-        )
+        return cls(cols=cols, cost=cost, lb=lb, ub=ub, rows=rows, sense=sense,
+                   rhs=np.concatenate(rhs), A=matrix(own, 0, n), d_cols=d_cols,
+                   d_cost=np.asarray(d_cost, dtype=float), D=matrix(~own, n, len(d_cols)),
+                   bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs, **extra)
 
     def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,
                   suffix: str = "", weight: float = 1.0, coupled=None) -> np.ndarray:
@@ -306,7 +286,8 @@ class Block:
         if fixed is None:
             for j, c in zip(coupled.tolist(), (weight * self.d_cost).tolist()):
                 model.obj[j] += c
-            matrix, columns = self.coupled, np.concatenate([cols, coupled])
+            # A and D share no column, so each column's terms keep their order
+            matrix, columns = sparse.hstack([self.A, self.D]), np.concatenate([cols, coupled])
         else:
             # rhs - D @ fixed, subtracted term by term in row order, as
             # substituting the values into each row in turn does

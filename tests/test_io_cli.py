@@ -84,6 +84,12 @@ def test_cli_compare_t1(tmp_path):
     assert costs["BiD"] == pytest.approx(1100.0, rel=1e-6)
     assert costs["StD"] == pytest.approx(1100.0)
     assert (tmp_path / "comparison.csv").exists()
+    # without --json: the table as CSV, then the chain's verdict
+    plain = run_cli("-i", "t1", "-o", str(tmp_path), "compare")
+    assert plain.exit_code == 0, plain.output
+    lines = plain.output.splitlines()
+    assert lines[:-1] == (tmp_path / "comparison.csv").read_text().splitlines()
+    assert lines[-1] == "chain S_MyD >= S_BiD >= S_StD: holds"
 
 
 def test_cli_clear_da_writes_outputs(tmp_path):
@@ -316,8 +322,11 @@ def t1_without_vre_output(tmp_path) -> Path:
 
 def test_scenario_without_vre_output_fails_validation(tmp_path):
     path = t1_without_vre_output(tmp_path)
-    with pytest.raises(mio.ParseError, match=r"scenario s1: no output for VRE \(unit, hour\) \[\('w1', 0\)\]"):
+    with pytest.raises(mio.ParseError, match=r"scenario s1: no output for VRE \(unit, hour\) \[\('w1', 0\)\]") as err:
         mio.load_instance(path, tmp_path / "bad_scenarios.csv")
+    # a violation `validated` finds is prefixed with both files
+    assert str(err.value).startswith(
+        f"{path} and {tmp_path / 'bad_scenarios.csv'}: instance validation failed: ")
 
 
 @pytest.mark.parametrize("command", [["myd"], ["compare"], ["clear-da"], ["clear-rt"],
@@ -390,15 +399,16 @@ def test_instance_with_every_optional_field_set_round_trips(tmp_path, sys5):
 
 
 NONFINITE = [
-    (lambda doc: doc["system"].update(voll_usd_per_mwh=math.nan), "voll nan is not finite"),
+    (lambda doc: doc["system"].update(voll_usd_per_mwh=math.nan),
+     "system: field 'voll_usd_per_mwh' is not a finite number: nan"),
     (lambda doc: doc["conventional_units"][0].update(variable_cost_usd_per_mwh=math.nan),
-     "unit g1: variable_cost nan is not finite"),
+     "conventional_units[0]: field 'variable_cost_usd_per_mwh' is not a finite number: nan"),
     (lambda doc: doc["conventional_units"][0].update(ramp_up_mw_per_h=math.nan),
-     "unit g1: ramp_up nan is not finite"),
+     "conventional_units[0]: field 'ramp_up_mw_per_h' is not a finite number: nan"),
     (lambda doc: doc["da_load"][0].update(load_mw=math.nan),
-     "day-ahead load at (b1,0) is not finite"),
+     "da_load[0]: field 'load_mw' is not a finite number: nan"),
     (lambda doc: doc["vre_units"][0].update(capacity_mw=math.inf),
-     "VRE w1: capacity inf is not finite"),
+     "vre_units[0]: field 'capacity_mw' is not a finite number: inf"),
 ]
 
 
@@ -411,21 +421,36 @@ def test_cli_nonfinite_instance_number_is_bad_input(tmp_path, edit, message):
     shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
     result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "compare")
     assert result.exit_code == 4, result.output
-    assert "bad input:" in result.output and message in result.output
+    assert f"bad input: {tmp_path / 'bad.json'}: {message}" in result.output
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("s1,nan,0,w1,50.0\ns1,nan,0,b1,80.0\n", "scenario s1: probability nan is not finite"),
-    ("s1,1.0,0,w1,50.0\ns1,1.0,0,b1,nan\n", "scenario s1: load at (b1,0) is not finite"),
-], ids=["probability", "rt-load"])
-def test_cli_nonfinite_scenario_value_is_bad_input(tmp_path, rows, message):
+SCENARIO_HEADER = "scenario_id,probability,hour,entity_id,value_mw\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("bad_scenarios.csv", SCENARIO_HEADER + "s1,nan,0,w1,50.0\ns1,nan,0,b1,80.0\n",
+     ":2: probability nan is not finite"),
+    ("bad_scenarios.csv", SCENARIO_HEADER + "s1,1.0,0,w1,50.0\ns1,1.0,0,b1,nan\n",
+     ":3: value_mw nan is not finite"),
+    ("bad_scenarios.csv", "scenario_id,probability,hour,entity_id\ns1,1.0,0,w1\n",
+     ": expected columns ['entity_id', 'hour', 'probability', 'scenario_id', 'value_mw']"),
+    ("bad_scenarios.csv", SCENARIO_HEADER + "s1,1.0,0,w1,50.0\ns1,1.0,0,b1\n",
+     ":3: row has 4 of 5 columns"),
+    ("bad_scenarios.csv", SCENARIO_HEADER + "s1,1.0,zero,w1,50.0\n",
+     ":2: invalid literal for int() with base 10: 'zero'"),
+    ("bad_scenarios.csv", SCENARIO_HEADER + "s1,0.5,0,w1,50.0\ns1,1.0,0,b1,80.0\n",
+     ":3: scenario 's1' probability changed"),
+    ("bad.json", '{"network": {"buses": ["b1"],}', ": invalid JSON at line 1: "),
+], ids=["probability", "rt-load", "missing-column", "short-row", "unparsable-value",
+        "probability-changed", "invalid-json"])
+def test_cli_bad_instance_file_is_bad_input(tmp_path, name, text, message):
     shutil.copy(DATA / "t1.json", tmp_path / "bad.json")
-    (tmp_path / "bad_scenarios.csv").write_text(
-        "scenario_id,probability,hour,entity_id,value_mw\n" + rows)
+    shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
+    (tmp_path / name).write_text(text)
     result = run_cli("-i", str(tmp_path / "bad.json"), "-o", str(tmp_path), "compare")
     assert result.exit_code == 4, result.output
-    assert "bad input:" in result.output and message in result.output
+    assert f"bad input: {tmp_path / name}{message}" in result.output
     assert "Traceback" not in result.output
 
 

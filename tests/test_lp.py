@@ -348,11 +348,13 @@ def scipy_reference(model):
 
 
 def three_terms_at_one_coordinate():
-    # 0.1, 0.2 and 0.3 at (r0, x): (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
-    model = model_of({"x": 1.0, "y": 1.0}, [[0.1, 1.0], [1.0, 1.0]], [GE, EQ], [1.0, 2.0],
-                     lb=0.0)
-    for extra in (0.2, 0.3):
-        model.add_coeffs(sparse.coo_matrix(([extra], ([0], [0])), shape=(2, 1)), [0])
+    # 0.1, 0.2 and 0.3 at (r0, x), repeated entries of one block:
+    # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    model = LpModel()
+    at = model.add_vars(["x", "y"], [1.0, 1.0], 0.0)
+    model.add_rows(["r0", "r1"], sparse.coo_matrix(
+        ([0.1, 1.0, 1.0, 1.0, 0.2, 0.3], ([0, 0, 1, 1, 0, 0], [0, 1, 0, 1, 0, 0])),
+        shape=(2, 2)), [GE, EQ], [1.0, 2.0], at)
     return model
 
 

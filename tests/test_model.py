@@ -8,6 +8,7 @@ import pytest
 from market_coord.dam import BidSetError, check_prices
 from market_coord.model import (
     BidCurve,
+    Line,
     Scenario,
     ScenarioSet,
     SystemParams,
@@ -89,6 +90,68 @@ def test_nonfinite_number_fails_validation_before_any_lp(t1, change, message):
     for call in (validated, myopic, stochastic):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(bad)
+
+
+def _with(instance, record: str, **changes):
+    """`instance` with `changes` made to its `record`: "network", "system",
+    "scenario_set", or "units"/"vre_units" (their only member)."""
+    value = getattr(instance, record)
+    if isinstance(value, tuple):
+        (value,) = value
+        return dataclasses.replace(instance, **{record: (dataclasses.replace(value, **changes),)})
+    return dataclasses.replace(instance, **{record: dataclasses.replace(value, **changes)})
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda i: _with(i, "network", buses=("b1", "b1")), "duplicate bus ids"),
+    (lambda i: _with(i, "network", slack_bus="b9"), "slack bus 'b9' is not a declared bus"),
+    (lambda i: _with(i, "network", lines=(Line("b1", "b9", 0.1, 10.0),)),
+     "line (b1,b9) references an undeclared bus"),
+    (lambda i: _with(i, "network", lines=(Line("b1", "b1", 0.1, 10.0),)),
+     "self-loop line at bus 'b1'"),
+    (lambda i: _with(i, "network", lines=(Line("b1", "b1", 0.0, 10.0),)),
+     "line (b1,b1) reactance must be > 0"),
+    (lambda i: _with(i, "network", lines=(Line("b1", "b1", 0.1, -1.0),)),
+     "line (b1,b1) capacity must be >= 0"),
+    (lambda i: _with(i, "network", lines=(Line("b1", "b1", math.nan, 10.0),)),
+     "line (b1,b1): reactance nan is not finite"),
+    (lambda i: _with(i, "network", buses=("b1", "b2")), "network graph is not connected"),
+    (lambda i: dataclasses.replace(i, units=i.units * 2), "duplicate conventional unit ids"),
+    (lambda i: _with(i, "units", bus="b9"), "unit g1: bus 'b9' not declared"),
+    (lambda i: _with(i, "units", p_min=90.0), "unit g1: requires 0 <= p_min <= p_max"),
+    (lambda i: _with(i, "units", ramp_down=-1.0), "unit g1: ramp rates must be >= 0"),
+    (lambda i: _with(i, "units", start_class="warm"), "unit g1: unknown start class 'warm'"),
+    (lambda i: _with(i, "units", u_init=2.0), "unit g1: u_init must lie in [0, 1]"),
+    (lambda i: _with(i, "units", p_init=10.0), "unit g1: p_init 10.0 outside [0.0, 0.0]"),
+    (lambda i: dataclasses.replace(i, vre_units=i.vre_units * 2), "duplicate VRE unit ids"),
+    (lambda i: _with(i, "vre_units", bus="b9"), "VRE w1: bus 'b9' not declared"),
+    (lambda i: _with(i, "vre_units", capacity=0.0), "VRE w1: capacity must be > 0"),
+    (lambda i: _with(i, "scenario_set", hours=(0, 0)), "duplicate hours in horizon"),
+    (lambda i: _with(i, "scenario_set", da_load={("b9", 0): 1.0}),
+     "day-ahead load references unknown bus 'b9'"),
+    (lambda i: _with(i, "scenario_set", da_load={("b1", 5): 1.0}),
+     "day-ahead load references unknown hour 5"),
+    (lambda i: _with(i, "scenario_set", da_load={("b1", 0): -1.0}),
+     "day-ahead load at (b1,0) is negative"),
+    (lambda i: _with_scenario(i, probability=0.0), "scenario s1: probability must be > 0"),
+    (lambda i: _with_scenario(i, vre_real={("w1", 0): 5.0, ("w9", 0): 5.0}),
+     "scenario s1: unknown VRE id 'w9'"),
+    (lambda i: _with_scenario(i, vre_real={("w1", 0): 5.0, ("w1", 5): 5.0}),
+     "scenario s1: unknown hour 5"),
+    (lambda i: _with_scenario(i, rt_load={("b9", 0): 1.0}), "scenario s1: unknown bus 'b9'"),
+    (lambda i: _with_scenario(i, rt_load={("b1", 5): 1.0}), "scenario s1: unknown hour 5"),
+    (lambda i: _with_scenario(i, rt_load={("b1", 0): -1.0}),
+     "scenario s1: load at (b1,0) negative"),
+    (lambda i: _with(i, "system", voll=0.0), "VoLL must be > 0"),
+], ids=["duplicate-bus", "unknown-slack", "line-to-unknown-bus", "self-loop", "reactance",
+        "line-capacity", "nonfinite-reactance", "disconnected", "duplicate-unit",
+        "unit-bus", "p-min-above-p-max", "ramp", "start-class", "u-init", "p-init",
+        "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour", "da-load-bus",
+        "da-load-hour", "da-load-negative", "probability-zero", "scenario-vre",
+        "scenario-vre-hour", "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll"])
+def test_each_rule_reports_its_violation(t1, change, message):
+    assert validate(t1).ok
+    assert message in validate(change(t1)).violations
 
 
 def test_validate_is_pure_and_idempotent(t1):
