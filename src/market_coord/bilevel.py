@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .dam import DamStructure, DaSchedule, check_prices, dam_structure
 from .lp import GE, LE, EQ, LpModel, LpStatus, solve
@@ -49,10 +48,6 @@ __all__ = [
 
 THEOREM_TOL = 0.005  # relative; mirrors the reported multi- vs single-segment gap
 ORACLE_MAX_DIMS = 4  # (unit, hour, segment) dimensions the grid oracle enumerates at most
-# The terms of one key's McCormick rows mc1..mc4 (see build_relaxed_bid) in
-# row order: the row of each term and its factor, 0 for v, 1 for w, 2 for y
-_MC_ROW = np.array([0, 0, 1, 1, 2, 2, 2, 3])
-_MC_FACTOR = np.array([0, 1, 0, 2, 0, 1, 2, 0])
 
 
 def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedContext"]:
@@ -72,12 +67,8 @@ def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedCont
 
     # upper level: bid quantities, per segment and per curve within capacity
     w = model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
-    model.add_rows(
-        [f"w_total[{k},{t}]" for k, t in curves],
-        sparse.coo_matrix((np.ones(n_keys), (block.curve_of, np.arange(n_keys))),
-                          shape=(len(curves), n_keys)),
-        [LE] * len(curves), block.curve_capacity, w,
-    )
+    model.add_rows([f"w_total[{k},{t}]" for k, t in curves], [LE] * len(curves),
+                   block.curve_capacity, [(block.curve_of, w, 1.0)])
 
     # lower-level primal (objective carries the true, zero-VRE-cost measure)
     primal = block.append_to(model, coupled=w)
@@ -96,37 +87,27 @@ def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedCont
     duals = model.add_vars(names, np.zeros(len(names)), lb, np.where(sense == LE, 0.0, math.inf))
 
     # dual feasibility: A^T y + z = c, one row per lower-level primal variable
-    A, z_at = block.A, len(block.rows) + np.arange(bounded.size)
-    transposed = sparse.coo_matrix(
-        (np.concatenate([A.data, np.ones(bounded.size)]),
-         (np.concatenate([A.col, bounded]), np.concatenate([A.row, z_at]))),
-        shape=(len(block.cols), len(duals)))
-    model.add_rows([f"dual[{v}]" for v in block.cols], transposed, [EQ] * len(block.cols),
-                   bid_cost, duals)
+    row, col, a = block.terms
+    model.add_rows([f"dual[{v}]" for v in block.cols], [EQ] * len(block.cols), bid_cost,
+                   [(col, duals[row], a), (bounded, duals[len(block.rows):], 1.0)])
 
     # auxiliaries v for the dual-objective products y * w, with their
     # envelopes v + lam_bar w >= 0, v - w_bar y >= 0,
     # v + lam_bar w - w_bar y <= lam_bar w_bar and v <= 0, key by key
     tags = [f"{k},{t},{s}" for k, t, s in block.keys]
     aux = model.add_vars([f"v[{tag}]" for tag in tags], np.zeros(n_keys))
-    key = np.arange(n_keys)[:, None]
-    coeff = np.stack([np.ones(n_keys), np.full(n_keys, lam_bar), -w_bar])
-    rhs = np.zeros((n_keys, 4))
-    rhs[:, 2] = lam_bar * w_bar
-    model.add_rows(
-        [f"mc{i}[{tag}]" for tag in tags for i in range(1, 5)],
-        sparse.coo_matrix((coeff[_MC_FACTOR, key].ravel(),
-                           ((4 * key + _MC_ROW).ravel(), (_MC_FACTOR * n_keys + key).ravel())),
-                          shape=(4 * n_keys, 3 * n_keys)),
-        [GE, GE, LE, LE] * n_keys, rhs.ravel(),
-        np.concatenate([aux, w, duals[block.cap_rows]]),
-    )
+    y, mc = duals[block.cap_rows], 4 * np.arange(n_keys)
+    model.add_rows([f"mc{i}[{tag}]" for tag in tags for i in range(1, 5)],
+                   [GE, GE, LE, LE] * n_keys, np.outer(w_bar, [0.0, 0.0, lam_bar, 0.0]).ravel(),
+                   [(mc, aux, 1.0), (mc, w, lam_bar),
+                    (mc + 1, aux, 1.0), (mc + 1, y, -w_bar),
+                    (mc + 2, aux, 1.0), (mc + 2, w, lam_bar), (mc + 2, y, -w_bar),
+                    (mc + 3, aux, 1.0)])
 
     # strong duality: lower primal objective equals the dual objective,
     # with each product replaced by its auxiliary
-    sd = np.concatenate([bid_cost, -dual_rhs, -np.ones(n_keys)])
-    model.add_rows(["strong_duality"], sparse.coo_matrix(sd[None, :]), [EQ], [0.0],
-                   np.concatenate([primal, duals, aux]))
+    model.add_rows(["strong_duality"], [EQ], [0.0],
+                   [(0, primal, bid_cost), (0, duals, -dual_rhs), (0, aux, -1.0)])
 
     # re-dispatch blocks, coupled to the shared day-ahead schedule
     append_scenarios(instance, model, primal[0])

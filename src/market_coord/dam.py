@@ -4,9 +4,9 @@ The DAM is a single LP over conventional dispatch, relaxed unit commitment,
 VRE bid-segment dispatch, and DC power flow. Bid quantities enter it only
 through the rhs of the segment cap rows, and bid prices only through the
 cost of the segment dispatch variables. Each instance therefore carries one
-`lp.Block` per segment count, built on first use: the matrix over the
-market's own variables, the coupling `D` to the quantities `W[k,t,s]`, the
-true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
+`lp.Block` per segment count, built on first use: the terms over the
+market's own variables, the coupling terms `D` to the quantities
+`W[k,t,s]`, the true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
 it with the quantities fixed (`rhs - D @ q`) and the prices written into a
 copy of the costs; the bilevel module appends it with the quantities kept as
 decision variables. Each column carries its bounds, declared with its cost,

@@ -145,7 +145,7 @@ def _written(record) -> dict:
 
 def _csv_rows(path: str | Path, columns: tuple):
     """Each nonblank data row of the CSV file at `path`: its line number and
-    the values of `columns`, each read as its kind."""
+    the values of `columns`, each read as its kind, every float finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -158,9 +158,13 @@ def _csv_rows(path: str | Path, columns: tuple):
                 raise ParseError(f"{path}:{reader.line_num}: row has {len(row)} of "
                                  f"{len(header)} columns")
             try:
-                yield reader.line_num, [kind(row[i]) for i, kind in at]
+                values = [kind(row[i]) for i, kind in at]
             except ValueError as exc:
                 raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+            for (name, kind), value in zip(columns, values):
+                if kind is float and not math.isfinite(value):
+                    raise ParseError(f"{path}:{reader.line_num}: {name} {value} is not finite")
+            yield reader.line_num, values
 
 
 def _write_csv(path: str | Path, columns: tuple, rows) -> None:
@@ -175,9 +179,6 @@ def _parse_scenarios_csv(path: str | Path, vre_ids: set[str], buses: set[str]):
     realized: dict[str, tuple[dict, dict]] = {}  # scenario: (VRE output, load)
     hours: set[int] = set()
     for lineno, (sid, prob, hour, ent, value) in _csv_rows(path, SCENARIO_COLUMNS):
-        for name, number in (("probability", prob), ("value_mw", value)):
-            if not math.isfinite(number):
-                raise ParseError(f"{path}:{lineno}: {name} {number} is not finite")
         if abs(probs.setdefault(sid, prob) - prob) > 1e-12:
             raise ParseError(f"{path}:{lineno}: scenario {sid!r} probability changed")
         if ent not in vre_ids and ent not in buses:

@@ -2,12 +2,12 @@
 
 A model is built in blocks, each column addressed by its index:
 `LpModel.add_vars` appends columns and returns their indices, and `add_rows`
-a sparse block of rows, which never changes after; names are labels, for
-diagnosis. `solve` returns the primal in column order and the duals in row
-order, as arrays. A market's LP is a `Block`, built once from index arrays
-(`Block.of`) and appended to models (`Block.append_to`), coupled to another
-block's columns by their indices. Each market declares all of its column
-kinds in its block, VoLL shedding included.
+rows stated as (row, column, value) terms, which never change after; names
+are labels, for diagnosis. `solve` returns the primal in column order and
+the duals in row order, as arrays. A market's LP is a `Block`, built once
+from index arrays (`Block.of`) and appended to models (`Block.append_to`),
+coupled to another block's columns by their indices. Each market declares
+all of its column kinds in its block, VoLL shedding included.
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
@@ -149,34 +149,31 @@ class LpModel:
         self.obj.extend(obj.tolist())
         return np.arange(first, first + len(names))
 
-    def add_rows(self, names: Sequence[str], matrix: sparse.coo_matrix, sense: Sequence[str],
-                 rhs, columns, suffix: str = "") -> None:
-        """Append one constraint per row of the sparse COO `matrix`, named
-        `names`, each ending in `suffix`.
+    def add_rows(self, names: Sequence[str], sense: Sequence[str], rhs, terms,
+                 suffix: str = "") -> None:
+        """Append one constraint per name in `names`, each ending in `suffix`.
 
-        Row i reads `sum_j matrix[i, j] * x[columns[j]]  sense[i]  rhs[i]`,
-        where `columns` holds the index of an existing variable for each
-        matrix column. Rows keep their order and explicit zeros are dropped.
+        `terms` are arrays (row, column, value) that broadcast together: the
+        row counts within this block and the column is the model's. Row i
+        reads `sum of value * x[column] over its terms  sense[i]  rhs[i]`.
+        Rows keep their order, each its terms in the order given, and
+        explicit zeros are dropped.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if matrix.shape != (len(names), len(columns)):
-            raise ValueError(
-                f"block of shape {matrix.shape} for {len(names)} rows "
-                f"and {len(columns)} columns"
-            )
         if len(sense) != len(names) or rhs.shape != (len(names),):
             raise ValueError("one sense and one rhs per row required")
         if not set(sense) <= set(_SENSES):
             raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
-        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(matrix.data))):
-            raise ValueError("non-finite rhs or coefficient in row block")
-        columns = np.asarray(columns, dtype=np.int64)
-        if columns.size and not (0 <= columns.min() and columns.max() < self.n_vars):
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("non-finite rhs in row block")
+        row, col, value = _entries(terms)
+        if row.size and not (0 <= row.min() and row.max() < len(names)):
+            raise ValueError(f"row index outside the block's {len(names)} rows")
+        if col.size and not (0 <= col.min() and col.max() < self.n_vars):
             raise ValueError(f"column index outside the model's {self.n_vars} columns")
-        keep = matrix.data != 0.0
-        self._row.frombytes((matrix.row[keep].astype(np.int64) + self.n_cons).tobytes())
-        self._col.frombytes(columns[matrix.col[keep]].tobytes())
-        self._val.frombytes(matrix.data[keep].astype(float).tobytes())
+        self._row.frombytes((row + self.n_cons).tobytes())
+        self._col.frombytes(col.tobytes())
+        self._val.frombytes(value.tobytes())
         self._con_labels.append((names, suffix))
         self.con_sense.extend(sense)
         self.con_rhs.extend(rhs.tolist())
@@ -199,15 +196,31 @@ def _bounds(bound, n: int) -> list[float]:
     return bound.tolist()
 
 
+def _entries(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, the columns and the values of `terms`, each term arrays
+    (row, column, value) that broadcast together, term after term, with
+    explicit zeros dropped; ValueError if a value is not finite."""
+    parts = [np.broadcast_arrays(*term) for term in terms]
+    row, col, value = (np.concatenate([np.zeros(0, dtype)] + [np.ravel(p[i]) for p in parts])
+                       .astype(dtype, copy=False)
+                       for i, dtype in enumerate((np.int64, np.int64, float)))
+    if not np.all(np.isfinite(value)):
+        raise ValueError("non-finite coefficient in row block")
+    keep = value != 0.0
+    return row[keep], col[keep], value[keep]
+
+
 @dataclass(frozen=True)
 class Block:
     """One market's LP in sparse form, built once and appended to models.
 
     Row i reads `A[i] x + D[i] z  sense[i]  rhs[i]`, where `x` are the
     block's own columns `cols`, each within `[lb, ub]`, and `z` the columns
-    `d_cols` it is coupled to, which belong to another block. `append_to`
-    either fixes `z` at given values or joins it to the model's columns at
-    given indices. `cols`, `rows` and `d_cols` are names, labels only.
+    `d_cols` it is coupled to, which belong to another block: `terms` hold
+    A's entries and `d_terms` D's, each as (row, column, value) arrays in
+    `Block.of`'s order. `append_to` either fixes `z` at given values or joins
+    it to the model's columns at given indices. `cols`, `rows` and `d_cols`
+    are names, labels only.
     """
 
     cols: list[str]
@@ -217,10 +230,10 @@ class Block:
     rows: list[str]
     sense: list[str]
     rhs: np.ndarray  # with every coupled column at zero
-    A: sparse.coo_matrix  # rows x cols
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, own column, value)
     d_cols: list[str]
     d_cost: np.ndarray  # objective coefficient of each coupled column
-    D: sparse.coo_matrix  # rows x d_cols, each row's terms in the row's order
+    d_terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # (row, coupled column, value)
     bus_keys: list[tuple[str, int]]
     bal_rows: np.ndarray  # balance row of each bus_keys entry
     outputs: dict[str, tuple[list, np.ndarray]]  # result field -> (keys, column of each)
@@ -233,10 +246,10 @@ class Block:
         `columns` are the own columns kind by kind, each `(names, cost, lb,
         ub)` with one value for all or one each; `d_cols` and `d_cost` are
         the coupled columns. `sections` are the rows kind by kind, each
-        `(names, senses, rhs, terms)`, a term being arrays (row, column,
-        value) that broadcast together: the row counts within the section,
-        the column among the own columns and then the coupled ones. Explicit
-        zeros are dropped, and each row keeps its terms in the order given.
+        `(names, senses, rhs, terms)` as `LpModel.add_rows` takes them, but
+        the row counts within the section and the column among the own
+        columns and then the coupled ones. Explicit zeros are dropped, and
+        each row keeps its terms in the order given.
         `bal_rows` are the balance rows of `bus_keys`, and `outputs` map each
         result field to its keys and their columns.
         """
@@ -248,24 +261,16 @@ class Block:
         sense: list[str] = []
         rhs, entries = [], []
         for names, senses, values, terms in sections:
-            entries += [[a.ravel() for a in np.broadcast_arrays(row + len(rows), col, val)]
-                        for row, col, val in terms]
+            entries += [(row + len(rows), col, val) for row, col, val in terms]
             rows += names
             sense += senses
             rhs.append(np.broadcast_to(np.asarray(values, dtype=float), len(names)))
-        row, col, val = (np.concatenate(a) for a in zip(*entries))
-        keep = val != 0.0
-        row, col, val = row[keep], col[keep], val[keep]
-        n = len(cols)
-
-        def matrix(at, first: int, width: int) -> sparse.coo_matrix:
-            return sparse.coo_matrix((val[at], (row[at], col[at] - first)),
-                                     shape=(len(rows), width))
-
-        own = col < n
+        row, col, val = _entries(entries)
+        own = col < len(cols)
         return cls(cols=cols, cost=cost, lb=lb, ub=ub, rows=rows, sense=sense,
-                   rhs=np.concatenate(rhs), A=matrix(own, 0, n), d_cols=d_cols,
-                   d_cost=np.asarray(d_cost, dtype=float), D=matrix(~own, n, len(d_cols)),
+                   rhs=np.concatenate(rhs), terms=(row[own], col[own], val[own]),
+                   d_cols=d_cols, d_cost=np.asarray(d_cost, dtype=float),
+                   d_terms=(row[~own], col[~own] - len(cols), val[~own]),
                    bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs, **extra)
 
     def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,
@@ -283,18 +288,20 @@ class Block:
         cost = self.cost if cost is None else cost
         cols = model.add_vars(self.cols, weight * cost, self.lb, self.ub if ub is None else ub,
                               suffix)
+        (row, col, value), (d_row, d_col, d_value) = self.terms, self.d_terms
+        terms = [(row, cols[col], value)]
         if fixed is None:
             for j, c in zip(coupled.tolist(), (weight * self.d_cost).tolist()):
                 model.obj[j] += c
-            # A and D share no column, so each column's terms keep their order
-            matrix, columns = sparse.hstack([self.A, self.D]), np.concatenate([cols, coupled])
+            # the own terms, then the coupled ones: no column has both, so
+            # each column's terms keep their order
+            terms.append((d_row, coupled[d_col], d_value))
         else:
             # rhs - D @ fixed, subtracted term by term in row order, as
             # substituting the values into each row in turn does
             rhs = rhs.copy()
-            np.subtract.at(rhs, self.D.row, self.D.data * np.asarray(fixed, float)[self.D.col])
-            matrix, columns = self.A, cols
-        model.add_rows(self.rows, matrix, self.sense, rhs, columns, suffix)
+            np.subtract.at(rhs, d_row, d_value * np.asarray(fixed, float)[d_col])
+        model.add_rows(self.rows, self.sense, rhs, terms, suffix)
         return cols
 
     def read(self, x: np.ndarray) -> dict[str, dict]:

@@ -4,8 +4,8 @@ A scenario enters its real-time LP only through the balance rhs (its
 real-time load less its realized VRE output) and the upper bounds of its
 shedding and curtailment columns (that load and that output), and the
 day-ahead schedule only through the rhs. Each instance therefore carries one
-`lp.Block`, its template, built on first use: the matrix over the real-time
-variables, the coupling `D` to the day-ahead `pC`/`uDA`/`cDA` variables,
+`lp.Block`, its template, built on first use: the terms over the real-time
+variables, the coupling terms `D` to the day-ahead `pC`/`uDA`/`cDA` variables,
 the costs, the column bounds and the row senses. It is built from index
 arrays, as the day-ahead block is, and its network and unit rows come from
 the same builders (`dam.network_rows`, `dam.unit_rows`). It couples to the

@@ -233,9 +233,14 @@ def test_collapse_preserves_t1_cost(t1):
 
 
 def test_oracle_t1_finds_1100(t1):
-    bids, best = oracle_grid_search(t1, (0.0,), 1.0)
-    assert best == pytest.approx(1100.0)
-    assert evaluate_bids(t1, bids).s_total == pytest.approx(best)
+    # with two segments of up to 50 MW each, the points whose sum passes
+    # w1's 50 MW are skipped, not scored
+    cap = t1.vre_units[0].capacity
+    for prices, step in (((0.0,), 1.0), ((0.0, 10.0), 5.0)):
+        bids, best = oracle_grid_search(t1, prices, step)
+        assert best == pytest.approx(1100.0)
+        assert evaluate_bids(t1, bids).s_total == pytest.approx(best)
+        assert all(b.total_quantity <= cap + 1e-9 for b in bids)
 
 
 def test_oracle_endpoints_only_when_step_exceeds_capacity(t1):

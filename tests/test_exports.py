@@ -48,6 +48,16 @@ def test_only_lp_touches_the_private_highs_binding():
     assert users == ["lp.py"]
 
 
+def test_only_lp_imports_scipy_sparse():
+    # rows are stated as (row, column, value) terms; the one sparse matrix
+    # left is `LpModel._matrix`, the view tests compare blocks with
+    package = Path(lp.__file__).resolve().parent
+    users = sorted(p.name for p in package.glob("*.py")
+                   if re.search(r"\bscipy\.sparse\b|from scipy import .*\bsparse\b",
+                                p.read_text()))
+    assert users == ["lp.py"]
+
+
 def test_only_lp_reads_lp_names():
     # columns and rows are addressed by position; their names are labels
     # that only `lp`'s diagnosis spells out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from market_coord import io as mio, rtm
+from market_coord import bilevel, io as mio, policies, rtm
 from market_coord.cli import main
 from market_coord.model import BidCurve
 
@@ -75,7 +75,7 @@ def run_cli(*args, **kwargs):
     return CliRunner().invoke(main, list(args), **kwargs)
 
 
-def test_cli_compare_t1(tmp_path):
+def test_cli_compare_t1(tmp_path, monkeypatch):
     result = run_cli("-i", "t1", "-o", str(tmp_path), "--json", "compare")
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
@@ -90,6 +90,14 @@ def test_cli_compare_t1(tmp_path):
     lines = plain.output.splitlines()
     assert lines[:-1] == (tmp_path / "comparison.csv").read_text().splitlines()
     assert lines[-1] == "chain S_MyD >= S_BiD >= S_StD: holds"
+    # a violated chain is a failed assertion
+    compare = policies.compare
+    monkeypatch.setattr(policies, "compare", lambda *args: dataclasses.replace(
+        compare(*args), chain_ok=False, chain_violation=0.25))
+    violated = run_cli("-i", "t1", "-o", str(tmp_path), "compare")
+    assert violated.exit_code == 3, violated.output
+    assert violated.output.splitlines()[-1] == (
+        "chain S_MyD >= S_BiD >= S_StD: VIOLATED (relative 2.500e-01)")
 
 
 def test_cli_clear_da_writes_outputs(tmp_path):
@@ -165,7 +173,8 @@ def test_cli_evaluate_nonfinite_bid_exits_4(tmp_path, row):
     bids.write_text(f"vre_id,hour,segment,price_usd_per_mwh,quantity_mw\n{row}\n")
     result = run_cli("-i", "t1", "evaluate", "--bids", str(bids))
     assert result.exit_code == 4, result.output
-    assert "non-finite price or quantity" in result.output
+    column = "quantity_mw" if row.endswith("nan") else "price_usd_per_mwh"
+    assert f"{bids}:2: {column} nan is not finite" in result.output
 
 
 @pytest.mark.parametrize("width", ["-3", "two"])
@@ -229,12 +238,23 @@ def test_cli_optimize_bid_six_segments(tmp_path):
     assert {r["segment"] for r in rows} == {str(s) for s in range(6)}
 
 
-def test_cli_verify_theorem1_default_prices(tmp_path):
+def test_cli_verify_theorem1_default_prices(tmp_path, monkeypatch):
     result = run_cli("-i", "t1", "--json", "verify-theorem1")
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["passed"] is True
     assert doc["relative_gap"] <= 0.005
+    # without a zero-price segment, equality is not asserted
+    result = run_cli("-i", "t1", "verify-theorem1", "--prices", "5,10")
+    assert result.exit_code == 0, result.output
+    assert result.output.rstrip().endswith("informational")
+    # a failed equality is a failed assertion
+    monkeypatch.setattr(bilevel, "verify_theorem1", lambda *args: bilevel.TheoremReport(
+        s_bid=1200.0, s_bid_q=1100.0, relative_gap=100.0 / 1100.0, has_zero_segment=True,
+        passed=False))
+    result = run_cli("-i", "t1", "verify-theorem1")
+    assert result.exit_code == 3, result.output
+    assert result.output.rstrip().endswith("FAIL")
 
 
 def test_cli_oracle(tmp_path):

@@ -23,9 +23,10 @@ def model_of(cols, rows=(), sense=(), rhs=(), lb=-math.inf, ub=math.inf, names=N
     coefficients over the columns per row, named `names` or r0, r1, ..."""
     model = LpModel()
     at = model.add_vars(list(cols), list(cols.values()), lb, ub)
-    model.add_rows(names or [f"r{i}" for i in range(len(rows))],
-                   sparse.coo_matrix(np.array(rows, dtype=float).reshape(len(rows), len(cols))),
-                   list(sense), rhs, at)
+    dense = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    row, col = np.indices(dense.shape)
+    model.add_rows(names or [f"r{i}" for i in range(len(rows))], list(sense), rhs,
+                   [(row, at[col], dense)])
     return model
 
 
@@ -209,16 +210,24 @@ def test_nonfinite_coefficient_rejected():
         LpModel().add_vars(["x"], [float("nan")])
     model = model_of({"x": 0.0})
     with pytest.raises(ValueError, match="non-finite"):
-        model.add_rows(["r"], sparse.coo_matrix([[float("inf")]]), [GE], [0.0], [0])
+        model.add_rows(["r"], [GE], [0.0], [(0, 0, float("inf"))])
     with pytest.raises(ValueError, match="non-finite"):
-        model.add_rows(["r"], sparse.coo_matrix([[1.0]]), [GE], [float("nan")], [0])
+        model.add_rows(["r"], [GE], [float("nan")], [(0, 0, 1.0)])
 
 
 def test_column_index_outside_the_model_rejected():
+    # and every other row block that does not fit: a row index outside the
+    # block, an unknown sense, an rhs of the wrong length
     model = model_of({"x": 0.0})
-    for columns in ([1], [-1]):
-        with pytest.raises(ValueError, match="outside the model's 1 columns"):
-            model.add_rows(["r"], sparse.coo_matrix([[1.0]]), [GE], [0.0], columns)
+    for sense, rhs, term, message in (
+            ([GE], [0.0], (0, 1, 1.0), "outside the model's 1 columns"),
+            ([GE], [0.0], (0, -1, 1.0), "outside the model's 1 columns"),
+            ([GE], [0.0], (1, 0, 1.0), "outside the block's 1 rows"),
+            ([GE], [0.0], (-1, 0, 1.0), "outside the block's 1 rows"),
+            (["=>"], [0.0], (0, 0, 1.0), r"unknown sense in \['=>'\]"),
+            ([GE], [0.0, 1.0], (0, 0, 1.0), "one sense and one rhs per row")):
+        with pytest.raises(ValueError, match=message):
+            model.add_rows(["r"], sense, rhs, [term])
     assert model.n_cons == 0
 
 
@@ -352,9 +361,8 @@ def three_terms_at_one_coordinate():
     # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
     model = LpModel()
     at = model.add_vars(["x", "y"], [1.0, 1.0], 0.0)
-    model.add_rows(["r0", "r1"], sparse.coo_matrix(
-        ([0.1, 1.0, 1.0, 1.0, 0.2, 0.3], ([0, 0, 1, 1, 0, 0], [0, 1, 0, 1, 0, 0])),
-        shape=(2, 2)), [GE, EQ], [1.0, 2.0], at)
+    model.add_rows(["r0", "r1"], [GE, EQ], [1.0, 2.0],
+                   [([0, 0, 1, 1, 0, 0], at[[0, 1, 0, 1, 0, 0]], [0.1, 1.0, 1.0, 1.0, 0.2, 0.3])])
     return model
 
 

@@ -154,6 +154,14 @@ def test_each_rule_reports_its_violation(t1, change, message):
     assert message in validate(change(t1)).violations
 
 
+def test_cost_ordering_is_a_warning_not_a_violation(t1):
+    assert validate(t1).warnings == []
+    cheap_up = _with(t1, "units", up_redispatch_cost=t1.units[0].variable_cost - 1.0)
+    report = validate(cheap_up)
+    assert report.ok
+    assert report.warnings == ["unit g1: cost ordering C_up >= C >= C_down >= 0 does not hold"]
+
+
 def test_validate_is_pure_and_idempotent(t1):
     first = validate(t1)
     second = validate(t1)
