@@ -18,8 +18,6 @@ key-ordered prices and quantities, are the day-ahead block's.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,7 +27,7 @@ import numpy as np
 from .dam import DamStructure, DaSchedule, check_prices, dam_structure
 from .lp import GE, LE, EQ, LpModel, LpStatus, solve
 from .model import BidCurve, Instance
-from .policies import PolicyResult, evaluate_bids, myopic_bids
+from .policies import PolicyResult, csv_text, evaluate_bids, myopic_bids
 from .rtm import append_scenarios
 
 __all__ = [
@@ -318,14 +316,8 @@ class SweepTable:
 
     def to_csv(self) -> str:
         if not self.rows:
-            return ""
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(self.rows[0].keys()))
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
-        return buf.getvalue()
+            return ""  # no rows, no header
+        return csv_text(list(self.rows[0]), [row.values() for row in self.rows])
 
 
 def _load_weighted_lmps(instance: Instance, result: PolicyResult) -> tuple[float, float]:

@@ -37,9 +37,9 @@ otherwise the LP is solved again from scratch.
 An LP with more than one optimal primal can break the tie by a second
 cost: `solve(model, then=costs)` minimizes `costs` over the first solve's
 exact optimal face, fixing each column with a nonzero reduced cost and each
-row with a nonzero dual at its bound, on a fresh HiGHS object. The primal
-comes from that second solve; the duals, the basis and the certificates
-from the first, whose duals are optimal for the whole face.
+row with a nonzero dual at its bound, by a second `linprog` call. The
+primal comes from that second solve; the duals, the basis and the
+certificates from the first, whose duals are optimal for the whole face.
 
 Sign convention (minimization), HiGHS's own: duals of ">="-constraints are
 >= 0, duals of "<="-constraints are <= 0, equality duals are free. Every
@@ -135,7 +135,8 @@ class LpModel:
         coefficients `obj`, and return their column indices.
 
         `lb` and `ub` are one bound for all of them or one bound each; the
-        default is free.
+        default is free. No bound is NaN, no lower one +inf and no upper one
+        -inf; crossed finite bounds are legal: `diagnose_infeasibility` names them.
         """
         obj = np.asarray(obj, dtype=float)
         if obj.shape != (len(names),):
@@ -144,8 +145,8 @@ class LpModel:
             raise ValueError("non-finite objective coefficient")
         first = self.n_vars
         self._var_labels.append((names, suffix))
-        self.lb.extend(_bounds(lb, len(names)))
-        self.ub.extend(_bounds(ub, len(names)))
+        self.lb.extend(_bounds(lb, len(names), math.inf))
+        self.ub.extend(_bounds(ub, len(names), -math.inf))
         self.obj.extend(obj.tolist())
         return np.arange(first, first + len(names))
 
@@ -186,13 +187,14 @@ class LpModel:
         )
 
 
-def _bounds(bound, n: int) -> list[float]:
-    """`n` variable bounds from one bound for all or one bound each."""
-    if np.isscalar(bound):
-        return [float(bound)] * n
-    bound = np.asarray(bound, dtype=float)
+def _bounds(bound, n: int, wrong: float) -> list[float]:
+    """`n` variable bounds from one bound for all or one bound each;
+    ValueError if one is NaN or `wrong` (+inf for lower bounds, -inf for upper)."""
+    bound = np.full(n, bound, float) if np.ndim(bound) == 0 else np.asarray(bound, float)
     if bound.shape != (n,):
         raise ValueError(f"{n} variables but bounds of shape {bound.shape}")
+    if np.any(np.isnan(bound) | (bound == wrong)):
+        raise ValueError(f"{'lower' if wrong > 0 else 'upper'} bound nan or {wrong}")
     return bound.tolist()
 
 
@@ -419,8 +421,9 @@ _OPTIMAL = _highs.HighsModelStatus.kOptimal
 
 
 def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
-            prices=(), then=None) -> SimpleNamespace:
-    """min c x  s.t.  row_lower <= A x <= row_upper,  lb <= x <= ub.
+            prices=()) -> SimpleNamespace:
+    """min c x  s.t.  row_lower <= A x <= row_upper,  lb <= x <= ub: one LP
+    per call.
 
     `A_ub` and `A_eq` are the inequality and the equality rows of one
     `Colwise` matrix A, in that order; `row_bounds` is `(row_lower,
@@ -435,15 +438,8 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     duals at `prices` to be the LP's only optimal ones; otherwise the LP is
     solved again from scratch, so they are what a solve from scratch reports.
 
-    With `then`, a second cost vector, `then` is minimized over the optimal
-    face that the first solve's duals mark out (see `_face`), on a fresh
-    HiGHS object loaded with the same arrays once the first is freed.
-    `x` is that second solve's, with `fun = c @ x`; every dual and the basis
-    stay the first solve's, which are optimal for every point of the face.
-    If the second solve does not end optimal, the first `x` stands.
-
-    Returns HiGHS's model status and simplex iterations (`nit`, every solve
-    counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
+    Returns HiGHS's model status and simplex iterations (`nit`, the cold
+    retry's counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
     rows, the column duals `col_dual` and, with `prices`, `basis`.
     """
     A = A_ub.matrix
@@ -465,19 +461,9 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     if optimum is None:
         return SimpleNamespace(status=status, nit=nit)
     x, y, z = optimum
-    optimal = highs.getBasis() if len(prices) else None
-    fun = highs.getInfo().objective_function_value
-    if then is not None:
-        del highs  # one HiGHS object alive at a time
-        highs = _load(_pass_model(then, A, *_face(c, x, y, z, bounds, row_bounds)))
-        highs.run()
-        nit += _iterations(highs)
-        face = _optimum(highs)
-        if face is not None:
-            x = face[0]
-            fun = float(c @ x)
-    return SimpleNamespace(status=status, nit=nit, x=x, fun=fun, row_dual=y, col_dual=z,
-                           basis=optimal)
+    return SimpleNamespace(status=status, nit=nit, x=x,
+                           fun=highs.getInfo().objective_function_value, row_dual=y,
+                           col_dual=z, basis=highs.getBasis() if len(prices) else None)
 
 
 def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
@@ -599,11 +585,12 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
 
     With `then`, one cost per column, the primal returned minimizes `then`
     over `model`'s optimal face: among the optimal points, the best by
-    `then` (ValueError if it is not one finite cost per column). Its
-    objective is `model`'s own at that point. The duals, the basis and the
-    certificates come from the first solve, whose duals are optimal for
-    every point of the face, so the certificates hold the returned primal
-    to them.
+    `then` (ValueError if it is not one finite cost per column). A second
+    `linprog` call solves it, `then` over the bounds `_face` gives, and its
+    primal stands only if it ends optimal. The objective is `model`'s own
+    at that primal. The duals, the basis and the certificates come from the
+    first solve, whose duals are optimal for every point of the face, so
+    the certificates hold the returned primal to them.
 
     `prices` are rows whose duals the caller reports; with them the solution
     keeps its optimal basis. With `basis`, the optimal basis of an LP that
@@ -621,21 +608,26 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
             raise ValueError(f"second costs must be {model.n_vars} finite values, "
                              f"not of shape {then.shape}")
     highs_row, A, rhs, row_bounds, m = _highs_form(model)
+    c = np.array(model.obj)
     lbv, ubv = np.array(model.lb, dtype=float), np.array(model.ub, dtype=float)
     A_ub, A_eq = A.split(m)
-    res = linprog(np.array(model.obj), A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds,
-                  bounds=(lbv, ubv), basis=basis,
-                  prices=highs_row[np.asarray(prices, dtype=np.int64)], then=then)
+    res = linprog(c, A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds, bounds=(lbv, ubv),
+                  basis=basis, prices=highs_row[np.asarray(prices, dtype=np.int64)])
     if res.status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=LpStatus.INFEASIBLE)
     if res.status == _highs.HighsModelStatus.kUnbounded:
         return LpSolution(status=LpStatus.UNBOUNDED)
     if res.status != _OPTIMAL:
         raise SolverError(f"solver failure on {model.name!r}: HiGHS status {res.status.name}")
+    x, y, z, fun = res.x, res.row_dual, res.col_dual, res.fun
+    if then is not None:
+        face_cols, face_rows = _face(c, x, y, z, (lbv, ubv), row_bounds)
+        face = linprog(then, A_ub=A_ub, A_eq=A_eq, row_bounds=face_rows, bounds=face_cols)
+        if face.status == _OPTIMAL:
+            x, fun = face.x, float(c @ face.x)
 
     # a column dual prices the bound its sign points at, as in `_face`:
     # z > 0 the lower bound, z < 0 the upper
-    x, y, z = res.x, res.row_dual, res.col_dual
     zl, zu = np.where(z > 0, z, 0.0), np.where(z < 0, z, 0.0)
 
     # certificates, over HiGHS's rows: one product A @ x
@@ -645,7 +637,7 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     feas = float(np.max(np.concatenate((_excess(x, lbv, ubv), _excess(Ax, *row_bounds))),
                         initial=0.0))
     dual_obj = float(rhs @ y) + float(np.sum(lbf * zl)) + float(np.sum(ubf * zu))
-    gap = abs(res.fun - dual_obj) / max(1.0, abs(res.fun))
+    gap = abs(fun - dual_obj) / max(1.0, abs(fun))
     comp = float(max(np.max(np.abs((Ax - rhs)[:m] * y[:m]), initial=0.0),
                      np.max(np.abs(np.where(finite_lb, x - lbf, 0.0) * zl), initial=0.0),
                      np.max(np.abs(np.where(finite_ub, ubf - x, 0.0) * zu), initial=0.0)))
@@ -658,7 +650,7 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
         raise SolverError(f"{model.name!r}: primal residual {feas:.3e} exceeds {FEAS_TOL:g}")
     if not gap <= GAP_TOL:
         raise SolverError(f"{model.name!r}: duality gap {gap:.3e} exceeds {GAP_TOL:g}")
-    return LpSolution(status=LpStatus.OPTIMAL, objective=float(res.fun), primal=x,
+    return LpSolution(status=LpStatus.OPTIMAL, objective=float(fun), primal=x,
                       duals=y[highs_row], certificates=certs, basis=res.basis)
 
 

@@ -287,6 +287,9 @@ def validate(instance: Instance) -> ValidationReport:
     hours = set(ss.hours)
     if len(hours) != len(ss.hours):
         report.violations.append("duplicate hours in horizon")
+    elif any(b <= a for a, b in zip(ss.hours, ss.hours[1:])):
+        # ramps, start-ups and u_init/p_init follow the horizon's order
+        report.violations.append("hours in horizon must strictly increase")
     for (n, t), val in ss.da_load.items():
         if n not in buses:
             report.violations.append(f"day-ahead load references unknown bus {n!r}")
@@ -352,8 +355,10 @@ def validated(instance: Instance) -> Instance:
 
 
 def price_errors(prices: Sequence[float], cap: float) -> list[str]:
-    """The bid price rules, for a curve's prices and a price vector alike:
-    finite, nondecreasing, and within [0, cap]; returns what they break."""
+    """The bid price rules, for a curve's prices and a price vector alike: at
+    least one, finite, nondecreasing, and within [0, cap]; returns what they break."""
+    if not prices:
+        return ["at least one price required"]
     if not all(math.isfinite(p) for p in prices):
         return ["prices must be finite"]
     broken = {

@@ -100,6 +100,15 @@ def stochastic(instance: Instance) -> PolicyResult:
     )
 
 
+def csv_text(header: list[str], rows) -> str:
+    """CSV text: `header`, then each of `rows` with every float at six decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 @dataclass
 class ComparisonTable:
     """Side-by-side policy costs plus the dominance-chain check."""
@@ -115,12 +124,7 @@ class ComparisonTable:
         raise KeyError(policy)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["policy", "f_DA_true[$]", "E[f_RT][$]", "S[$]"])
-        for row in self.rows:
-            writer.writerow([row[0]] + [f"{v:.6f}" for v in row[1:]])
-        return buf.getvalue()
+        return csv_text(["policy", "f_DA_true[$]", "E[f_RT][$]", "S[$]"], self.rows)
 
     def to_json(self) -> str:
         return json.dumps(

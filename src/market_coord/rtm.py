@@ -68,8 +68,6 @@ class _Template(Block):
     """
 
     vre_rows: np.ndarray  # balance row of each curtailment key
-    # DaSchedule field -> (keys, position of each key in d_cols)
-    schedule: dict[str, tuple[list, np.ndarray]]
 
     def of_scenario(self, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         """The rhs and the column upper bounds of `scenario`'s LP."""
@@ -85,12 +83,11 @@ class _Template(Block):
         return rhs, ub
 
     def day_ahead(self, da: DaSchedule) -> np.ndarray:
-        """The coupled columns' values in the schedule `da`."""
-        x = np.empty(len(self.d_cols))
-        for name, (keys, at) in self.schedule.items():
-            values = getattr(da, name)
-            x[at] = [values[key] for key in keys]
-        return x
+        """The coupled columns' values in the schedule `da`: each unit's
+        output, commitment and start-up cost at each hour, in `d_cols` order."""
+        unit_keys, _ = self.outputs["commitment"]
+        schedule = (da.p_conventional, da.commitment, da.startup_cost)
+        return np.array([values[key] for key in unit_keys for values in schedule])
 
 
 def _build_template(instance: Instance) -> _Template:
@@ -152,8 +149,6 @@ def _build_template(instance: Instance) -> _Template:
             "angle": (bus_keys, theta.ravel()),
         },
         vre_rows=bal[bus_index(instance, vres)].ravel(),
-        schedule={name: (unit_keys, (cols - d_first).ravel()) for name, cols in
-                  (("p_conventional", pc_da), ("commitment", u_da), ("startup_cost", c_da))},
     )
 
 

@@ -29,6 +29,8 @@ def test_price_config_rejects_bad_vectors(t1):
         check_prices(t1, (5.0, 2.0))
     with pytest.raises(ValueError):
         check_prices(t1, (-1.0, 2.0))
+    with pytest.raises(BidSetError, match="at least one price required"):
+        check_prices(t1, ())
     assert len(check_prices(t1, (0.0, 2.0))) == 2
 
 
@@ -39,14 +41,19 @@ def test_price_config_rejects_non_finite_prices(t1, prices):
         check_prices(t1, prices)
 
 
-@pytest.mark.parametrize("call", [
-    lambda inst: bilevel.solve_bid(inst, (0.0, 15.0, 1500.0)),
-    lambda inst: bilevel.oracle_grid_search(inst, (1500.0,), 10.0),
-    lambda inst: bilevel.verify_theorem1(inst, (0.0, 15.0, 1500.0)),
-    lambda inst: bilevel.price_sweep(inst, (0.0, 1500.0)),
-], ids=["solve_bid", "oracle_grid_search", "verify_theorem1", "price_sweep"])
-def test_price_above_the_cap_rejected_before_any_lp(t1, monkeypatch, call):
-    # t1's bid price cap is its VoLL, 1000 $/MWh
+@pytest.mark.parametrize("call, message", [
+    (lambda inst: bilevel.solve_bid(inst, (0.0, 15.0, 1500.0)), "bid price cap 1000"),
+    (lambda inst: bilevel.oracle_grid_search(inst, (1500.0,), 10.0), "bid price cap 1000"),
+    (lambda inst: bilevel.verify_theorem1(inst, (0.0, 15.0, 1500.0)), "bid price cap 1000"),
+    (lambda inst: bilevel.price_sweep(inst, (0.0, 1500.0)), "bid price cap 1000"),
+    (lambda inst: bilevel.solve_bid(inst, ()), "at least one price"),
+    (lambda inst: bilevel.oracle_grid_search(inst, (), 1.0), "at least one price"),
+    (lambda inst: bilevel.verify_theorem1(inst, ()), "at least one price"),
+], ids=["solve_bid", "oracle_grid_search", "verify_theorem1", "price_sweep",
+        "solve_bid-empty", "oracle_grid_search-empty", "verify_theorem1-empty"])
+def test_price_above_the_cap_rejected_before_any_lp(t1, monkeypatch, call, message):
+    # t1's bid price cap is its VoLL, 1000 $/MWh; an empty price vector
+    # breaks the same rules
     solves = []
 
     def counted(model, *args, **kwargs):
@@ -55,7 +62,7 @@ def test_price_above_the_cap_rejected_before_any_lp(t1, monkeypatch, call):
 
     for module in (bilevel, dam, policies, rtm):
         monkeypatch.setattr(module, "solve", counted)
-    with pytest.raises(BidSetError, match="bid price cap 1000"):
+    with pytest.raises(BidSetError, match=message):
         call(t1)
     assert solves == []
 
@@ -298,6 +305,7 @@ def test_sweep_table_headers_carry_units(sys3):
     table = price_sweep(sys3, [0.0, 40.0])
     header = table.to_csv().splitlines()[0]
     assert "usd" in header and "mw" in header
+    assert price_sweep(sys3, []).to_csv() == ""  # no rows, no header
 
 
 @pytest.mark.parametrize("prices", [(0.0,), (0.0, 15.0, 35.0)])

@@ -416,6 +416,14 @@ def test_instance_with_every_optional_field_set_round_trips(tmp_path, sys5):
     again = mio.load_instance(json_path, csv_path)
     assert again == instance and again.system.bid_price_cap == 250.0
     assert again.units[0].start_class == "slow" and again.units[0].p_init == 2.0
+    # a price cap written null or left out loads as None: bids are capped at VoLL
+    doc = json.loads(json_path.read_text())
+    for system in ({**doc["system"], "price_cap_usd_per_mwh": None},
+                   {"voll_usd_per_mwh": doc["system"]["voll_usd_per_mwh"]}):
+        json_path.write_text(json.dumps({**doc, "system": system}))
+        again = mio.load_instance(json_path, csv_path)
+        assert again.system.price_cap is None
+        assert again.system.bid_price_cap == again.system.voll == sys5.system.voll
 
 
 NONFINITE = [

@@ -44,11 +44,14 @@ def test_unbounded_detection():
     assert sol.primal is None and sol.duals is None
 
 
-def test_infeasible_detection_and_diagnosis():
+def test_infeasible_detection_and_diagnosis(monkeypatch):
     model = model_of({"x": 0.0}, [[1.0]], [GE], [5.0], lb=0.0, ub=1.0, names=["too_high"])
     sol = solve(model)
     assert sol.status is LpStatus.INFEASIBLE
     assert diagnose_infeasibility(model) == ["too_high (violation 4)"]
+    # an elastic model that HiGHS refuses is reported, not raised
+    monkeypatch.setattr(lp, "_load", lambda arrays, basis=None: None)
+    assert diagnose_infeasibility(model) == ["elastic diagnosis failed"]
 
 
 def test_diagnosis_reads_each_slack_of_its_own_row():
@@ -208,6 +211,18 @@ def test_second_cost_logs_one_certificate_per_solve():
 def test_nonfinite_coefficient_rejected():
     with pytest.raises(ValueError, match="non-finite objective"):
         LpModel().add_vars(["x"], [float("nan")])
+    # and every other column block that does not fit: a NaN bound, a lower
+    # bound of +inf, an upper one of -inf, costs or bounds of the wrong shape
+    for costs, bounds, message in (
+            ([0.0], {"lb": math.nan}, "lower bound nan or inf"),
+            ([0.0], {"ub": [math.nan]}, "upper bound nan or -inf"),
+            ([0.0], {"lb": math.inf}, "lower bound nan or inf"),
+            ([0.0], {"ub": -math.inf}, "upper bound nan or -inf"),
+            ([0.0, 1.0], {}, r"1 variables but \(2,\) objective coefficients"),
+            ([0.0], {"ub": [1.0, 2.0]}, r"1 variables but bounds of shape \(2,\)")):
+        empty = LpModel()
+        with pytest.raises(ValueError, match=message):
+            empty.add_vars(["x"], costs, **bounds)
     model = model_of({"x": 0.0})
     with pytest.raises(ValueError, match="non-finite"):
         model.add_rows(["r"], [GE], [0.0], [(0, 0, float("inf"))])
@@ -288,6 +303,30 @@ def test_warm_start_with_a_non_unique_price_solves_from_scratch(monkeypatch):
     runs.clear()
     solve(at(4.0), basis=basis)
     assert len(runs) == 1
+
+
+def test_one_linprog_call_per_lp(monkeypatch):
+    # the benchmark's traced run times and sizes each LP by its `lp.linprog`
+    # call: a solve makes one, a `then=` solve two (the face LP second, at
+    # the second cost), and a warm start redone cold stays within its one
+    def at(b):  # as in the warm-start test above: row 0's price is not unique at b = 4
+        return model_of({"x": 1.0, "y": 2.0}, [[1.0, 1.0], [1.0, 0.0]], [GE, LE], [b, 4.0],
+                        lb=0.0)
+
+    basis = solve(at(3.0), prices=[0]).basis
+    costs, loads, load = [], [], lp._load
+    monkeypatch.setattr(lp, "linprog", lambda c, **kw: costs.append(list(c)) or LINPROG(c, **kw))
+    monkeypatch.setattr(lp, "_load", lambda arrays, start=None: loads.append(start)
+                        or load(arrays, start))
+    for run, called, loaded in (
+            (lambda: solve(tied()), [[1.0, 1.0]], 1),
+            (lambda: solve(tied(), then=(1.0, 0.0)), [[1.0, 1.0], [1.0, 0.0]], 2),
+            (lambda: solve(at(4.0), basis=basis, prices=[0]), [[1.0, 2.0]], 2),
+            (lambda: solve(model_of({"x": 0.0}, lb=2.0, ub=1.0), then=[1.0]), [[0.0]], 1)):
+        costs.clear()
+        loads.clear()
+        run()
+        assert (costs, len(loads)) == (called, loaded)
 
 
 def test_model_rejected_by_highs_is_a_solver_error():

@@ -127,6 +127,7 @@ def _with(instance, record: str, **changes):
     (lambda i: _with(i, "vre_units", bus="b9"), "VRE w1: bus 'b9' not declared"),
     (lambda i: _with(i, "vre_units", capacity=0.0), "VRE w1: capacity must be > 0"),
     (lambda i: _with(i, "scenario_set", hours=(0, 0)), "duplicate hours in horizon"),
+    (lambda i: _with(i, "scenario_set", hours=(1, 0)), "hours in horizon must strictly increase"),
     (lambda i: _with(i, "scenario_set", da_load={("b9", 0): 1.0}),
      "day-ahead load references unknown bus 'b9'"),
     (lambda i: _with(i, "scenario_set", da_load={("b1", 5): 1.0}),
@@ -146,8 +147,8 @@ def _with(instance, record: str, **changes):
 ], ids=["duplicate-bus", "unknown-slack", "line-to-unknown-bus", "self-loop", "reactance",
         "line-capacity", "nonfinite-reactance", "disconnected", "duplicate-unit",
         "unit-bus", "p-min-above-p-max", "ramp", "start-class", "u-init", "p-init",
-        "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour", "da-load-bus",
-        "da-load-hour", "da-load-negative", "probability-zero", "scenario-vre",
+        "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour", "decreasing-hours",
+        "da-load-bus", "da-load-hour", "da-load-negative", "probability-zero", "scenario-vre",
         "scenario-vre-hour", "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll"])
 def test_each_rule_reports_its_violation(t1, change, message):
     assert validate(t1).ok
@@ -177,8 +178,9 @@ def test_bid_prices_must_be_nondecreasing(t1):
 
 @pytest.mark.parametrize("prices", [
     (0.0,), (0.0, 5.0, 5.0), (1000.0,), (float("nan"),), (0.0, float("inf")), (5.0, 2.0),
-    (-1.0, 2.0), (0.0, 1500.0), (-float("inf"),),
-], ids=["zero", "flat", "at-cap", "nan", "inf", "decreasing", "negative", "above-cap", "-inf"])
+    (-1.0, 2.0), (0.0, 1500.0), (-float("inf"),), (),
+], ids=["zero", "flat", "at-cap", "nan", "inf", "decreasing", "negative", "above-cap", "-inf",
+        "empty"])
 def test_price_vectors_and_curves_follow_one_rule_set(t1, prices):
     curve = BidCurve(owner="w1", hour=0, segments=tuple((p, 1.0) for p in prices))
     curve_rejected = validate_bid_curve(curve, t1) != []

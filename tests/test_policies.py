@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from market_coord import lp, model
+from market_coord import bilevel, dam, lp, model, policies, rtm
 from market_coord.bilevel import solve_bid
-from market_coord.dam import BidSetError
+from market_coord.dam import BidSetError, DamInfeasibleError
+from market_coord.lp import LpSolution, LpStatus
 from market_coord.model import BidCurve, VreUnit
 from market_coord.policies import (
     compare,
@@ -94,6 +95,25 @@ def test_instance_without_scenarios_rejected_before_any_lp(t1, monkeypatch, run)
     monkeypatch.setattr(lp, "linprog", lambda *a, **k: pytest.fail("an LP was solved"))
     with pytest.raises(ValueError, match="no scenarios"):
         run(empty)
+
+
+@pytest.mark.parametrize("module, status, run, error, message", [
+    (dam, LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
+     DamInfeasibleError, "day-ahead market solve ended unbounded"),
+    (rtm, LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
+     rtm.RtmError, "scenario 's1' ended unbounded"),
+    (policies, LpStatus.UNBOUNDED, stochastic, RuntimeError,
+     "stochastic dispatch solve ended unbounded"),
+    (bilevel, LpStatus.INFEASIBLE, lambda inst: solve_bid(inst, (0.0,)), RuntimeError,
+     "relaxed bid LP is infeasible"),
+    (bilevel, LpStatus.UNBOUNDED, lambda inst: solve_bid(inst, (0.0,)), RuntimeError,
+     "relaxed bid LP ended unbounded"),
+], ids=["dam", "rtm", "stochastic", "solve_bid-infeasible", "solve_bid-unbounded"])
+def test_a_market_lp_that_ends_not_optimal_raises(t1, monkeypatch, module, status, run, error,
+                                                   message):
+    monkeypatch.setattr(module, "solve", lambda lp_model, **kwargs: LpSolution(status=status))
+    with pytest.raises(error, match=message):
+        run(t1)
 
 
 def test_instance_validated_once(t1, monkeypatch):
@@ -182,6 +202,8 @@ def test_compare_t1_table_and_chain(t1):
     assert table.cost("MyD") == pytest.approx(1250.0)
     assert table.cost("BiD") == pytest.approx(1100.0, rel=1e-6)
     assert table.cost("StD") == pytest.approx(1100.0)
+    with pytest.raises(KeyError):
+        table.cost("BiD-q")
     assert table.chain_ok
     assert table.chain_violation == pytest.approx(0.0, abs=1e-6)
 
