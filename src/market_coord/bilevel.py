@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import DamStructure, DaSchedule, check_prices, dam_structure
-from .lp import GE, LE, EQ, LpModel, LpStatus, solve
+from .dam import DamStructure, DaSchedule, check_prices, dam_structure, solved
+from .lp import GE, LE, EQ, LpModel
 from .model import BidCurve, Instance
 from .policies import PolicyResult, csv_text, evaluate_bids, myopic_bids
 from .rtm import append_scenarios
@@ -162,11 +162,7 @@ def solve_bid(instance: Instance, prices) -> BilevelSolution:
     tie_break = np.zeros(model.n_vars)
     tie_break[ctx.quantities] = (ctx.key_prices + 1e-3
                                  + 1e-6 * np.array([s for *_, s in structure.keys]))
-    sol = solve(model, then=tie_break)
-    if sol.status is LpStatus.INFEASIBLE:
-        raise RuntimeError("relaxed bid LP is infeasible")
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"relaxed bid LP ended {sol.status.value}")
+    sol = solved(model, "relaxed bid LP", then=tie_break)
 
     relaxed_objective = sol.objective
     z = sol.primal

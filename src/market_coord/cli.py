@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 infeasible market problem or a usage error click
+Exit codes: 0 success, 2 a market LP without an optimum or a usage error click
 reports (an unknown option, a value that is not a number), 3 failed
 assertion (benchmark chain or theorem check), 4 bad input (a missing or
 malformed instance, bid file or bid set, a malformed MARKET_COORD_THREADS,
@@ -12,7 +12,6 @@ command that re-dispatches scenarios reads it.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -68,18 +67,9 @@ def _output(obj, name: str) -> Path:
     return path
 
 
-def _write_csv(obj, name: str, header: list[str], rows) -> Path:
-    path = _output(obj, name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 class _Main(click.Group):
     """Ends every command with exit 4 on a malformed file or bid set and
-    with exit 2 on an infeasible market."""
+    with exit 2 on a market LP without an optimum."""
 
     def invoke(self, ctx):
         try:
@@ -126,13 +116,13 @@ def clear_da_cmd(obj, bids_path, da_slack):
     inst = obj["instance"]
     bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
     da, lmps = clear_dam(inst, bids, da_slack=da_slack)
-    _write_csv(obj, "da_schedule.csv",
-               ["unit_id", "hour", "p_mw", "commitment", "startup_usd"],
-               [[i, t, da.p_conventional[(i, t)], da.commitment[(i, t)],
-                 da.startup_cost[(i, t)]]
-                for (i, t) in sorted(da.p_conventional)])
-    _write_csv(obj, "da_lmp.csv", ["bus", "hour", "lmp_usd_per_mwh"],
-               [[n, t, lmps[(n, t)]] for (n, t) in sorted(lmps)])
+    mio.write_csv(_output(obj, "da_schedule.csv"),
+                  ["unit_id", "hour", "p_mw", "commitment", "startup_usd"],
+                  [[i, t, da.p_conventional[(i, t)], da.commitment[(i, t)],
+                    da.startup_cost[(i, t)]]
+                   for (i, t) in sorted(da.p_conventional)])
+    mio.write_csv(_output(obj, "da_lmp.csv"), ["bus", "hour", "lmp_usd_per_mwh"],
+                  [[n, t, lmps[(n, t)]] for (n, t) in sorted(lmps)])
     _emit(obj, {"f_da_bid_usd": da.f_da_bid, "f_da_true_usd": da.f_da_true},
           f"DAM cleared: f_DA(bid)=${da.f_da_bid:.2f}, f_DA(true)=${da.f_da_true:.2f}")
 
@@ -149,10 +139,10 @@ def clear_rt_cmd(obj, scenario, bids_path):
     bids = mio.load_bids(bids_path) if bids_path else policies.myopic_bids(inst)
     da, _ = clear_dam(inst, bids)
     disp = clear_rtm(inst, da, scenario)
-    _write_csv(obj, f"rt_{scenario}.csv",
-               ["unit_id", "hour", "r_up_mw", "r_down_mw"],
-               [[i, t, disp.r_up[(i, t)], disp.r_down[(i, t)]]
-                for (i, t) in sorted(disp.r_up)])
+    mio.write_csv(_output(obj, f"rt_{scenario}.csv"),
+                  ["unit_id", "hour", "r_up_mw", "r_down_mw"],
+                  [[i, t, disp.r_up[(i, t)], disp.r_down[(i, t)]]
+                   for (i, t) in sorted(disp.r_up)])
     _emit(obj, {"scenario": scenario, "f_rt_usd": disp.f_rt},
           f"RTM {scenario}: f_RT=${disp.f_rt:.2f}")
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GE, LE, Block, LpModel, LpStatus
+from .lp import EQ, GE, LE, Block, LpModel, LpSolution, LpStatus
 from .lp import diagnose_infeasibility, solve
 from .model import BidCurve, Instance, cached, price_errors, validate_bid_curve, validated
 
@@ -49,6 +49,8 @@ __all__ = [
 
 
 class DamInfeasibleError(RuntimeError):
+    """A market LP with no optimum; `diagnostics` names its most violated rows."""
+
     def __init__(self, message: str, diagnostics: list[str] | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or []
@@ -369,20 +371,28 @@ def build_dam(instance: Instance, bids, da_slack: bool = False) -> tuple[LpModel
     return model, block
 
 
+def solved(model: LpModel, what: str, **options) -> LpSolution:
+    """`solve(model, **options)` at its optimum, for every market LP: else a
+    DamInfeasibleError naming `what` and its status, or, if it is
+    infeasible, the rows `diagnose_infeasibility` reports."""
+    sol = solve(model, **options)
+    if sol.status is LpStatus.INFEASIBLE:
+        diags = diagnose_infeasibility(model)
+        raise DamInfeasibleError(
+            f"{what} is infeasible; most violated rows: " + "; ".join(diags),
+            diagnostics=diags,
+        )
+    if sol.status is not LpStatus.OPTIMAL:
+        raise DamInfeasibleError(f"{what} solve ended {sol.status.value}")
+    return sol
+
+
 def clear_dam(instance: Instance, bids,
               da_slack: bool = False) -> tuple[DaSchedule, dict[tuple[str, int], float]]:
     """Solve the day-ahead market and return the schedule and the LMP of
     each (bus, hour)."""
     model, block = build_dam(instance, bids, da_slack=da_slack)
-    sol = solve(model)
-    if sol.status is LpStatus.INFEASIBLE:
-        diags = diagnose_infeasibility(model)
-        raise DamInfeasibleError(
-            "day-ahead market is infeasible; most violated rows: " + "; ".join(diags),
-            diagnostics=diags,
-        )
-    if sol.status is not LpStatus.OPTIMAL:
-        raise DamInfeasibleError(f"day-ahead market solve ended {sol.status.value}")
+    sol = solved(model, "day-ahead market")
     schedule = DaSchedule(**block.read(sol.primal), f_da_bid=sol.objective,
                           f_da_true=block.true_cost(sol.primal))
     return schedule, block.balance_duals(sol.duals)

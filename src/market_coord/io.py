@@ -24,6 +24,7 @@ __all__ = [
     "save_instance",
     "load_bids",
     "save_bids",
+    "write_csv",
     "bundled_instance",
     "BUNDLED",
 ]
@@ -167,10 +168,11 @@ def _csv_rows(path: str | Path, columns: tuple):
             yield reader.line_num, values
 
 
-def _write_csv(path: str | Path, columns: tuple, rows) -> None:
+def write_csv(path: str | Path, header, rows) -> None:
+    """A CSV file at `path`: the column names `header`, then `rows`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -244,7 +246,7 @@ def save_instance(instance: Instance, json_path: str | Path, csv_path: str | Pat
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    _write_csv(csv_path, SCENARIO_COLUMNS, (
+    write_csv(csv_path, [name for name, _ in SCENARIO_COLUMNS], (
         [s.id, s.probability, t, entity, v]
         for s in instance.scenario_set.scenarios
         for realized in (s.vre_real, s.rt_load)
@@ -270,7 +272,7 @@ def load_bids(path: str | Path) -> list[BidCurve]:
 
 
 def save_bids(bids, path: str | Path) -> None:
-    _write_csv(path, BID_COLUMNS, (
+    write_csv(path, [name for name, _ in BID_COLUMNS], (
         [b.owner, b.hour, s, price, qty]
         for b in sorted(bids, key=lambda b: (b.owner, b.hour))
         for s, (price, qty) in enumerate(b.segments)

@@ -249,8 +249,11 @@ def _check_unit(u: ConventionalUnit, buses: set[str], report: ValidationReport) 
         report.violations.append(
             f"unit {u.id}: p_init {u.p_init} outside [{lo}, {hi}]"
         )
-    # cost ordering is conventional but not mandatory
-    if not (u.up_redispatch_cost >= u.variable_cost >= u.down_redispatch_cost >= 0):
+    # else a unit redispatches up and down at once: every real-time LP is unbounded
+    if u.up_redispatch_cost < u.down_redispatch_cost:
+        report.violations.append(f"unit {u.id}: requires C_up >= C_down")
+    # the rest of the cost ordering is conventional but not mandatory
+    elif not (u.up_redispatch_cost >= u.variable_cost >= u.down_redispatch_cost >= 0):
         report.warnings.append(
             f"unit {u.id}: cost ordering C_up >= C >= C_down >= 0 does not hold"
         )
@@ -260,7 +263,7 @@ def validate(instance: Instance) -> ValidationReport:
     """Check every model invariant; returns a report, never raises.
 
     The report is empty iff the instance is well-formed. Soft conventions
-    (re-dispatch cost ordering) are reported as warnings only.
+    (the rest of the re-dispatch cost ordering) are reported as warnings only.
     """
     report = ValidationReport()
     net = instance.network
@@ -305,6 +308,9 @@ def validate(instance: Instance) -> ValidationReport:
         report.violations.append("no scenarios")
     elif abs(total_p - 1.0) > PROB_TOL:
         report.violations.append(f"probabilities sum to {total_p:g} != 1")
+    scenario_ids = [s.id for s in ss.scenarios]
+    if len(set(scenario_ids)) != len(scenario_ids):
+        report.violations.append("duplicate scenario ids")
     vre_set = set(vre_ids)
     for s in ss.scenarios:
         if not math.isfinite(s.probability):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dam import DaSchedule, clear_dam, dam_structure
-from .lp import LpModel, LpStatus, solve
+from .dam import DaSchedule, clear_dam, dam_structure, solved
+from .lp import LpModel
 from .model import BidCurve, Instance, expected_vre, validated
 from .rtm import RtDispatch, append_scenarios, expected_rt_cost
 
@@ -48,6 +48,7 @@ class PolicyResult:
 
 def evaluate_bids(instance: Instance, bids, policy: str = "custom") -> PolicyResult:
     """Score a bid-curve set through the sequential DAM -> RTM pipeline."""
+    bids = tuple(bids)  # read twice: by the clearing and into the result
     da, lmps = clear_dam(instance, bids)
     e_rt, dispatches = expected_rt_cost(instance, da)
     return PolicyResult(
@@ -55,7 +56,7 @@ def evaluate_bids(instance: Instance, bids, policy: str = "custom") -> PolicyRes
         s_total=da.f_da_true + e_rt,
         f_da_true=da.f_da_true,
         expected_rt=e_rt,
-        bids=tuple(bids),
+        bids=bids,
         da=da,
         da_duals=lmps,
         rt_dispatches=dispatches,
@@ -88,9 +89,7 @@ def stochastic(instance: Instance) -> PolicyResult:
     model = LpModel(name="std")
     block.append_to(model, block.capacity)
     append_scenarios(instance, model, 0)
-    sol = solve(model)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"stochastic dispatch solve ended {sol.status.value}")
+    sol = solved(model, "stochastic dispatch")
     f_da_true = block.true_cost(sol.primal)
     return PolicyResult(
         policy="StD",

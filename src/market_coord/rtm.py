@@ -39,13 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dam import UNIT_VARS, DaSchedule, angle_bounds, attrs, bus_index, grid, grid_names
-from .dam import network_rows, per_hour, unit_rows
-from .lp import EQ, GE, Block, LpModel, LpStatus, solve
+from .dam import network_rows, per_hour, solved, unit_rows
+from .lp import EQ, GE, Block, LpModel
 from .model import Instance, Scenario, cached, validated
 
 __all__ = [
     "RtDispatch",
-    "RtmError",
     "rtm_structure",
     "build_rtm",
     "clear_rtm",
@@ -53,10 +52,6 @@ __all__ = [
     "expected_rt_cost",
     "thread_count",
 ]
-
-
-class RtmError(RuntimeError):
-    """RT infeasibility; should not occur given shedding and curtailment backstops."""
 
 
 @dataclass(frozen=True)
@@ -227,12 +222,8 @@ def _redispatch(instance: Instance, da: DaSchedule, scenario_id: str,
     if given (the basis of another scenario's LP) where that leaves its
     LMPs unique, and from scratch if not."""
     model, tpl, offset = build_rtm(instance, da, scenario_id)
-    sol = solve(model, basis=basis, prices=tpl.bal_rows)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RtmError(
-            f"real-time dispatch for scenario {scenario_id!r} ended "
-            f"{sol.status.value}; shedding/curtailment backstops should prevent this"
-        )
+    sol = solved(model, f"real-time dispatch for scenario {scenario_id!r}",
+                 basis=basis, prices=tpl.bal_rows)
     dispatch = RtDispatch(
         scenario_id=scenario_id,
         **tpl.read(sol.primal),

@@ -74,3 +74,11 @@ def test_only_rtm_reads_the_environment():
     readers = sorted(p.name for p in package.glob("*.py")
                      if re.search(r"\b(environ|getenv)\b", p.read_text()))
     assert readers == ["rtm.py"]
+
+
+def test_only_lp_and_dam_read_an_lp_status():
+    # `lp.solve` reports the status and `dam.solved` decides what a market
+    # LP without an optimum raises, for every market LP
+    package = Path(lp.__file__).resolve().parent
+    readers = sorted(p.name for p in package.glob("*.py") if "LpStatus." in p.read_text())
+    assert readers == ["dam.py", "lp.py"]

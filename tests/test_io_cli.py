@@ -130,8 +130,13 @@ def test_cli_clear_da_schedule_has_no_signed_zero(tmp_path):
     assert [v for v in values if v.startswith("-0")] == []
 
 
-def test_cli_infeasible_da_exits_2(tmp_path):
-    # double every day-ahead load on t1 so the single unit cannot serve it
+@pytest.mark.parametrize("command", [
+    ["clear-da"], ["myd"], ["std"], ["compare"], ["optimize-bid"], ["verify-theorem1"],
+    ["sweep-price", "--from", "0", "--to", "10", "--step", "10"], ["oracle", "--step", "50"],
+], ids=lambda command: command[0])
+def test_cli_infeasible_da_exits_2(tmp_path, command):
+    # double every day-ahead load on t1 so the single unit cannot serve it:
+    # every market LP holds the day-ahead market
     doc = json.loads((DATA / "t1.json").read_text())
     for entry in doc["da_load"]:
         entry["load_mw"] = 200.0
@@ -139,8 +144,9 @@ def test_cli_infeasible_da_exits_2(tmp_path):
     inst.write_text(json.dumps(doc))
     scen = tmp_path / "big_scenarios.csv"
     scen.write_text((DATA / "t1_scenarios.csv").read_text())
-    result = run_cli("-i", str(inst), "-o", str(tmp_path), "clear-da")
-    assert result.exit_code == 2
+    result = run_cli("-i", str(inst), "-o", str(tmp_path), *command)
+    assert result.exit_code == 2, result.output
+    assert "infeasible: " in result.output
 
 
 def test_cli_clear_rt_scenario(tmp_path):

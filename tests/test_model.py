@@ -123,6 +123,8 @@ def _with(instance, record: str, **changes):
     (lambda i: _with(i, "units", start_class="warm"), "unit g1: unknown start class 'warm'"),
     (lambda i: _with(i, "units", u_init=2.0), "unit g1: u_init must lie in [0, 1]"),
     (lambda i: _with(i, "units", p_init=10.0), "unit g1: p_init 10.0 outside [0.0, 0.0]"),
+    (lambda i: _with(i, "units", up_redispatch_cost=5.0, down_redispatch_cost=10.0),
+     "unit g1: requires C_up >= C_down"),
     (lambda i: dataclasses.replace(i, vre_units=i.vre_units * 2), "duplicate VRE unit ids"),
     (lambda i: _with(i, "vre_units", bus="b9"), "VRE w1: bus 'b9' not declared"),
     (lambda i: _with(i, "vre_units", capacity=0.0), "VRE w1: capacity must be > 0"),
@@ -134,6 +136,8 @@ def _with(instance, record: str, **changes):
      "day-ahead load references unknown hour 5"),
     (lambda i: _with(i, "scenario_set", da_load={("b1", 0): -1.0}),
      "day-ahead load at (b1,0) is negative"),
+    (lambda i: _with(i, "scenario_set", scenarios=i.scenario_set.scenarios[:1] * 2),
+     "duplicate scenario ids"),
     (lambda i: _with_scenario(i, probability=0.0), "scenario s1: probability must be > 0"),
     (lambda i: _with_scenario(i, vre_real={("w1", 0): 5.0, ("w9", 0): 5.0}),
      "scenario s1: unknown VRE id 'w9'"),
@@ -147,9 +151,10 @@ def _with(instance, record: str, **changes):
 ], ids=["duplicate-bus", "unknown-slack", "line-to-unknown-bus", "self-loop", "reactance",
         "line-capacity", "nonfinite-reactance", "disconnected", "duplicate-unit",
         "unit-bus", "p-min-above-p-max", "ramp", "start-class", "u-init", "p-init",
-        "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour", "decreasing-hours",
-        "da-load-bus", "da-load-hour", "da-load-negative", "probability-zero", "scenario-vre",
-        "scenario-vre-hour", "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll"])
+        "up-below-down", "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour",
+        "decreasing-hours", "da-load-bus", "da-load-hour", "da-load-negative",
+        "duplicate-scenario", "probability-zero", "scenario-vre", "scenario-vre-hour",
+        "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll"])
 def test_each_rule_reports_its_violation(t1, change, message):
     assert validate(t1).ok
     assert message in validate(change(t1)).violations

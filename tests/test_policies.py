@@ -2,11 +2,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from market_coord import bilevel, dam, lp, model, policies, rtm
+from market_coord import dam, lp, model
 from market_coord.bilevel import solve_bid
 from market_coord.dam import BidSetError, DamInfeasibleError
 from market_coord.lp import LpSolution, LpStatus
@@ -44,7 +45,9 @@ def test_score_is_deterministic(sys3):
     bids = myopic_bids(sys3)
     a = evaluate_bids(sys3, bids)
     b = evaluate_bids(sys3, bids)
-    assert a.s_total == pytest.approx(b.s_total, rel=1e-12)
+    c = evaluate_bids(sys3, (bid for bid in bids))  # a generator is read once
+    assert a.s_total == pytest.approx(b.s_total, rel=1e-12) == c.s_total
+    assert a.bids == b.bids == c.bids == tuple(bids)
 
 
 def _first_curve(segments):
@@ -97,22 +100,23 @@ def test_instance_without_scenarios_rejected_before_any_lp(t1, monkeypatch, run)
         run(empty)
 
 
-@pytest.mark.parametrize("module, status, run, error, message", [
-    (dam, LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
-     DamInfeasibleError, "day-ahead market solve ended unbounded"),
-    (rtm, LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
-     rtm.RtmError, "scenario 's1' ended unbounded"),
-    (policies, LpStatus.UNBOUNDED, stochastic, RuntimeError,
-     "stochastic dispatch solve ended unbounded"),
-    (bilevel, LpStatus.INFEASIBLE, lambda inst: solve_bid(inst, (0.0,)), RuntimeError,
-     "relaxed bid LP is infeasible"),
-    (bilevel, LpStatus.UNBOUNDED, lambda inst: solve_bid(inst, (0.0,)), RuntimeError,
-     "relaxed bid LP ended unbounded"),
+@pytest.mark.parametrize("name, status, run, message", [
+    ("dam", LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
+     "day-ahead market solve ended unbounded"),
+    ("rtm[s1]", LpStatus.UNBOUNDED, lambda inst: evaluate_bids(inst, myopic_bids(inst)),
+     "real-time dispatch for scenario 's1' solve ended unbounded"),
+    ("std", LpStatus.UNBOUNDED, stochastic, "stochastic dispatch solve ended unbounded"),
+    ("relaxed-bid", LpStatus.INFEASIBLE, lambda inst: solve_bid(inst, (0.0,)),
+     "relaxed bid LP is infeasible; most violated rows: "),
+    ("relaxed-bid", LpStatus.UNBOUNDED, lambda inst: solve_bid(inst, (0.0,)),
+     "relaxed bid LP solve ended unbounded"),
 ], ids=["dam", "rtm", "stochastic", "solve_bid-infeasible", "solve_bid-unbounded"])
-def test_a_market_lp_that_ends_not_optimal_raises(t1, monkeypatch, module, status, run, error,
-                                                   message):
-    monkeypatch.setattr(module, "solve", lambda lp_model, **kwargs: LpSolution(status=status))
-    with pytest.raises(error, match=message):
+def test_a_market_lp_that_ends_not_optimal_raises(t1, monkeypatch, name, status, run, message):
+    # every market LP is solved through `dam.solved`; the LP named `name` ends `status`
+    solve = dam.solve
+    monkeypatch.setattr(dam, "solve", lambda lp_model, **kwargs: (
+        LpSolution(status=status) if lp_model.name == name else solve(lp_model, **kwargs)))
+    with pytest.raises(DamInfeasibleError, match=re.escape(message)):
         run(t1)
 
 

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from market_coord import io as mio, lp, policies, rtm
+from market_coord import dam, io as mio, lp, rtm
 from market_coord.bilevel import _load_weighted_lmps, solve_bid, vre_profit
 from market_coord.dam import clear_dam, dam_structure
 from market_coord.lp import solve
@@ -254,7 +254,7 @@ def test_reported_prices_do_not_depend_on_the_first_scenario(bundled, first):
 def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatch):
     inst = bundled[name]
     models = []
-    monkeypatch.setattr(policies, "solve", lambda model: models.append(model) or solve(model))
+    monkeypatch.setattr(dam, "solve", lambda model: models.append(model) or solve(model))
     stochastic(inst)
     (std,) = models
     da, _ = clear_dam(inst, myopic_bids(inst))
