@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 a market LP without an optimum or a usage error click
 reports (an unknown option, a value that is not a number), 3 failed
-assertion (benchmark chain or theorem check), 4 bad input (a missing or
-malformed instance, bid file or bid set, a malformed MARKET_COORD_THREADS,
-or a bad option value such as a price list, sweep range, grid step or
-scenario id).
+assertion (benchmark chain or theorem check), 4 bad input (a missing,
+unreadable or malformed instance, bid file or bid set, an --output that is a
+file, a malformed MARKET_COORD_THREADS, or a bad option value such as a
+price list, sweep range, grid step or scenario id).
 
 The scenario fan-out width is MARKET_COORD_THREADS alone (default 1); every
 command that re-dispatches scenarios reads it.
@@ -68,13 +68,14 @@ def _output(obj, name: str) -> Path:
 
 
 class _Main(click.Group):
-    """Ends every command with exit 4 on a malformed file or bid set and
-    with exit 2 on a market LP without an optimum."""
+    """Ends every command with exit 4 on a file it cannot read, write or
+    parse or a malformed bid set, and with exit 2 on a market LP without an
+    optimum."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (mio.ParseError, FileNotFoundError, BidSetError) as exc:
+        except (mio.ParseError, OSError, BidSetError) as exc:
             _bad_input(exc)
         except DamInfeasibleError as exc:
             click.echo(f"infeasible: {exc}", err=True)

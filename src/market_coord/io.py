@@ -148,24 +148,27 @@ def _csv_rows(path: str | Path, columns: tuple):
     """Each nonblank data row of the CSV file at `path`: its line number and
     the values of `columns`, each read as its kind, every float finite."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        names = [name for name, _ in columns]
-        if not set(names).issubset(header):
-            raise ParseError(f"{path}: expected columns {sorted(names)}")
-        at = [(header.index(name), kind) for name, kind in columns]
-        for row in filter(None, reader):
-            if len(row) < len(header):
-                raise ParseError(f"{path}:{reader.line_num}: row has {len(row)} of "
-                                 f"{len(header)} columns")
-            try:
-                values = [kind(row[i]) for i, kind in at]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-            for (name, kind), value in zip(columns, values):
-                if kind is float and not math.isfinite(value):
-                    raise ParseError(f"{path}:{reader.line_num}: {name} {value} is not finite")
-            yield reader.line_num, values
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            names = [name for name, _ in columns]
+            if not set(names).issubset(header):
+                raise ParseError(f"{path}: expected columns {sorted(names)}")
+            at = [(header.index(name), kind) for name, kind in columns]
+            for row in filter(None, reader):
+                if len(row) < len(header):
+                    raise ParseError(f"{path}:{reader.line_num}: row has {len(row)} of "
+                                     f"{len(header)} columns")
+                try:
+                    values = [kind(row[i]) for i, kind in at]
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+                for (name, kind), value in zip(columns, values):
+                    if kind is float and not math.isfinite(value):
+                        raise ParseError(f"{path}:{reader.line_num}: {name} {value} is not finite")
+                yield reader.line_num, values
+        except UnicodeDecodeError as exc:  # a file that is not text
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def write_csv(path: str | Path, header, rows) -> None:

@@ -38,8 +38,9 @@ An LP with more than one optimal primal can break the tie by a second
 cost: `solve(model, then=costs)` minimizes `costs` over the first solve's
 exact optimal face, fixing each column with a nonzero reduced cost and each
 row with a nonzero dual at its bound, by a second `linprog` call. The
-primal comes from that second solve; the duals, the basis and the
-certificates from the first, whose duals are optimal for the whole face.
+primal comes from that second solve, the duals and the basis from the
+first, whose duals are optimal for the whole face: the certificates hold
+the one to the other.
 
 Sign convention (minimization), HiGHS's own: duals of ">="-constraints are
 >= 0, duals of "<="-constraints are <= 0, equality duals are free. Every
@@ -57,7 +58,6 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "SolverError",
     "solve",
     "diagnose_infeasibility",
-    "certificate_log",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -178,13 +177,6 @@ class LpModel:
         self._con_labels.append((names, suffix))
         self.con_sense.extend(sense)
         self.con_rhs.extend(rhs.tolist())
-
-    def _matrix(self) -> sparse.csr_matrix:
-        """All constraint coefficients, one row per constraint."""
-        return sparse.csr_matrix(
-            (np.array(self._val), (np.array(self._row), np.array(self._col))),
-            shape=(self.n_cons, self.n_vars),
-        )
 
 
 def _bounds(bound, n: int, wrong: float) -> list[float]:
@@ -343,18 +335,6 @@ class LpSolution:
     duals: np.ndarray | None = None
     certificates: LpCertificates | None = None
     basis: _highs.HighsBasis | None = None
-
-
-# Optional global log of solve certificates, used by the acceptance suite to
-# audit every solve performed in a run. Disabled unless a list is installed.
-_certificate_log: list[tuple[str, LpCertificates]] | None = None
-
-
-def certificate_log(enable: bool) -> list[tuple[str, LpCertificates]]:
-    """Enable/disable global certificate collection; returns the live list."""
-    global _certificate_log
-    _certificate_log = [] if enable else None
-    return _certificate_log if _certificate_log is not None else []
 
 
 @dataclass(frozen=True)
@@ -588,9 +568,9 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     `then` (ValueError if it is not one finite cost per column). A second
     `linprog` call solves it, `then` over the bounds `_face` gives, and its
     primal stands only if it ends optimal. The objective is `model`'s own
-    at that primal. The duals, the basis and the certificates come from the
-    first solve, whose duals are optimal for every point of the face, so
-    the certificates hold the returned primal to them.
+    at that primal. The duals and the basis come from the first solve,
+    whose duals are optimal for every point of the face, and the
+    certificates hold the returned primal to them.
 
     `prices` are rows whose duals the caller reports; with them the solution
     keeps its optimal basis. With `basis`, the optimal basis of an LP that
@@ -643,8 +623,6 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
                      np.max(np.abs(np.where(finite_ub, ubf - x, 0.0) * zu), initial=0.0)))
 
     certs = LpCertificates(primal_residual=feas, duality_gap=gap, complementarity=comp)
-    if _certificate_log is not None:
-        _certificate_log.append((model.name, certs))
     # `not <=`, so that a NaN residual or gap fails too
     if not feas <= FEAS_TOL:
         raise SolverError(f"{model.name!r}: primal residual {feas:.3e} exceeds {FEAS_TOL:g}")

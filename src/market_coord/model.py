@@ -283,6 +283,8 @@ def validate(instance: Instance) -> ValidationReport:
         _check_finite(f"VRE {v.id}", v, report)
         if v.bus not in buses:
             report.violations.append(f"VRE {v.id}: bus {v.bus!r} not declared")
+        if v.id in buses:  # the scenario CSV could not tell its output from the bus's load
+            report.violations.append(f"VRE {v.id}: id is also a bus id")
         if v.capacity <= 0:
             report.violations.append(f"VRE {v.id}: capacity must be > 0")
 
@@ -344,6 +346,8 @@ def validate(instance: Instance) -> ValidationReport:
     _check_finite("system", instance.system, report)
     if instance.system.voll <= 0:
         report.violations.append("VoLL must be > 0")
+    if instance.system.bid_price_cap < 0:
+        report.violations.append("bid price cap must be >= 0")
     return report
 
 

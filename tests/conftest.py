@@ -1,7 +1,9 @@
 """Shared fixtures: bundled systems and small handmade variants."""
 import dataclasses
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from market_coord import io as mio
 from market_coord.model import (
@@ -27,6 +29,14 @@ def pytest_terminal_summary(terminalreporter):
     for num, desc, ok, detail in sorted(ACCEPTANCE_RESULTS):
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[{verdict}] criterion {num}: {desc} ({detail})")
+
+
+def matrix(model) -> sparse.csr_matrix:
+    """All of `model`'s constraint coefficients, one row per constraint."""
+    return sparse.csr_matrix(
+        (np.array(model._val), (np.array(model._row), np.array(model._col))),
+        shape=(model.n_cons, model.n_vars),
+    )
 
 
 def rel_close(a: float, b: float, tol: float = REL) -> bool:

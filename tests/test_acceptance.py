@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from market_coord import lp
+from market_coord import dam
 from market_coord.bilevel import (
     collapse_to_single_segment,
     oracle_grid_search,
@@ -17,6 +17,7 @@ from market_coord.bilevel import (
     solve_bid,
     verify_theorem1,
 )
+from market_coord.lp import LpStatus, solve
 from market_coord.policies import (
     compare,
     evaluate_bids,
@@ -39,10 +40,19 @@ ZERO_SEGMENT_VECTORS = [(0.0,), (0.0, 5.0), (0.0, 10.0, 30.0), SIX_SEGMENT]
 
 @pytest.fixture(scope="module", autouse=True)
 def certificate_audit():
-    """Collect solver certificates for every solve in this module."""
-    log = lp.certificate_log(True)
-    yield log
-    lp.certificate_log(False)
+    """The certificates of every optimal solve in this module, as (model
+    name, certificates): every market LP is solved through `dam.solve`."""
+    log = []
+
+    def audited(model, **options):
+        sol = solve(model, **options)
+        if sol.status is LpStatus.OPTIMAL:
+            log.append((model.name, sol.certificates))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dam, "solve", audited)
+        yield log
 
 
 def record(num: int, desc: str, ok: bool, detail: str) -> None:

@@ -20,6 +20,7 @@ from market_coord.dam import BidSetError, DaSchedule, build_dam, check_prices
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
+from conftest import matrix
 
 SIX_SEGMENT = (0.0, 2.0, 22.0, 30.0, 32.0, 350.0)
 
@@ -89,17 +90,17 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     assert ctx.structure is block
     row_at = {r: i for i, r in enumerate(relaxed.con_names)}
     col_at = {v: j for j, v in enumerate(relaxed.var_names)}
-    matrix = relaxed._matrix()
+    A = matrix(relaxed)
     cols = [col_at[v] for v in block.cols]
     w_cols = [col_at[v] for v in block.d_cols]
     y_cols = [col_at[f"y[{r}]"] for r in block.rows]
 
     # the lower level with W fixed at the bid quantities is the day-ahead LP
     rows = [row_at[r] for r in block.rows]
-    lower = matrix[rows]
+    lower = A[rows]
     assert lower.nnz == lower[:, cols].nnz + lower[:, w_cols].nnz
     assert [relaxed.con_sense[i] for i in rows] == dam.con_sense
-    assert (lower[:, cols] != dam._matrix()).nnz == 0
+    assert (lower[:, cols] != matrix(dam)).nnz == 0
     q = np.array([seg[1] for b in bids for seg in b.segments])
     fixed = np.array(relaxed.con_rhs)[rows] - lower[:, w_cols] @ q
     assert fixed.tolist() == dam.con_rhs
@@ -117,9 +118,9 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
 
     # dual feasibility reads A^T y + z = c, c the day-ahead LP's bid cost
     dual_rows = [row_at[f"dual[{v}]"] for v in block.cols]
-    dual = matrix[dual_rows]
+    dual = A[dual_rows]
     assert dual.nnz == dual[:, y_cols].nnz + dual[:, z_cols].nnz
-    assert (dual[:, y_cols] != dam._matrix().T).nnz == 0
+    assert (dual[:, y_cols] != matrix(dam).T).nnz == 0
     bounded = [block.cols.index(v) for v in at_lb + at_ub]
     assert (dual[:, z_cols].toarray() == np.eye(len(block.cols))[:, bounded]).all()
     assert [relaxed.con_sense[i] for i in dual_rows] == ["="] * len(block.cols)
@@ -128,9 +129,9 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     def row(name):
         """Row `name` of the relaxed LP as (terms by column name, sense, rhs)."""
         i = row_at[name]
-        lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
+        lo, hi = A.indptr[i], A.indptr[i + 1]
         terms = {relaxed.var_names[j]: c
-                 for j, c in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())}
+                 for j, c in zip(A.indices[lo:hi].tolist(), A.data[lo:hi].tolist())}
         return terms, relaxed.con_sense[i], relaxed.con_rhs[i]
 
     # strong duality: c x = b y + lb z_l + ub z_u + the McCormick products

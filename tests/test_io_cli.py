@@ -305,8 +305,16 @@ def test_cli_unknown_instance_errors():
     (["sweep-price", "--from", "0", "--to", "inf", "--step", "5"], "--to must be finite"),
     (["sweep-price", "--from", "20", "--to", "10", "--step", "5"], "the sweep is empty"),
     (["oracle", "--step", "nan"], "grid step"),
+    (["evaluate", "--bids", "{tmp}"], "Is a directory"),
+    (["-o", "{tmp}/taken", "myd"], "File exists"),
+    (["evaluate", "--bids", "{tmp}/latin1.csv"], "latin1.csv: 'utf-8' codec can't decode"),
 ])
 def test_cli_bad_input_exits_4(tmp_path, args, message):
+    # the bad files: {tmp} a directory, `taken` a file, `latin1.csv` not UTF-8
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "latin1.csv").write_bytes(
+        b"vre_id,hour,segment,price_usd_per_mwh,quantity_mw\nw\xe9,0,0,0.0,5.0\n")
+    args = [arg.format(tmp=tmp_path) for arg in args]
     instance = [] if args[0] == "-i" else ["-i", "t1"]
     result = run_cli(*instance, "-o", str(tmp_path), *args)
     assert result.exit_code == 4, result.output

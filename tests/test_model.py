@@ -128,6 +128,7 @@ def _with(instance, record: str, **changes):
     (lambda i: dataclasses.replace(i, vre_units=i.vre_units * 2), "duplicate VRE unit ids"),
     (lambda i: _with(i, "vre_units", bus="b9"), "VRE w1: bus 'b9' not declared"),
     (lambda i: _with(i, "vre_units", capacity=0.0), "VRE w1: capacity must be > 0"),
+    (lambda i: _with(i, "vre_units", id="b1"), "VRE b1: id is also a bus id"),
     (lambda i: _with(i, "scenario_set", hours=(0, 0)), "duplicate hours in horizon"),
     (lambda i: _with(i, "scenario_set", hours=(1, 0)), "hours in horizon must strictly increase"),
     (lambda i: _with(i, "scenario_set", da_load={("b9", 0): 1.0}),
@@ -148,13 +149,15 @@ def _with(instance, record: str, **changes):
     (lambda i: _with_scenario(i, rt_load={("b1", 0): -1.0}),
      "scenario s1: load at (b1,0) negative"),
     (lambda i: _with(i, "system", voll=0.0), "VoLL must be > 0"),
+    (lambda i: _with(i, "system", price_cap=-5.0), "bid price cap must be >= 0"),
 ], ids=["duplicate-bus", "unknown-slack", "line-to-unknown-bus", "self-loop", "reactance",
         "line-capacity", "nonfinite-reactance", "disconnected", "duplicate-unit",
         "unit-bus", "p-min-above-p-max", "ramp", "start-class", "u-init", "p-init",
-        "up-below-down", "duplicate-vre", "vre-bus", "vre-capacity", "duplicate-hour",
+        "up-below-down", "duplicate-vre", "vre-bus", "vre-capacity", "vre-id-is-a-bus",
+        "duplicate-hour",
         "decreasing-hours", "da-load-bus", "da-load-hour", "da-load-negative",
         "duplicate-scenario", "probability-zero", "scenario-vre", "scenario-vre-hour",
-        "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll"])
+        "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll", "negative-price-cap"])
 def test_each_rule_reports_its_violation(t1, change, message):
     assert validate(t1).ok
     assert message in validate(change(t1)).violations

@@ -11,7 +11,7 @@ from market_coord.lp import solve
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
 from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost, thread_count
-from conftest import single_scenario, zero_bid
+from conftest import matrix, single_scenario, zero_bid
 
 
 @pytest.fixture()
@@ -260,7 +260,7 @@ def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatc
     da, _ = clear_dam(inst, myopic_bids(inst))
     row_at = {r: i for i, r in enumerate(std.con_names)}
     col_at = {v: j for j, v in enumerate(std.var_names)}
-    matrix = std._matrix()
+    A = matrix(std)
 
     # the day-ahead schedule at the stochastic LP's day-ahead columns, which
     # come first, as in the day-ahead block
@@ -274,10 +274,10 @@ def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatc
         rows = [row_at[f"{r}@{scen.id}"] for r in tpl.rows]
         cols = [col_at[f"{v}@{scen.id}"] for v in tpl.cols]
         d_cols = [col_at[v] for v in tpl.d_cols]
-        block = matrix[rows]
+        block = A[rows]
         assert block.nnz == block[:, cols].nnz + block[:, d_cols].nnz
         assert [std.con_sense[i] for i in rows] == rt.con_sense
-        assert (block[:, cols] != rt._matrix()).nnz == 0
+        assert (block[:, cols] != matrix(rt)).nnz == 0
         assert [std.lb[j] for j in cols] == rt.lb
         assert [std.ub[j] for j in cols] == rt.ub
 
