@@ -4,11 +4,8 @@ Exit codes: 0 success, 2 a market LP without an optimum or a usage error click
 reports (an unknown option, a value that is not a number), 3 failed
 assertion (benchmark chain or theorem check), 4 bad input (a missing,
 unreadable or malformed instance, bid file or bid set, an --output that is a
-file, a malformed MARKET_COORD_THREADS, or a bad option value such as a
-price list, sweep range, grid step or scenario id).
-
-The scenario fan-out width is MARKET_COORD_THREADS alone (default 1); every
-command that re-dispatches scenarios reads it.
+file, or a bad option value such as a price list, sweep range, grid step or
+scenario id).
 """
 from __future__ import annotations
 
@@ -23,7 +20,7 @@ import click
 from . import bilevel, io as mio, policies
 from .dam import BidSetError, DamInfeasibleError, check_prices, clear_dam
 from .model import Instance
-from .rtm import clear_rtm, thread_count
+from .rtm import clear_rtm
 
 EXIT_INFEASIBLE = 2
 EXIT_ASSERTION = 3
@@ -97,10 +94,6 @@ def main(ctx, instance, scenarios, output, json_out):
     try:
         ctx.obj["instance"] = _load(instance, scenarios)
     except (ValueError, TypeError, KeyError, OSError) as exc:  # ParseError is a ValueError
-        _bad_input(exc)
-    try:
-        thread_count()  # read again by every fan-out; checked once here
-    except ValueError as exc:  # a malformed MARKET_COORD_THREADS
         _bad_input(exc)
     ctx.obj["output"] = output
     ctx.obj["json"] = json_out

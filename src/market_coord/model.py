@@ -290,7 +290,9 @@ def validate(instance: Instance) -> ValidationReport:
 
     ss = instance.scenario_set
     hours = set(ss.hours)
-    if len(hours) != len(ss.hours):
+    if not hours:
+        report.violations.append("no hours in horizon")
+    elif len(hours) != len(ss.hours):
         report.violations.append("duplicate hours in horizon")
     elif any(b <= a for a, b in zip(ss.hours, ss.hours[1:])):
         # ramps, start-ups and u_init/p_init follow the horizon's order

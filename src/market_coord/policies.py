@@ -13,8 +13,6 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dam import DaSchedule, clear_dam, dam_structure, solved
 from .lp import LpModel
 from .model import BidCurve, Instance, expected_vre, validated
@@ -28,7 +26,6 @@ __all__ = [
     "myopic_bids",
     "stochastic",
     "compare",
-    "random_bid_set",
 ]
 
 CHAIN_TOL = 1e-6  # relative tolerance on the MyD >= BiD >= StD chain
@@ -163,22 +160,3 @@ def compare(
     )
     return ComparisonTable(rows=rows, chain_ok=violation <= CHAIN_TOL,
                            chain_violation=violation)
-
-
-def random_bid_set(instance: Instance, rng: np.random.Generator,
-                   seg_count: int = 1) -> list[BidCurve]:
-    """Sample a feasible bid-curve set: nondecreasing prices up to the bid
-    price cap, quantities summing to at most installed capacity. Used by
-    dominance property tests."""
-    max_price = instance.system.bid_price_cap
-    bids = []
-    for k in instance.vre_units:
-        for t in instance.hours:
-            prices = np.sort(rng.uniform(0.0, max_price, size=seg_count))
-            qtys = rng.uniform(0.0, k.capacity, size=seg_count)
-            total = qtys.sum()
-            if total > k.capacity:
-                qtys *= rng.uniform(0.0, 1.0) * k.capacity / total
-            bids.append(BidCurve(owner=k.id, hour=t,
-                                 segments=tuple(zip(prices.tolist(), qtys.tolist()))))
-    return bids

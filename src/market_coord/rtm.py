@@ -26,14 +26,10 @@ may price anywhere between two redispatch costs, the scenario is solved
 again from scratch. Every scenario's LMPs, f_RT and dispatch are thus a
 standalone `clear_rtm`'s (which always solves from scratch), up to rounding,
 whichever scenario comes first; a dispatch may differ only where the LP has
-more than one optimal primal, at equal f_RT. The warm scenarios fan out over
-`thread_count()` threads: MARKET_COORD_THREADS, default 1, the package's one
-setting that no argument carries, read on every `expected_rt_cost` call.
+more than one optimal primal, at equal f_RT.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +46,6 @@ __all__ = [
     "clear_rtm",
     "append_scenarios",
     "expected_rt_cost",
-    "thread_count",
 ]
 
 
@@ -233,49 +228,18 @@ def _redispatch(instance: Instance, da: DaSchedule, scenario_id: str,
     return dispatch, sol.basis
 
 
-def thread_count() -> int:
-    """Scenario fan-out width: MARKET_COORD_THREADS, 1 when unset or empty.
-
-    Raises ValueError, naming the variable, unless it is an integer of at
-    least 1.
-    """
-    env = os.environ.get("MARKET_COORD_THREADS")
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"MARKET_COORD_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ValueError(f"MARKET_COORD_THREADS must be at least 1, got {value}")
-    return value
-
-
 def expected_rt_cost(instance: Instance, da: DaSchedule) -> tuple[float, list[RtDispatch]]:
     """Probability-weighted re-dispatch cost over all scenarios.
 
-    The first scenario is solved from scratch and every other one from its
-    optimal basis, which stays dual feasible since the scenarios' LPs differ
-    only in their rhs and column bounds; a scenario whose LMPs that start
-    leaves non-unique is solved from scratch. Each scenario's result is
-    therefore a function of the schedule, the first scenario and its own
-    data alone, and the reduction runs in scenario order, so totals do not
-    depend on the fan-out width, `thread_count()`, read on every call.
+    The first scenario is solved from scratch and every later one, in
+    scenario order, from its optimal basis, which stays dual feasible since
+    the scenarios' LPs differ only in their rhs and column bounds; a
+    scenario whose LMPs that start leaves non-unique is solved from scratch.
+    Each scenario's result is therefore a function of the schedule, the
+    first scenario and its own data alone.
     """
     scenarios = instance.scenario_set.scenarios
-    workers = thread_count()
-    # solved before any thread starts, so that threads never race to build
-    # the template
     first, basis = _redispatch(instance, da, scenarios[0].id)
-
-    def warm(scenario: Scenario) -> RtDispatch:
-        return _redispatch(instance, da, scenario.id, basis)[0]
-
-    if workers > 1 and len(scenarios) > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rest = list(pool.map(warm, scenarios[1:]))
-    else:
-        rest = [warm(s) for s in scenarios[1:]]
-    dispatches = [first, *rest]
+    dispatches = [first, *(_redispatch(instance, da, s.id, basis)[0] for s in scenarios[1:])]
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

@@ -107,3 +107,22 @@ def zero_bid(instance: Instance) -> list[BidCurve]:
         for k in instance.vre_units
         for t in instance.hours
     ]
+
+
+def random_bid_set(instance: Instance, rng: np.random.Generator,
+                   seg_count: int = 1) -> list[BidCurve]:
+    """Sample a feasible bid-curve set: nondecreasing prices up to the bid
+    price cap, quantities summing to at most installed capacity. Used by
+    dominance property tests."""
+    max_price = instance.system.bid_price_cap
+    bids = []
+    for k in instance.vre_units:
+        for t in instance.hours:
+            prices = np.sort(rng.uniform(0.0, max_price, size=seg_count))
+            qtys = rng.uniform(0.0, k.capacity, size=seg_count)
+            total = qtys.sum()
+            if total > k.capacity:
+                qtys *= rng.uniform(0.0, 1.0) * k.capacity / total
+            bids.append(BidCurve(owner=k.id, hour=t,
+                                 segments=tuple(zip(prices.tolist(), qtys.tolist()))))
+    return bids

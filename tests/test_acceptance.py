@@ -22,10 +22,9 @@ from market_coord.policies import (
     compare,
     evaluate_bids,
     myopic,
-    random_bid_set,
     stochastic,
 )
-from conftest import ACCEPTANCE_RESULTS, single_scenario
+from conftest import ACCEPTANCE_RESULTS, random_bid_set, single_scenario
 
 CHAIN_TOL = 1e-6  # relative, criteria 1 and 8
 ORACLE_TOL = 1e-6  # relative, criterion 2

@@ -9,8 +9,8 @@ from market_coord.dam import BidSetError, DamInfeasibleError, build_dam, clear_d
 from market_coord.dam import _check_bids
 from market_coord.lp import LpStatus, solve
 from market_coord.model import BidCurve, ScenarioSet
-from market_coord.policies import evaluate_bids, myopic_bids, random_bid_set
-from conftest import zero_bid
+from market_coord.policies import evaluate_bids, myopic_bids
+from conftest import random_bid_set, zero_bid
 
 
 def myd_t1_bid():

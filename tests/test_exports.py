@@ -84,13 +84,21 @@ def test_only_lp_reads_lp_names():
     assert readers == ["lp.py"]
 
 
-def test_only_rtm_reads_the_environment():
-    # the scenario fan-out width, MARKET_COORD_THREADS, is the package's one
-    # setting outside its arguments, and `rtm.thread_count` reads it
+def test_no_module_reads_the_environment_or_starts_threads():
+    # every setting is an argument, and scenarios are re-dispatched in
+    # scenario order on the caller's thread
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
     package = Path(lp.__file__).resolve().parent
-    readers = sorted(p.name for p in package.glob("*.py")
-                     if re.search(r"\b(environ|getenv)\b", p.read_text()))
-    assert readers == ["rtm.py"]
+    offenders = sorted(
+        p.name for p in package.glob("*.py")
+        if re.search(r"\b(environ|getenv)\b", p.read_text())
+        or any(name.split(".")[0] in ("concurrent", "threading")
+               for node in ast.walk(ast.parse(p.read_text())) for name in imported(node)))
+    assert offenders == []
 
 
 def test_only_lp_and_dam_read_an_lp_status():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from market_coord import bilevel, io as mio, policies, rtm
+from market_coord import bilevel, io as mio, policies
 from market_coord.cli import main
 from market_coord.model import BidCurve
 
@@ -181,45 +181,6 @@ def test_cli_evaluate_nonfinite_bid_exits_4(tmp_path, row):
     assert result.exit_code == 4, result.output
     column = "quantity_mw" if row.endswith("nan") else "price_usd_per_mwh"
     assert f"{bids}:2: {column} nan is not finite" in result.output
-
-
-@pytest.mark.parametrize("width", ["-3", "two"])
-@pytest.mark.parametrize("command", ["myd", "evaluate"])
-def test_cli_malformed_thread_environment_is_bad_input(tmp_path, command, width):
-    bids = tmp_path / "bids.csv"
-    mio.save_bids([BidCurve("w1", 0, ((0.0, 10.0),))], bids)
-    args = ["evaluate", "--bids", str(bids)] if command == "evaluate" else ["myd"]
-    result = run_cli("-i", "t1", "-o", str(tmp_path), *args,
-                     env={"MARKET_COORD_THREADS": width})
-    assert result.exit_code == 4, result.output
-    assert "bad input: MARKET_COORD_THREADS" in result.output
-
-
-@pytest.mark.parametrize("args", [
-    ["compare"],
-    ["sweep-price", "--from", "0", "--to", "40", "--step", "40"],
-    ["verify-theorem1", "--prices", "0,15"],
-])
-def test_cli_thread_environment_reaches_every_fanout(tmp_path, monkeypatch, args):
-    # one setting, MARKET_COORD_THREADS, sets the width of every scenario
-    # fan-out, and the width never changes a result
-    pools = []
-
-    class Counted(rtm.ThreadPoolExecutor):
-        def __init__(self, *a, **kw):
-            pools.append(kw.get("max_workers"))
-            super().__init__(*a, **kw)
-
-    monkeypatch.setattr(rtm, "ThreadPoolExecutor", Counted)
-    outputs = {}
-    for width in ("1", "2"):
-        result = run_cli("-i", "sys3", "-o", str(tmp_path), "--json", *args,
-                         env={"MARKET_COORD_THREADS": width})
-        assert result.exit_code == 0, result.output
-        outputs[width] = result.output
-        assert (pools != []) == (width == "2")
-    assert set(pools) == {2}
-    assert outputs["2"] == outputs["1"]
 
 
 def test_cli_myd_and_std(tmp_path):

@@ -129,6 +129,7 @@ def _with(instance, record: str, **changes):
     (lambda i: _with(i, "vre_units", bus="b9"), "VRE w1: bus 'b9' not declared"),
     (lambda i: _with(i, "vre_units", capacity=0.0), "VRE w1: capacity must be > 0"),
     (lambda i: _with(i, "vre_units", id="b1"), "VRE b1: id is also a bus id"),
+    (lambda i: _with(i, "scenario_set", hours=()), "no hours in horizon"),
     (lambda i: _with(i, "scenario_set", hours=(0, 0)), "duplicate hours in horizon"),
     (lambda i: _with(i, "scenario_set", hours=(1, 0)), "hours in horizon must strictly increase"),
     (lambda i: _with(i, "scenario_set", da_load={("b9", 0): 1.0}),
@@ -154,7 +155,7 @@ def _with(instance, record: str, **changes):
         "line-capacity", "nonfinite-reactance", "disconnected", "duplicate-unit",
         "unit-bus", "p-min-above-p-max", "ramp", "start-class", "u-init", "p-init",
         "up-below-down", "duplicate-vre", "vre-bus", "vre-capacity", "vre-id-is-a-bus",
-        "duplicate-hour",
+        "no-hours", "duplicate-hour",
         "decreasing-hours", "da-load-bus", "da-load-hour", "da-load-negative",
         "duplicate-scenario", "probability-zero", "scenario-vre", "scenario-vre-hour",
         "rt-load-bus", "rt-load-hour", "rt-load-negative", "voll", "negative-price-cap"])

@@ -17,9 +17,10 @@ from market_coord.policies import (
     evaluate_bids,
     myopic,
     myopic_bids,
-    random_bid_set,
     stochastic,
 )
+from conftest import random_bid_set
+
 
 def test_sequential_score_t1_expected_forecast(t1):
     result = evaluate_bids(t1, [BidCurve("w1", 0, ((0.0, 30.0),))])

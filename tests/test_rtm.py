@@ -10,7 +10,7 @@ from market_coord.dam import clear_dam, dam_structure
 from market_coord.lp import solve
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
-from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost, thread_count
+from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost
 from conftest import matrix, single_scenario, zero_bid
 
 
@@ -113,33 +113,6 @@ def test_scenario_results_independent_of_siblings(t1, t1_myd_da):
 def test_unknown_scenario_id_raises(t1, t1_myd_da):
     with pytest.raises(KeyError):
         clear_rtm(t1, t1_myd_da, "s99")
-
-
-def test_threaded_fanout_matches_sequential(monkeypatch):
-    # fresh instances: the threaded run starts without a real-time template
-    cold = mio.bundled_instance("sys5")
-    da, _ = clear_dam(cold, zero_bid(cold))
-    monkeypatch.setenv("MARKET_COORD_THREADS", "3")
-    par = expected_rt_cost(cold, da)
-    other = mio.bundled_instance("sys5")
-    monkeypatch.setenv("MARKET_COORD_THREADS", "1")
-    assert expected_rt_cost(other, da) == par
-
-
-def test_thread_count_honors_environment(monkeypatch):
-    monkeypatch.setenv("MARKET_COORD_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("MARKET_COORD_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("MARKET_COORD_THREADS", "two")
-    with pytest.raises(ValueError, match="MARKET_COORD_THREADS"):
-        thread_count()
-    for bad in ("0", "-3"):
-        monkeypatch.setenv("MARKET_COORD_THREADS", bad)
-        with pytest.raises(ValueError, match="MARKET_COORD_THREADS must be at least 1"):
-            thread_count()
-    monkeypatch.delenv("MARKET_COORD_THREADS")
-    assert thread_count() == 1
 
 
 def test_template_built_once_and_warm_scores_bitwise_equal():
