@@ -25,14 +25,18 @@ counts each solve's rows and nonzeros from `A_ub` and `A_eq`: the
 inequality and the equality rows, two `RowSpan`s of one `Colwise` matrix.
 
 LPs that differ only in their rhs and column bounds can share a basis:
-`solve(model, prices=rows)` keeps the optimal basis, and `solve(other,
-basis=, prices=rows)` re-optimizes from it with dual simplex, skipping
-presolve. A warm start may end at another optimal vertex than a solve from
-scratch, and where an LP has more than one optimal dual the reported prices
-would then depend on the start. So a warm result stands only where one
-solve with its basis matrix shows the duals at `prices` to be the LP's only
-optimal ones (then a solve from scratch reports them too, up to rounding);
-otherwise the LP is solved again from scratch.
+`solve(model, prices=rows)` keeps a start, the optimal basis and the HiGHS
+object that found it, and `solve(other, basis=, prices=rows)` re-optimizes
+from that basis with dual simplex, skipping presolve. Where `other` is
+`model` itself with new rhs and column bounds, the start's object is reused:
+only its bounds that differ are changed, and it is cleared before the basis
+is set, so each result is, bit for bit, what a fresh object loaded from the
+same arrays gives. A warm start may end at another optimal vertex than a
+solve from scratch, and where an LP has more than one optimal dual the
+reported prices would then depend on the start. So a warm result stands only
+where one solve with its basis matrix shows the duals at `prices` to be the
+LP's only optimal ones (then a solve from scratch reports them too, up to
+rounding); otherwise the LP is solved again from scratch, on a fresh object.
 
 An LP with more than one optimal primal can break the tie by a second
 cost: `solve(model, then=costs)` minimizes `costs` over the first solve's
@@ -109,6 +113,7 @@ class LpModel:
         self._row = array("q")
         self._col = array("q")
         self._val = array("d")
+        self._form: tuple | None = None  # `_highs_form`'s matrix part, with its key
 
     @property
     def n_vars(self) -> int:
@@ -291,12 +296,18 @@ class Block:
             # each column's terms keep their order
             terms.append((d_row, coupled[d_col], d_value))
         else:
-            # rhs - D @ fixed, subtracted term by term in row order, as
-            # substituting the values into each row in turn does
-            rhs = rhs.copy()
-            np.subtract.at(rhs, d_row, d_value * np.asarray(fixed, float)[d_col])
+            rhs = self.fixed_rhs(rhs, fixed)
         model.add_rows(self.rows, self.sense, rhs, terms, suffix)
         return cols
+
+    def fixed_rhs(self, rhs: np.ndarray, fixed) -> np.ndarray:
+        """`rhs - D @ fixed`: the rows' rhs with the coupled columns at the
+        values `fixed`, subtracted term by term in row order, as substituting
+        the values into each row in turn does."""
+        d_row, d_col, d_value = self.d_terms
+        rhs = rhs.copy()
+        np.subtract.at(rhs, d_row, d_value * np.asarray(fixed, float)[d_col])
+        return rhs
 
     def read(self, x: np.ndarray) -> dict[str, dict]:
         """Each result field as {key: value} from the primal `x`; a signed
@@ -326,15 +337,17 @@ class LpCertificates:
 @dataclass
 class LpSolution:
     """Solver result; `primal` is in column order and `duals` in row order,
-    all None unless the status is optimal. `basis` is HiGHS's optimal basis,
-    kept only when `solve` was given `prices`."""
+    all None unless the status is optimal. `basis` is kept only when `solve`
+    was given `prices`: a private start for `solve(basis=)`, holding HiGHS's
+    optimal basis and the HiGHS object that found it, which it keeps alive
+    with the LP's arrays, so a caller drops it once done."""
 
     status: LpStatus
     objective: float | None = None
     primal: np.ndarray | None = None
     duals: np.ndarray | None = None
     certificates: LpCertificates | None = None
-    basis: _highs.HighsBasis | None = None
+    basis: _Start | None = None
 
 
 @dataclass(frozen=True)
@@ -388,6 +401,40 @@ class RowSpan(NamedTuple):
     nnz: int
 
 
+class _Arrays(NamedTuple):
+    """The arguments of `passModel`'s array form, in its order."""
+
+    n_col: int
+    n_row: int
+    nnz: int
+    format: int
+    sense: int
+    offset: float
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    integrality: np.ndarray
+
+
+class _Solver(_highs._Highs):
+    """A HiGHS object that knows the `_Arrays` it holds now, as `arrays`."""
+
+    arrays: _Arrays
+
+
+class _Start(NamedTuple):
+    """A warm start: the optimal `basis` of an LP and the `highs` object
+    that found it."""
+
+    basis: _highs.HighsBasis
+    highs: _Solver
+
+
 # HiGHS's options, set once: presolve on, no output, dual simplex (those of
 # `scipy.optimize.linprog(method="highs")`)
 _OPTIONS = _highs.HighsOptions()
@@ -408,15 +455,19 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     `A_ub` and `A_eq` are the inequality and the equality rows of one
     `Colwise` matrix A, in that order; `row_bounds` is `(row_lower,
     row_upper)` over A's rows and `bounds` is `(lb, ub)`, one array each.
-    HiGHS gets them as they are, with the options of `_OPTIONS`. A fresh
-    HiGHS object solves each call, so the result depends on its inputs alone.
+    HiGHS gets them as they are, with the options of `_OPTIONS`. Each call
+    without `basis` loads a fresh HiGHS object; with `basis`, a reused object
+    is cleared and restarted from it (`_load`). Either way the result is, bit
+    for bit, what a fresh object loaded from the same arrays gives, so it
+    depends on the inputs alone.
 
     `prices` are rows whose duals the caller reports; with them the result
-    carries the optimal basis. With `basis`, the optimal basis of an LP that
-    differs from this one only in its row and column bounds, the solve
-    starts from it. That result stands only if `_unique_duals` finds the
-    duals at `prices` to be the LP's only optimal ones; otherwise the LP is
-    solved again from scratch, so they are what a solve from scratch reports.
+    carries a start (`_Start`) as `basis`. With `basis`, the start of an LP
+    that differs from this one only in its row and column bounds, the solve
+    starts from its basis. That result stands only if `_unique_duals` finds
+    the duals at `prices` to be the LP's only optimal ones; otherwise the LP
+    is solved again from scratch on a fresh object, so they are what a solve
+    from scratch reports.
 
     Returns HiGHS's model status and simplex iterations (`nit`, the cold
     retry's counted) and, when optimal, `x`, `fun`, the duals `row_dual` of A's
@@ -441,17 +492,18 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     if optimum is None:
         return SimpleNamespace(status=status, nit=nit)
     x, y, z = optimum
+    start = _Start(highs.getBasis(), highs) if len(prices) else None
     return SimpleNamespace(status=status, nit=nit, x=x,
                            fun=highs.getInfo().objective_function_value, row_dual=y,
-                           col_dual=z, basis=highs.getBasis() if len(prices) else None)
+                           col_dual=z, basis=start)
 
 
-def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
+def _pass_model(c, A: Colwise, bounds, row_bounds) -> _Arrays:
     """`passModel`'s array-form arguments for `min c x`, columns within
     `bounds` and the rows of `A` within `row_bounds`."""
     # HiGHS refuses an empty integrality array
-    return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
-            *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
+    return _Arrays(A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
+                   *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
 
 
 def _face(c, x: np.ndarray, y: np.ndarray, z: np.ndarray, bounds, row_bounds) -> tuple:
@@ -476,17 +528,52 @@ def _face(c, x: np.ndarray, y: np.ndarray, z: np.ndarray, bounds, row_bounds) ->
             (np.where(at_upper, upper, lower), np.where(at_lower, lower, upper)))
 
 
-def _load(model: tuple, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
-    """A fresh HiGHS object holding `model`, the arguments of `passModel`'s
-    array form, to start from `basis` if given; None if HiGHS refuses it."""
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(*model) == _highs.HighsStatus.kError:
-        return None
-    if basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kError:
-        n_col, n_row = model[:2]
-        raise ValueError(f"basis does not fit an LP of {n_row} rows and {n_col} columns")
+def _load(arrays: _Arrays, start: _Start | None = None) -> _Solver | None:
+    """A HiGHS object holding `arrays`, to start from the basis of `start`
+    if given; None if HiGHS refuses them.
+
+    `start`'s object is reused if it holds the same coefficient arrays, by
+    identity, and the same costs: it is brought from the bounds it holds to
+    those of `arrays`, and cleared, so that it is what a fresh object loaded
+    from `arrays` is. Otherwise a fresh object is loaded with `passModel`.
+    """
+    if start is not None and _holds_matrix(start.highs.arrays, arrays):
+        highs = start.highs
+        held = highs.arrays
+        cols = _moved(held.col_lower, held.col_upper, arrays.col_lower, arrays.col_upper)
+        if cols.size:
+            highs.changeColsBounds(cols.size, cols.astype(np.int32), arrays.col_lower[cols],
+                                   arrays.col_upper[cols])
+        rows = _moved(held.row_lower, held.row_upper, arrays.row_lower, arrays.row_upper)
+        for i, lower, upper in zip(rows.tolist(), arrays.row_lower[rows].tolist(),
+                                   arrays.row_upper[rows].tolist()):
+            highs.changeRowBounds(i, lower, upper)
+        highs.clearSolver()
+    else:
+        highs = _Solver()
+        highs.passOptions(_OPTIONS)
+        if highs.passModel(*arrays) == _highs.HighsStatus.kError:
+            return None
+    highs.arrays = arrays
+    if start is not None and highs.setBasis(start.basis) == _highs.HighsStatus.kError:
+        raise ValueError(f"basis does not fit an LP of {arrays.n_row} rows and "
+                         f"{arrays.n_col} columns")
     return highs
+
+
+def _holds_matrix(held: _Arrays, arrays: _Arrays) -> bool:
+    """Whether `held` and `arrays` are one LP but for their bounds: the same
+    coefficient arrays and costs equal bit for bit."""
+    return (held.start is arrays.start and held.index is arrays.index
+            and held.value is arrays.value and held.cost.tobytes() == arrays.cost.tobytes())
+
+
+def _moved(lower: np.ndarray, upper: np.ndarray, new_lower: np.ndarray,
+           new_upper: np.ndarray) -> np.ndarray:
+    """The positions at which the bounds `new_lower` or `new_upper` differ
+    from `lower` or `upper` in any bit."""
+    return np.flatnonzero((lower.view(np.int64) != new_lower.view(np.int64))
+                          | (upper.view(np.int64) != new_upper.view(np.int64)))
 
 
 def _iterations(highs: _highs._Highs) -> int:
@@ -537,6 +624,10 @@ def _highs_form(model: LpModel) -> tuple[np.ndarray, Colwise, np.ndarray, tuple,
     order the matrix, the rhs and the row bounds `(lower, upper)`, and the
     number of inequality rows.
 
+    The matrix part is kept on the model, keyed by its counts of rows,
+    columns and entries, so solves of one model share one `Colwise`; the
+    rhs and the row bounds are read afresh from `model.con_rhs` each call.
+
     The inequality rows come first and the "=" rows after, each in model
     order. HiGHS picks its vertex of a degenerate LP by row order, and the
     reported results follow that vertex: with every row in model order, the
@@ -544,14 +635,18 @@ def _highs_form(model: LpModel) -> tuple[np.ndarray, Colwise, np.ndarray, tuple,
     S_BiD-q, sys5's real-time LMPs moved, and a two-bus diagnosis named
     another row.
     """
-    sense = np.array(model.con_sense, dtype="<U2")
-    is_eq = sense == EQ
-    order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
-    highs_row = np.argsort(order)  # HiGHS row of each model row
-    sense, rhs = sense[order], np.array(model.con_rhs, dtype=float)[order]
+    key = (model.n_cons, model.n_vars, len(model._val))
+    if model._form is None or model._form[0] != key:
+        sense = np.array(model.con_sense, dtype="<U2")
+        is_eq = sense == EQ
+        order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
+        highs_row = np.argsort(order)  # HiGHS row of each model row
+        model._form = (key, order, highs_row, sense[order], Colwise.of(model, highs_row),
+                       model.n_cons - int(np.count_nonzero(is_eq)))
+    _, order, highs_row, sense, A, m = model._form
+    rhs = np.array(model.con_rhs, dtype=float)[order]
     bounds = (np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs))
-    return (highs_row, Colwise.of(model, highs_row), rhs, bounds,
-            model.n_cons - int(np.count_nonzero(is_eq)))
+    return highs_row, A, rhs, bounds, m
 
 
 def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -559,7 +654,7 @@ def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarr
     return np.maximum(lower - value, value - upper)
 
 
-def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
+def solve(model: LpModel, basis: _Start | None = None,
           prices: Sequence[int] = (), then=None) -> LpSolution:
     """Solve `model` and return primal/dual certificates.
 
@@ -573,9 +668,9 @@ def solve(model: LpModel, basis: _highs.HighsBasis | None = None,
     certificates hold the returned primal to them.
 
     `prices` are rows whose duals the caller reports; with them the solution
-    keeps its optimal basis. With `basis`, the optimal basis of an LP that
-    differs from `model` only in its rhs and column bounds, HiGHS starts
-    from it (ValueError if the shapes differ), and the result is kept only
+    keeps a start as `basis`. With `basis`, the start of an LP that differs
+    from `model` only in its rhs and column bounds, HiGHS starts from its
+    basis (ValueError if the shapes differ), and the result is kept only
     where the duals at `prices` are the model's only optimal ones; otherwise
     `model` is solved from scratch (see `linprog`). Raises SolverError when
     HiGHS reports a numerical failure, or when an "optimal" result violates

@@ -12,21 +12,25 @@ the same builders (`dam.network_rows`, `dam.unit_rows`). It couples to the
 day-ahead columns by position: they are laid out as the day-ahead block's
 first columns. `rtm_structure` pairs the template with one scenario's rhs
 and upper bounds. `build_rtm` appends it with the day-ahead schedule fixed
-(`rhs - D @ x_DA`); the stochastic and bilevel modules append every
-scenario's block with `D` kept on the first columns of their day-ahead
-block (`append_scenarios`), so the day-ahead variables are shared decisions.
+(`rhs - D @ x_DA`, `Block.fixed_rhs`); the stochastic and bilevel modules
+append every scenario's block with `D` kept on the first columns of their
+day-ahead block (`append_scenarios`), so the day-ahead variables are shared
+decisions.
 
 Since scenarios differ only in the rhs and in finite column bounds, the
 optimal basis of one scenario's LP stays dual feasible for every other.
-`expected_rt_cost` therefore solves the first scenario from scratch and
-re-optimizes each other one from that basis (`lp.solve(model, basis=,
-prices=)`), on a fresh HiGHS object each. Such a result is kept only where
-the scenario's LMPs are its LP's only optimal duals; where a bus and hour
-may price anywhere between two redispatch costs, the scenario is solved
-again from scratch. Every scenario's LMPs, f_RT and dispatch are thus a
-standalone `clear_rtm`'s (which always solves from scratch), up to rounding,
-whichever scenario comes first; a dispatch may differ only where the LP has
-more than one optimal primal, at equal f_RT.
+`expected_rt_cost` therefore builds the first scenario's LP, solves it from
+scratch, and re-optimizes each other scenario from that basis on the same
+model and HiGHS object, with only the scenario's rhs and upper bounds put in
+(`lp.solve(model, basis=, prices=)`). The object is cleared and restarted
+from the first scenario's basis each time, so each result is, bit for bit,
+what a fresh object loaded with that scenario's LP gives. Such a result is
+kept only where the scenario's LMPs are its LP's only optimal duals; where a
+bus and hour may price anywhere between two redispatch costs, the scenario
+is solved again from scratch, on a fresh object. Every scenario's LMPs, f_RT
+and dispatch are thus a standalone `clear_rtm`'s (which always solves from
+scratch), up to rounding, whichever scenario comes first; a dispatch may
+differ only where the LP has more than one optimal primal, at equal f_RT.
 """
 from __future__ import annotations
 
@@ -208,15 +212,15 @@ def clear_rtm(
     scenario_id: str,
 ) -> RtDispatch:
     """Solve one scenario's re-dispatch; pure function of its inputs."""
-    return _redispatch(instance, da, scenario_id)[0]
+    return _redispatch(*build_rtm(instance, da, scenario_id), scenario_id)[0]
 
 
-def _redispatch(instance: Instance, da: DaSchedule, scenario_id: str,
+def _redispatch(model: LpModel, tpl: _Template, offset: float, scenario_id: str,
                 basis=None) -> tuple[RtDispatch, object]:
-    """One scenario's re-dispatch and its optimal basis, solved from `basis`
-    if given (the basis of another scenario's LP) where that leaves its
-    LMPs unique, and from scratch if not."""
-    model, tpl, offset = build_rtm(instance, da, scenario_id)
+    """The re-dispatch of `build_rtm`'s `(model, tpl, offset)` for one
+    scenario and its start (`LpSolution.basis`), solved from `basis` if
+    given (the start of another scenario's LP) where that leaves its LMPs
+    unique, and from scratch if not."""
     sol = solved(model, f"real-time dispatch for scenario {scenario_id!r}",
                  basis=basis, prices=tpl.bal_rows)
     dispatch = RtDispatch(
@@ -235,11 +239,22 @@ def expected_rt_cost(instance: Instance, da: DaSchedule) -> tuple[float, list[Rt
     scenario order, from its optimal basis, which stays dual feasible since
     the scenarios' LPs differ only in their rhs and column bounds; a
     scenario whose LMPs that start leaves non-unique is solved from scratch.
+    The later scenarios reuse the first one's model and HiGHS object, with
+    their own rhs and upper bounds; each result is what its own LP, built
+    afresh and started from the first scenario's basis, gives, bit for bit.
     Each scenario's result is therefore a function of the schedule, the
-    first scenario and its own data alone.
+    first scenario and its own data alone. Nothing of the reused model or
+    object is kept once this returns.
     """
     scenarios = instance.scenario_set.scenarios
-    first, basis = _redispatch(instance, da, scenarios[0].id)
-    dispatches = [first, *(_redispatch(instance, da, s.id, basis)[0] for s in scenarios[1:])]
+    model, tpl, offset = build_rtm(instance, da, scenarios[0].id)
+    first, start = _redispatch(model, tpl, offset, scenarios[0].id)
+    dispatches = [first]
+    x_da = tpl.day_ahead(da)
+    for scen in scenarios[1:]:
+        _, rhs, ub = rtm_structure(instance, scen)
+        model.name = f"rtm[{scen.id}]"
+        model.con_rhs, model.ub = tpl.fixed_rhs(rhs, x_da).tolist(), ub.tolist()
+        dispatches.append(_redispatch(model, tpl, offset, scen.id, start)[0])
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

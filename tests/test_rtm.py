@@ -1,5 +1,6 @@
 """Real-time re-dispatch: scenario costs, coupling rules, and backstops."""
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from market_coord.lp import solve
 from market_coord.model import BidCurve
 from market_coord.policies import evaluate_bids, myopic, myopic_bids, stochastic
 from market_coord.rtm import build_rtm, clear_rtm, expected_rt_cost
-from conftest import matrix, single_scenario, zero_bid
+from conftest import matrix, random_bid_set, single_scenario, zero_bid
+from test_build_digest import _synth
 
 
 @pytest.fixture()
@@ -202,6 +204,82 @@ def test_scenario_with_non_unique_prices_is_solved_from_scratch(bundled, monkeyp
     assert starts == [False, True, False, True]
     monkeypatch.undo()
     assert warm[1] == clear_rtm(inst, da, "s2")
+
+
+@pytest.fixture(scope="module")
+def score_grid():
+    """The score-stream benchmark's 10-bus, 10-scenario grid."""
+    return _synth().generate(1, 1, 10, 12, 3, 10)
+
+
+def _fresh_from_first(instance, da):
+    """Each scenario's dispatch from its own LP, built afresh, and every
+    scenario but the first started from the first one's basis: a new model
+    holds new arrays, so each is solved on a fresh HiGHS object."""
+    first_id, *others = [s.id for s in instance.scenario_set.scenarios]
+    first, start = rtm._redispatch(*build_rtm(instance, da, first_id), first_id)
+    return [first, *(rtm._redispatch(*build_rtm(instance, da, sid), sid, start)[0]
+                     for sid in others)]
+
+
+@pytest.mark.parametrize("name, draw", [
+    ("t1", None), ("sys3", None), ("sys5", None),
+    ("grid", None), ("grid", 1), ("grid", 2), ("grid", 3),
+])
+def test_reused_highs_object_dispatches_as_fresh_ones(bundled, score_grid, name, draw):
+    # the later scenarios reuse the first one's model and HiGHS object, which
+    # is cleared and restarted from the first scenario's basis each time: a
+    # fresh object per scenario must give the very same dispatches
+    inst = score_grid if name == "grid" else bundled[name]
+    bids = (myopic_bids(inst) if draw is None
+            else random_bid_set(inst, np.random.default_rng(draw), 1 + draw % 3))
+    da, _ = clear_dam(inst, bids)
+    _, reused = expected_rt_cost(inst, da)
+    fresh = _fresh_from_first(inst, da)
+    assert [d.scenario_id for d in reused] == [d.scenario_id for d in fresh]
+    for d, ref in zip(reused, fresh):
+        assert d == ref
+        assert d.f_rt.hex() == ref.f_rt.hex()
+
+
+def _highs_objects(monkeypatch, instance, da) -> int:
+    """How many HiGHS objects `expected_rt_cost` loads an LP into."""
+    load, held = lp._load, []
+    monkeypatch.setattr(lp, "_load", lambda arrays, start=None:
+                        held.append(load(arrays, start)) or held[-1])
+    expected_rt_cost(instance, da)
+    monkeypatch.undo()
+    return len({id(highs) for highs in held})
+
+
+def test_one_highs_load_per_call_and_per_cold_retry(bundled, score_grid, monkeypatch):
+    # sys3's s2 is redone cold on a second object (see the test above); the
+    # score-stream grid's 10 scenarios all stand on the first one's object
+    sys3 = bundled["sys3"]
+    assert _highs_objects(monkeypatch, sys3, clear_dam(sys3, myopic_bids(sys3))[0]) == 2
+    da, _ = clear_dam(score_grid, myopic_bids(score_grid))
+    assert _highs_objects(monkeypatch, score_grid, da) == 1
+
+
+def test_reused_model_and_highs_object_die_with_the_call(bundled, monkeypatch):
+    inst = bundled["sys3"]
+    da, _ = clear_dam(inst, myopic_bids(inst))
+    build, load, refs = rtm.build_rtm, lp._load, []
+
+    def kept(*args):
+        built = build(*args)
+        refs.append(weakref.ref(built[0]))
+        return built
+
+    def loaded(arrays, start=None):
+        highs = load(arrays, start)
+        refs.append(weakref.ref(highs))
+        return highs
+
+    monkeypatch.setattr(rtm, "build_rtm", kept)
+    monkeypatch.setattr(lp, "_load", loaded)
+    expected_rt_cost(inst, da)
+    assert len(refs) == 1 + 4 and [ref() for ref in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("first", [1, 2])
