@@ -27,11 +27,10 @@ inequality and the equality rows, two `RowSpan`s of one `Colwise` matrix.
 LPs that differ only in their rhs and column bounds can share a basis:
 `solve(model, prices=rows)` keeps a start, the optimal basis and the HiGHS
 object that found it, and `solve(other, basis=, prices=rows)` re-optimizes
-from that basis with dual simplex, skipping presolve. Where `other` is
-`model` itself with new rhs and column bounds, the start's object is reused:
-only its bounds that differ are changed, and it is cleared before the basis
-is set, so each result is, bit for bit, what a fresh object loaded from the
-same arrays gives. A warm start may end at another optimal vertex than a
+from that basis with dual simplex, skipping presolve, on the start's object:
+`passModel` replaces the LP it holds and clears its solver, so each result
+is, bit for bit, what a fresh object loaded from the same arrays gives,
+without making one. A warm start may end at another optimal vertex than a
 solve from scratch, and where an LP has more than one optimal dual the
 reported prices would then depend on the start. So a warm result stands only
 where one solve with its basis matrix shows the duals at `prices` to be the
@@ -99,6 +98,10 @@ class LpModel:
     Constraint coefficients live in one coordinate list (row, column, value)
     in the order they were added. Each block keeps the names it was given and
     a suffix; `var_names` and `con_names` spell them out on demand.
+
+    `lb`, `ub`, `obj` and `con_rhs` are lists while blocks are added. A
+    model that is only solved again may have any of them replaced by a float
+    array of the same length, as `rtm.expected_rt_cost` does per scenario.
     """
 
     def __init__(self, name: str = "lp"):
@@ -340,7 +343,7 @@ class LpSolution:
     all None unless the status is optimal. `basis` is kept only when `solve`
     was given `prices`: a private start for `solve(basis=)`, holding HiGHS's
     optimal basis and the HiGHS object that found it, which it keeps alive
-    with the LP's arrays, so a caller drops it once done."""
+    with the LP it holds, so a caller drops it once done."""
 
     status: LpStatus
     objective: float | None = None
@@ -401,38 +404,12 @@ class RowSpan(NamedTuple):
     nnz: int
 
 
-class _Arrays(NamedTuple):
-    """The arguments of `passModel`'s array form, in its order."""
-
-    n_col: int
-    n_row: int
-    nnz: int
-    format: int
-    sense: int
-    offset: float
-    cost: np.ndarray
-    col_lower: np.ndarray
-    col_upper: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-    integrality: np.ndarray
-
-
-class _Solver(_highs._Highs):
-    """A HiGHS object that knows the `_Arrays` it holds now, as `arrays`."""
-
-    arrays: _Arrays
-
-
 class _Start(NamedTuple):
     """A warm start: the optimal `basis` of an LP and the `highs` object
     that found it."""
 
     basis: _highs.HighsBasis
-    highs: _Solver
+    highs: _highs._Highs
 
 
 # HiGHS's options, set once: presolve on, no output, dual simplex (those of
@@ -456,10 +433,10 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     `Colwise` matrix A, in that order; `row_bounds` is `(row_lower,
     row_upper)` over A's rows and `bounds` is `(lb, ub)`, one array each.
     HiGHS gets them as they are, with the options of `_OPTIONS`. Each call
-    without `basis` loads a fresh HiGHS object; with `basis`, a reused object
-    is cleared and restarted from it (`_load`). Either way the result is, bit
-    for bit, what a fresh object loaded from the same arrays gives, so it
-    depends on the inputs alone.
+    without `basis` loads a fresh HiGHS object; with `basis`, the start's
+    object is loaded again and restarted from its basis (`_load`). Either way
+    the result is, bit for bit, what a fresh object loaded from the same
+    arrays gives, so it depends on the inputs alone.
 
     `prices` are rows whose duals the caller reports; with them the result
     carries a start (`_Start`) as `basis`. With `basis`, the start of an LP
@@ -498,12 +475,12 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
                            col_dual=z, basis=start)
 
 
-def _pass_model(c, A: Colwise, bounds, row_bounds) -> _Arrays:
+def _pass_model(c, A: Colwise, bounds, row_bounds) -> tuple:
     """`passModel`'s array-form arguments for `min c x`, columns within
     `bounds` and the rows of `A` within `row_bounds`."""
     # HiGHS refuses an empty integrality array
-    return _Arrays(A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
-                   *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
+    return (A.shape[1], A.shape[0], A.value.size, _COLWISE, _MINIMIZE, 0.0, c, *bounds,
+            *row_bounds, A.start, A.index, A.value, np.zeros(A.shape[1], dtype=np.int32))
 
 
 def _face(c, x: np.ndarray, y: np.ndarray, z: np.ndarray, bounds, row_bounds) -> tuple:
@@ -528,52 +505,22 @@ def _face(c, x: np.ndarray, y: np.ndarray, z: np.ndarray, bounds, row_bounds) ->
             (np.where(at_upper, upper, lower), np.where(at_lower, lower, upper)))
 
 
-def _load(arrays: _Arrays, start: _Start | None = None) -> _Solver | None:
-    """A HiGHS object holding `arrays`, to start from the basis of `start`
-    if given; None if HiGHS refuses them.
-
-    `start`'s object is reused if it holds the same coefficient arrays, by
-    identity, and the same costs: it is brought from the bounds it holds to
-    those of `arrays`, and cleared, so that it is what a fresh object loaded
-    from `arrays` is. Otherwise a fresh object is loaded with `passModel`.
-    """
-    if start is not None and _holds_matrix(start.highs.arrays, arrays):
-        highs = start.highs
-        held = highs.arrays
-        cols = _moved(held.col_lower, held.col_upper, arrays.col_lower, arrays.col_upper)
-        if cols.size:
-            highs.changeColsBounds(cols.size, cols.astype(np.int32), arrays.col_lower[cols],
-                                   arrays.col_upper[cols])
-        rows = _moved(held.row_lower, held.row_upper, arrays.row_lower, arrays.row_upper)
-        for i, lower, upper in zip(rows.tolist(), arrays.row_lower[rows].tolist(),
-                                   arrays.row_upper[rows].tolist()):
-            highs.changeRowBounds(i, lower, upper)
-        highs.clearSolver()
-    else:
-        highs = _Solver()
+def _load(model: tuple, start: _Start | None = None) -> _highs._Highs | None:
+    """A HiGHS object holding `model`, the arguments of `passModel`'s array
+    form, to start from the basis of `start` if given; None if HiGHS refuses
+    it. With `start` it is `start`'s object, whose LP and solver `passModel`
+    replaces, so it starts as a fresh object would; otherwise a fresh one."""
+    if start is None:
+        highs = _highs._Highs()
         highs.passOptions(_OPTIONS)
-        if highs.passModel(*arrays) == _highs.HighsStatus.kError:
-            return None
-    highs.arrays = arrays
+    else:
+        highs = start.highs
+    if highs.passModel(*model) == _highs.HighsStatus.kError:
+        return None
     if start is not None and highs.setBasis(start.basis) == _highs.HighsStatus.kError:
-        raise ValueError(f"basis does not fit an LP of {arrays.n_row} rows and "
-                         f"{arrays.n_col} columns")
+        n_col, n_row = model[:2]
+        raise ValueError(f"basis does not fit an LP of {n_row} rows and {n_col} columns")
     return highs
-
-
-def _holds_matrix(held: _Arrays, arrays: _Arrays) -> bool:
-    """Whether `held` and `arrays` are one LP but for their bounds: the same
-    coefficient arrays and costs equal bit for bit."""
-    return (held.start is arrays.start and held.index is arrays.index
-            and held.value is arrays.value and held.cost.tobytes() == arrays.cost.tobytes())
-
-
-def _moved(lower: np.ndarray, upper: np.ndarray, new_lower: np.ndarray,
-           new_upper: np.ndarray) -> np.ndarray:
-    """The positions at which the bounds `new_lower` or `new_upper` differ
-    from `lower` or `upper` in any bit."""
-    return np.flatnonzero((lower.view(np.int64) != new_lower.view(np.int64))
-                          | (upper.view(np.int64) != new_upper.view(np.int64)))
 
 
 def _iterations(highs: _highs._Highs) -> int:

@@ -22,15 +22,16 @@ optimal basis of one scenario's LP stays dual feasible for every other.
 `expected_rt_cost` therefore builds the first scenario's LP, solves it from
 scratch, and re-optimizes each other scenario from that basis on the same
 model and HiGHS object, with only the scenario's rhs and upper bounds put in
-(`lp.solve(model, basis=, prices=)`). The object is cleared and restarted
-from the first scenario's basis each time, so each result is, bit for bit,
-what a fresh object loaded with that scenario's LP gives. Such a result is
-kept only where the scenario's LMPs are its LP's only optimal duals; where a
-bus and hour may price anywhere between two redispatch costs, the scenario
-is solved again from scratch, on a fresh object. Every scenario's LMPs, f_RT
-and dispatch are thus a standalone `clear_rtm`'s (which always solves from
-scratch), up to rounding, whichever scenario comes first; a dispatch may
-differ only where the LP has more than one optimal primal, at equal f_RT.
+(`lp.solve(model, basis=, prices=)`). The object takes each scenario's LP
+anew, which clears its solver, and restarts from the first scenario's basis,
+so each result is, bit for bit, what a fresh object loaded with that
+scenario's LP gives. Such a result is kept only where the scenario's LMPs
+are its LP's only optimal duals; where a bus and hour may price anywhere
+between two redispatch costs, the scenario is solved again from scratch, on
+a fresh object. Every scenario's LMPs, f_RT and dispatch are thus a
+standalone `clear_rtm`'s (which always solves from scratch), up to rounding,
+whichever scenario comes first; a dispatch may differ only where the LP has
+more than one optimal primal, at equal f_RT.
 """
 from __future__ import annotations
 
@@ -254,7 +255,7 @@ def expected_rt_cost(instance: Instance, da: DaSchedule) -> tuple[float, list[Rt
     for scen in scenarios[1:]:
         _, rhs, ub = rtm_structure(instance, scen)
         model.name = f"rtm[{scen.id}]"
-        model.con_rhs, model.ub = tpl.fixed_rhs(rhs, x_da).tolist(), ub.tolist()
+        model.con_rhs, model.ub = tpl.fixed_rhs(rhs, x_da), ub
         dispatches.append(_redispatch(model, tpl, offset, scen.id, start)[0])
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

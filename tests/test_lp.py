@@ -351,8 +351,7 @@ def test_highs_binding_has_what_the_seam_calls():
     from scipy.optimize._highspy._core import HighsLp, HighsOptions, _Highs
 
     for method in ("passOptions", "passModel", "setBasis", "run", "getModelStatus",
-                   "getInfo", "getSolution", "getBasis", "getBasicVariables", "getBasisSolve",
-                   "changeColsBounds", "changeRowBounds", "clearSolver"):
+                   "getInfo", "getSolution", "getBasis", "getBasicVariables", "getBasisSolve"):
         assert callable(getattr(_Highs, method, None)), method
     for obj, fields in ((HighsOptions(), ("presolve", "output_flag", "log_to_console",
                                           "simplex_strategy")),
@@ -371,11 +370,12 @@ def test_highs_binding_has_what_the_seam_calls():
         highs.passOptions(lp._OPTIONS)
         assert highs.passModel(1, 1, 1, lp._COLWISE, lp._MINIMIZE, 0.0, *one,
                                integrality) == status
-    # a reused object gets its new column bounds by an int32 index array
-    highs.passModel(1, 1, 1, lp._COLWISE, lp._MINIMIZE, 0.0, *one, np.zeros(1, dtype=np.int32))
-    assert highs.changeColsBounds(1, np.array([0], dtype=np.int32), np.array([0.5]),
-                                  np.array([2.0])) == HighsStatus.kOk
-    assert (list(highs.getLp().col_lower_), list(highs.getLp().col_upper_)) == ([0.5], [2.0])
+    # a reused object takes a new LP by passModel in place of the one it holds
+    other = (one[0], np.array([0.5]), np.array([2.0]), *one[3:])
+    for bounds, lp_ in ((([0.0], [np.inf]), one), (([0.5], [2.0]), other)):
+        assert highs.passModel(1, 1, 1, lp._COLWISE, lp._MINIMIZE, 0.0, *lp_,
+                               np.zeros(1, dtype=np.int32)) == HighsStatus.kOk
+        assert (list(highs.getLp().col_lower_), list(highs.getLp().col_upper_)) == bounds
 
 
 def scipy_reference(model):

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import _Highs
 
 from market_coord import dam, io as mio, lp, rtm
 from market_coord.bilevel import _load_weighted_lmps, solve_bid, vre_profit
@@ -214,11 +215,17 @@ def score_grid():
 
 def _fresh_from_first(instance, da):
     """Each scenario's dispatch from its own LP, built afresh, and every
-    scenario but the first started from the first one's basis: a new model
-    holds new arrays, so each is solved on a fresh HiGHS object."""
+    scenario but the first solved on a fresh HiGHS object, started from the
+    first one's basis."""
     first_id, *others = [s.id for s in instance.scenario_set.scenarios]
     first, start = rtm._redispatch(*build_rtm(instance, da, first_id), first_id)
-    return [first, *(rtm._redispatch(*build_rtm(instance, da, sid), sid, start)[0]
+
+    def fresh_start():
+        highs = _Highs()
+        highs.passOptions(lp._OPTIONS)
+        return lp._Start(start.basis, highs)
+
+    return [first, *(rtm._redispatch(*build_rtm(instance, da, sid), sid, fresh_start())[0]
                      for sid in others)]
 
 
@@ -228,8 +235,8 @@ def _fresh_from_first(instance, da):
 ])
 def test_reused_highs_object_dispatches_as_fresh_ones(bundled, score_grid, name, draw):
     # the later scenarios reuse the first one's model and HiGHS object, which
-    # is cleared and restarted from the first scenario's basis each time: a
-    # fresh object per scenario must give the very same dispatches
+    # takes each scenario's LP anew and restarts from the first scenario's
+    # basis: a fresh object per scenario must give the very same dispatches
     inst = score_grid if name == "grid" else bundled[name]
     bids = (myopic_bids(inst) if draw is None
             else random_bid_set(inst, np.random.default_rng(draw), 1 + draw % 3))
@@ -245,14 +252,14 @@ def test_reused_highs_object_dispatches_as_fresh_ones(bundled, score_grid, name,
 def _highs_objects(monkeypatch, instance, da) -> int:
     """How many HiGHS objects `expected_rt_cost` loads an LP into."""
     load, held = lp._load, []
-    monkeypatch.setattr(lp, "_load", lambda arrays, start=None:
-                        held.append(load(arrays, start)) or held[-1])
+    monkeypatch.setattr(lp, "_load", lambda model, start=None:
+                        held.append(load(model, start)) or held[-1])
     expected_rt_cost(instance, da)
     monkeypatch.undo()
     return len({id(highs) for highs in held})
 
 
-def test_one_highs_load_per_call_and_per_cold_retry(bundled, score_grid, monkeypatch):
+def test_one_highs_object_per_call_and_per_cold_retry(bundled, score_grid, monkeypatch):
     # sys3's s2 is redone cold on a second object (see the test above); the
     # score-stream grid's 10 scenarios all stand on the first one's object
     sys3 = bundled["sys3"]
@@ -271,8 +278,8 @@ def test_reused_model_and_highs_object_die_with_the_call(bundled, monkeypatch):
         refs.append(weakref.ref(built[0]))
         return built
 
-    def loaded(arrays, start=None):
-        highs = load(arrays, start)
+    def loaded(model, start=None):
+        highs = load(model, start)
         refs.append(weakref.ref(highs))
         return highs
 

@@ -1,14 +1,15 @@
 """Interleaved parent/change pairs of the benchmark, written as a BENCH_*.json record.
 
-    python3 tools/bench_pairs.py --parent 43c1075 --workdir /tmp/pairs \\
-        --pairs 10 --seconds 10 --change "what the change does" --out BENCH_23.json
+    python3 tools/bench_pairs.py --parent <rev> --workdir <new dir> \\
+        --change "what the change does" --out BENCH_<n>.json
 
 The parent is unpacked with `git archive` into `<workdir>/parent`, and the
 change is this checkout's working tree, unpacked the same way into
 `<workdir>/change` (tracked and untracked files that git does not ignore),
-so each side runs from its own source. Pair i runs
+so each side runs from its own source. Pair i of `PAIRS` runs
 `python3 perfbench/run.py --workload W --seed i --seconds S --trace 0` once
-on each side, one process at a time; the parent runs first in odd pairs.
+on each side, one process at a time, with S the `run_seconds` of
+`BENCHMARK.json`; the parent runs first in odd pairs.
 The record holds, per workload and end-to-end metric, each side's median
 and quartiles, the pairs in which the change read lower and the relative
 change of the medians, and every run's final JSON line.
@@ -28,6 +29,7 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def unpack_parent(rev: str, into: Path) -> None:
@@ -88,24 +90,23 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--workdir", required=True, type=Path,
                         help="empty or missing directory for the two source copies")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--change", required=True, help="one line on what the change does")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     roots = {"parent": args.workdir / "parent", "change": args.workdir / "change"}
     unpack_parent(args.parent, roots["parent"])
     unpack_change(roots["change"])
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
-    for seed in range(1, args.pairs + 1):
+    for seed in range(1, PAIRS + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in workloads:
             for side in order:
-                result = run_once(roots[side], workload, seed, args.seconds)
+                result = run_once(roots[side], workload, seed, seconds)
                 runs[workload][side].append(result)
                 print(f"pair {seed} {workload} {side}: "
                       f"{json.dumps(result['metrics'])[:160]}", flush=True)
@@ -113,8 +114,8 @@ def main(argv=None) -> int:
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                             check=True, capture_output=True, text=True).stdout.strip()
     record = {
-        "what": f"{args.pairs} interleaved parent/change pairs of `python3 perfbench/run.py "
-                f"--workload W --seed i --seconds {args.seconds:g} --trace 0` per workload "
+        "what": f"{PAIRS} interleaved parent/change pairs of `python3 perfbench/run.py "
+                f"--workload W --seed i --seconds {seconds:g} --trace 0` per workload "
                 "(pair i on seed i, the side run first alternating: parent first in odd "
                 "pairs), each side from its own unpacked copy. Each entry of `runs` holds "
                 "the run's final JSON line.",
