@@ -91,10 +91,7 @@ class _Main(click.Group):
 def main(ctx, instance, scenarios, output, json_out):
     """Two-settlement market clearing and VRE bid-curve optimization."""
     ctx.ensure_object(dict)
-    try:
-        ctx.obj["instance"] = _load(instance, scenarios)
-    except (ValueError, TypeError, KeyError, OSError) as exc:  # ParseError is a ValueError
-        _bad_input(exc)
+    ctx.obj["instance"] = _load(instance, scenarios)
     ctx.obj["output"] = output
     ctx.obj["json"] = json_out
 

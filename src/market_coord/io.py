@@ -208,6 +208,8 @@ def load_instance(network_path: str | Path, scenarios_path: str | Path) -> Insta
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not text, a number too long, nesting too deep
+        raise ParseError(f"{where}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: the document is not a JSON object: {doc!r:.40}")
     net_doc = _field(doc, "network", where, dict)

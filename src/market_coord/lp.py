@@ -54,7 +54,6 @@ held to `FEAS_TOL` and `GAP_TOL`.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -95,27 +94,25 @@ DIAGNOSIS_TOP = 10  # names `diagnose_infeasibility` lists at most
 class LpModel:
     """Sparse LP (minimization), built in blocks and addressed by position.
 
-    Constraint coefficients live in one coordinate list (row, column, value)
-    in the order they were added. Each block keeps the names it was given and
-    a suffix; `var_names` and `con_names` spell them out on demand.
-
-    `lb`, `ub`, `obj` and `con_rhs` are lists while blocks are added. A
-    model that is only solved again may have any of them replaced by a float
-    array of the same length, as `rtm.expected_rt_cost` does per scenario.
+    Every number is in a NumPy array, grown block by block: the column
+    bounds `lb` and `ub`, the costs `obj` and the rhs `con_rhs` are float
+    arrays, and the coefficients are coordinate arrays (row, column, value)
+    in the order they were added. `solve` hands these arrays to HiGHS as
+    they are. A model that is only solved again may have any of `lb`, `ub`,
+    `obj` and `con_rhs` replaced by a float array of the same length, as
+    `rtm.expected_rt_cost` does per scenario. `con_sense` and the names are
+    labels, in lists: each block keeps the names it was given and a suffix;
+    `var_names` and `con_names` spell them out on demand.
     """
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.obj: list[float] = []
+        self.lb = self.ub = self.obj = self.con_rhs = np.zeros(0)
         self.con_sense: list[str] = []
-        self.con_rhs: list[float] = []
         self._var_labels: list[tuple[Sequence[str], str]] = []
         self._con_labels: list[tuple[Sequence[str], str]] = []
-        self._row = array("q")
-        self._col = array("q")
-        self._val = array("d")
+        self._row = self._col = np.zeros(0, np.int64)
+        self._val = np.zeros(0)
         self._form: tuple | None = None  # `_highs_form`'s matrix part, with its key
 
     @property
@@ -152,9 +149,9 @@ class LpModel:
             raise ValueError("non-finite objective coefficient")
         first = self.n_vars
         self._var_labels.append((names, suffix))
-        self.lb.extend(_bounds(lb, len(names), math.inf))
-        self.ub.extend(_bounds(ub, len(names), -math.inf))
-        self.obj.extend(obj.tolist())
+        self.lb = np.concatenate((self.lb, _bounds(lb, len(names), math.inf)))
+        self.ub = np.concatenate((self.ub, _bounds(ub, len(names), -math.inf)))
+        self.obj = np.concatenate((self.obj, obj))
         return np.arange(first, first + len(names))
 
     def add_rows(self, names: Sequence[str], sense: Sequence[str], rhs, terms,
@@ -179,15 +176,15 @@ class LpModel:
             raise ValueError(f"row index outside the block's {len(names)} rows")
         if col.size and not (0 <= col.min() and col.max() < self.n_vars):
             raise ValueError(f"column index outside the model's {self.n_vars} columns")
-        self._row.frombytes((row + self.n_cons).tobytes())
-        self._col.frombytes(col.tobytes())
-        self._val.frombytes(value.tobytes())
+        self._row = np.concatenate((self._row, row + self.n_cons))
+        self._col = np.concatenate((self._col, col))
+        self._val = np.concatenate((self._val, value))
         self._con_labels.append((names, suffix))
         self.con_sense.extend(sense)
-        self.con_rhs.extend(rhs.tolist())
+        self.con_rhs = np.concatenate((self.con_rhs, rhs))
 
 
-def _bounds(bound, n: int, wrong: float) -> list[float]:
+def _bounds(bound, n: int, wrong: float) -> np.ndarray:
     """`n` variable bounds from one bound for all or one bound each;
     ValueError if one is NaN or `wrong` (+inf for lower bounds, -inf for upper)."""
     bound = np.full(n, bound, float) if np.ndim(bound) == 0 else np.asarray(bound, float)
@@ -195,7 +192,7 @@ def _bounds(bound, n: int, wrong: float) -> list[float]:
         raise ValueError(f"{n} variables but bounds of shape {bound.shape}")
     if np.any(np.isnan(bound) | (bound == wrong)):
         raise ValueError(f"{'lower' if wrong > 0 else 'upper'} bound nan or {wrong}")
-    return bound.tolist()
+    return bound
 
 
 def _entries(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,9 +279,10 @@ class Block:
 
         With `fixed`, the coupled columns are substituted at those values;
         their cost, a constant, stays out of the model. Without, they are the
-        model's columns at the indices `coupled`, and their cost joins its
-        objective. `rhs`, `ub` and `cost` replace the block's own, `suffix`
-        ends every column and row name, and every cost is scaled by `weight`.
+        model's columns at the distinct indices `coupled`, and their cost
+        joins its objective. `rhs`, `ub` and `cost` replace the block's own,
+        `suffix` ends every column and row name, and every cost is scaled by
+        `weight`.
         """
         rhs = self.rhs if rhs is None else rhs
         cost = self.cost if cost is None else cost
@@ -293,8 +291,7 @@ class Block:
         (row, col, value), (d_row, d_col, d_value) = self.terms, self.d_terms
         terms = [(row, cols[col], value)]
         if fixed is None:
-            for j, c in zip(coupled.tolist(), (weight * self.d_cost).tolist()):
-                model.obj[j] += c
+            model.obj[coupled] += weight * self.d_cost
             # the own terms, then the coupled ones: no column has both, so
             # each column's terms keep their order
             terms.append((d_row, coupled[d_col], d_value))
@@ -368,8 +365,7 @@ class Colwise:
     def of(cls, model: LpModel, highs_row: np.ndarray) -> Colwise:
         """`model`'s coefficients with row i moved to `highs_row[i]`; the
         values at one coordinate are summed one by one in the order added."""
-        row, col, value = np.array(model._row), np.array(model._col), np.array(model._val)
-        row = highs_row[row]
+        row, col, value = highs_row[model._row], model._col, model._val
         shape = (model.n_cons, model.n_vars)
         order = np.argsort(col * shape[0] + row, kind="stable")
         row, col, value = row[order], col[order], value[order]
@@ -591,7 +587,7 @@ def _highs_form(model: LpModel) -> tuple[np.ndarray, Colwise, np.ndarray, tuple,
         model._form = (key, order, highs_row, sense[order], Colwise.of(model, highs_row),
                        model.n_cons - int(np.count_nonzero(is_eq)))
     _, order, highs_row, sense, A, m = model._form
-    rhs = np.array(model.con_rhs, dtype=float)[order]
+    rhs = model.con_rhs[order]
     bounds = (np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs))
     return highs_row, A, rhs, bounds, m
 
@@ -630,8 +626,7 @@ def solve(model: LpModel, basis: _Start | None = None,
             raise ValueError(f"second costs must be {model.n_vars} finite values, "
                              f"not of shape {then.shape}")
     highs_row, A, rhs, row_bounds, m = _highs_form(model)
-    c = np.array(model.obj)
-    lbv, ubv = np.array(model.lb, dtype=float), np.array(model.ub, dtype=float)
+    c, lbv, ubv = model.obj, model.lb, model.ub
     A_ub, A_eq = A.split(m)
     res = linprog(c, A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds, bounds=(lbv, ubv),
                   basis=basis, prices=highs_row[np.asarray(prices, dtype=np.int64)])
@@ -682,12 +677,11 @@ def diagnose_infeasibility(model: LpModel) -> list[str]:
     can meet them. Otherwise HiGHS minimizes the total row violation with
     every column bound kept, and reports rows violated above tolerance.
     """
-    lb, ub = np.array(model.lb), np.array(model.ub)
-    crossed = _worst((lb - ub).tolist(), model.var_names)
+    crossed = _worst((model.lb - model.ub).tolist(), model.var_names)
     if crossed:
         return crossed
     highs_row, A, _, row_bounds, _ = _highs_form(model)
-    highs = _load(_pass_model(np.zeros(model.n_vars), A, (lb, ub), row_bounds))
+    highs = _load(_pass_model(np.zeros(model.n_vars), A, (model.lb, model.ub), row_bounds))
     # an infinite penalty keeps the column bounds hard
     if highs is None or (highs.feasibilityRelaxation(math.inf, math.inf, 1.0)
                          != _highs.HighsStatus.kOk):

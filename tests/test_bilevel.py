@@ -103,9 +103,9 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     assert (lower[:, cols] != matrix(dam)).nnz == 0
     q = np.array([seg[1] for b in bids for seg in b.segments])
     fixed = np.array(relaxed.con_rhs)[rows] - lower[:, w_cols] @ q
-    assert fixed.tolist() == dam.con_rhs
-    assert [relaxed.lb[j] for j in cols] == dam.lb
-    assert [relaxed.ub[j] for j in cols] == dam.ub
+    assert fixed.tolist() == dam.con_rhs.tolist()
+    assert [relaxed.lb[j] for j in cols] == dam.lb.tolist()
+    assert [relaxed.ub[j] for j in cols] == dam.ub.tolist()
 
     # one bound dual per finite column bound of the day-ahead LP: z_l >= 0
     # at a lower bound, z_u <= 0 at an upper one
@@ -124,7 +124,7 @@ def test_relaxed_lower_level_is_the_day_ahead_block(bundled, name):
     bounded = [block.cols.index(v) for v in at_lb + at_ub]
     assert (dual[:, z_cols].toarray() == np.eye(len(block.cols))[:, bounded]).all()
     assert [relaxed.con_sense[i] for i in dual_rows] == ["="] * len(block.cols)
-    assert [relaxed.con_rhs[i] for i in dual_rows] == dam.obj
+    assert [relaxed.con_rhs[i] for i in dual_rows] == dam.obj.tolist()
 
     def row(name):
         """Row `name` of the relaxed LP as (terms by column name, sense, rhs)."""

@@ -478,3 +478,21 @@ def test_json_document_not_an_object_is_bad_input(tmp_path, text):
     with pytest.raises(mio.ParseError, match="not a JSON object") as err:
         mio.load_instance(path, DATA / "t1_scenarios.csv")
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("content, message", [
+    (bytes(range(128, 256)), "'utf-8' codec can't decode"),  # no byte starts a character
+    (b'{"hours": [' + b"1" * 5000 + b"]}", "Exceeds the limit"),
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_instance_json_that_cannot_be_read_is_bad_input(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    shutil.copy(DATA / "t1_scenarios.csv", tmp_path / "bad_scenarios.csv")
+    with pytest.raises(mio.ParseError, match=message) as err:
+        mio.load_instance(path, tmp_path / "bad_scenarios.csv")
+    assert str(path) in str(err.value)
+    result = run_cli("-i", str(path), "-o", str(tmp_path), "myd")
+    assert result.exit_code == 4, result.output
+    assert f"bad input: {path}: {message}" in result.output
+    assert "Traceback" not in result.output

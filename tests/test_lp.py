@@ -303,6 +303,37 @@ def test_warm_start_with_a_non_unique_price_solves_from_scratch(monkeypatch):
     assert len(runs) == 1
 
 
+def test_model_numbers_are_arrays_that_solves_leave_alone():
+    # min 3w + x (w's own cost 1 and the block's coupled cost 2) s.t.
+    # x + w >= 2, x + w <= 4, w in [0, 1], x in [0, 5]: w = 0, x = 2
+    numbers = ("lb", "ub", "obj", "con_rhs", "_val")
+
+    def arrays_hold_every_number(model):
+        for name in numbers:
+            assert isinstance(getattr(model, name), np.ndarray), name
+            assert getattr(model, name).dtype == np.float64, name
+        assert model._row.dtype == model._col.dtype == np.int64
+
+    model = LpModel()
+    w = model.add_vars(["w"], [1.0], 0.0, 1.0)
+    arrays_hold_every_number(model)
+    block = lp.Block.of([(["x"], 1.0, 0.0, 5.0)], ["w"], [2.0],
+                        [(["r"], [GE], 2.0, [(0, np.arange(2), 1.0)])], [], np.zeros(0, int), {})
+    block.append_to(model, coupled=w)
+    arrays_hold_every_number(model)
+    model.add_rows(["cap"], [LE], [4.0], [(0, np.arange(2), 1.0)])
+    arrays_hold_every_number(model)
+    assert model.obj.tolist() == [3.0, 1.0]
+
+    # HiGHS, the face and the certificates get the model's own arrays
+    before = {name: getattr(model, name).copy() for name in numbers + ("_row", "_col")}
+    start = solve(model, prices=[0]).basis
+    for sol in (solve(model, then=[0.0, 1.0]), solve(model, basis=start, prices=[0])):
+        assert sol.primal.tolist() == [0.0, 2.0]
+    for name, values in before.items():
+        assert getattr(model, name).tobytes() == values.tobytes(), name
+
+
 def test_one_linprog_call_per_lp(monkeypatch):
     # the benchmark's traced run times and sizes each LP by its `lp.linprog`
     # call: a solve makes one, a `then=` solve two (the face LP second, at

@@ -336,8 +336,8 @@ def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatc
         assert block.nnz == block[:, cols].nnz + block[:, d_cols].nnz
         assert [std.con_sense[i] for i in rows] == rt.con_sense
         assert (block[:, cols] != matrix(rt)).nnz == 0
-        assert [std.lb[j] for j in cols] == rt.lb
-        assert [std.ub[j] for j in cols] == rt.ub
+        assert [std.lb[j] for j in cols] == rt.lb.tolist()
+        assert [std.ub[j] for j in cols] == rt.ub.tolist()
 
         # fixing the day-ahead columns term by term, in the order the rows
         # hold them, turns the scenario's rhs b_s into b_s - D x exactly
@@ -345,7 +345,7 @@ def test_stochastic_scenario_block_is_the_real_time_lp(bundled, name, monkeypatc
         on = np.isin(row, rows) & np.isin(col, d_cols)
         rhs = np.array(std.con_rhs)
         np.subtract.at(rhs, row[on], val[on] * x[col[on]])
-        assert rhs[rows].tolist() == rt.con_rhs
+        assert rhs[rows].tolist() == rt.con_rhs.tolist()
 
 
 def _spike(instance):
