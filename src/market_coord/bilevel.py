@@ -46,6 +46,7 @@ __all__ = [
 
 THEOREM_TOL = 0.005  # relative; mirrors the reported multi- vs single-segment gap
 ORACLE_MAX_DIMS = 4  # (unit, hour, segment) dimensions the grid oracle enumerates at most
+ORACLE_MAX_POINTS = 10**6  # grid points it scores at most, one evaluate_bids each
 
 
 def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedContext"]:
@@ -64,7 +65,7 @@ def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedCont
     w_bar = block.capacity
 
     # upper level: bid quantities, per segment and per curve within capacity
-    w = model.add_vars(block.d_cols, np.zeros(n_keys), 0.0, w_bar)
+    w = model.add_vars(block.d_cols, 0.0, 0.0, w_bar)
     model.add_rows([f"w_total[{k},{t}]" for k, t in curves], [LE] * len(curves),
                    block.curve_capacity, [(block.curve_of, w, 1.0)])
 
@@ -82,7 +83,7 @@ def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedCont
     lb[block.cap_rows] = -lam_bar
     names = ([f"y[{r}]" for r in block.rows] + [f"zl[{block.cols[j]}]" for j in at_lb]
              + [f"zu[{block.cols[j]}]" for j in at_ub])
-    duals = model.add_vars(names, np.zeros(len(names)), lb, np.where(sense == LE, 0.0, math.inf))
+    duals = model.add_vars(names, 0.0, lb, np.where(sense == LE, 0.0, math.inf))
 
     # dual feasibility: A^T y + z = c, one row per lower-level primal variable
     row, col, a = block.terms
@@ -93,7 +94,7 @@ def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedCont
     # envelopes v + lam_bar w >= 0, v - w_bar y >= 0,
     # v + lam_bar w - w_bar y <= lam_bar w_bar and v <= 0, key by key
     tags = [f"{k},{t},{s}" for k, t, s in block.keys]
-    aux = model.add_vars([f"v[{tag}]" for tag in tags], np.zeros(n_keys))
+    aux = model.add_vars([f"v[{tag}]" for tag in tags], 0.0)
     y, mc = duals[block.cap_rows], 4 * np.arange(n_keys)
     model.add_rows([f"mc{i}[{tag}]" for tag in tags for i in range(1, 5)],
                    [GE, GE, LE, LE] * n_keys, np.outer(w_bar, [0.0, 0.0, lam_bar, 0.0]).ravel(),
@@ -248,7 +249,7 @@ def oracle_grid_search(
 
     Enumerates every grid point of [0, capacity] per (unit, hour, segment)
     dimension, scoring each with the sequential pipeline. Intended for tiny
-    instances only; guarded by `ORACLE_MAX_DIMS`.
+    instances only; guarded by `ORACLE_MAX_DIMS` and `ORACLE_MAX_POINTS`.
     """
     prices = check_prices(instance, prices)
     block = dam_structure(instance, len(prices))
@@ -258,13 +259,17 @@ def oracle_grid_search(
         )
     if not grid_step > 0:  # NaN too
         raise ValueError("grid step must be > 0")
-    axes = []
-    for cap in block.capacity.tolist():
-        n = int(math.floor(cap / grid_step + 1e-9))
-        pts = [i * grid_step for i in range(n + 1)]
-        if pts[-1] < cap - 1e-9:
-            pts.append(cap)
-        axes.append(pts)
+    # an axis is 0, step, 2 step, ... up to its capacity, and the capacity if
+    # off the grid: counted first, in floats, as a subnormal step makes it inf
+    caps = block.capacity.tolist()
+    whole = [float(np.floor(cap / grid_step + 1e-9)) for cap in caps]
+    off_grid = [n * grid_step < cap - 1e-9 for n, cap in zip(whole, caps)]
+    count = math.prod(n + 1 + off for n, off in zip(whole, off_grid))
+    if count > ORACLE_MAX_POINTS:
+        raise ValueError(f"a grid step of {grid_step} MW gives {count:,.0f} grid points, "
+                         f"above the limit of {ORACLE_MAX_POINTS:,}")
+    axes = [[i * grid_step for i in range(int(n) + 1)] + [cap] * off
+            for n, cap, off in zip(whole, caps, off_grid)]
 
     key_prices = block.key_prices(prices)
     curve_cap = block.curve_capacity

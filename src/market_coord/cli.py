@@ -25,6 +25,7 @@ from .rtm import clear_rtm
 EXIT_INFEASIBLE = 2
 EXIT_ASSERTION = 3
 EXIT_BAD_INPUT = 4
+SWEEP_MAX_POINTS = 10**5  # price points sweep-price scores at most, one solve_bid each
 
 
 def _load(instance: str, scenarios: str | None) -> Instance:
@@ -200,11 +201,12 @@ def sweep_price_cmd(obj, start, stop, step):
             _bad_input(f"{name} must be finite, got {value}")
     if step <= 0:
         _bad_input("--step must be > 0")
-    points = []
-    p = start
-    while p <= stop + 1e-9:
-        points.append(round(p, 9))
-        p += step
+    # counted first, in floats, as a subnormal step makes the count inf
+    intervals = (stop - start + 1e-9) / step
+    if intervals >= SWEEP_MAX_POINTS:
+        _bad_input(f"--step {step} gives about {intervals:,.0f} points from {start} to {stop}, "
+                   f"above the limit of {SWEEP_MAX_POINTS:,}")
+    points = [round(start + i * step, 9) for i in range(math.floor(intervals) + 1)]
     if not points:
         _bad_input(f"--from {start} is above --to {stop}: the sweep is empty")
     table = bilevel.price_sweep(obj["instance"], points)
@@ -244,7 +246,7 @@ def oracle_cmd(obj, step, prices):
     """Brute-force quantity grid search (tiny instances only)."""
     try:
         bids, best = bilevel.oracle_grid_search(obj["instance"], _parse_prices(obj, prices), step)
-    except ValueError as exc:  # a grid step of 0 or below, or too many dimensions
+    except ValueError as exc:  # a grid step of 0 or below, too many dimensions or points
         _bad_input(exc)
     path = _output(obj, "oracle_bids.csv")
     mio.save_bids(bids, path)

@@ -3,11 +3,13 @@
 A model is built in blocks, each column addressed by its index:
 `LpModel.add_vars` appends columns and returns their indices, and `add_rows`
 rows stated as (row, column, value) terms, which never change after; names
-are labels, for diagnosis. `solve` returns the primal in column order and
+are labels, for diagnosis. Each cost, bound and rhs is one value for all
+of a block or one value each. `solve` returns the primal in column order and
 the duals in row order, as arrays. A market's LP is a `Block`, built once
-from index arrays (`Block.of`) and appended to models (`Block.append_to`),
-coupled to another block's columns by their indices. Each market declares
-all of its column kinds in its block, VoLL shedding included.
+through `add_vars` and `add_rows` (`Block.of`) and appended to models
+(`Block.append_to`), coupled to another block's columns by their indices.
+Each market declares all of its column kinds in its block, VoLL shedding
+included.
 
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
@@ -138,11 +140,11 @@ class LpModel:
         """Append variables `names`, each ending in `suffix`, with objective
         coefficients `obj`, and return their column indices.
 
-        `lb` and `ub` are one bound for all of them or one bound each; the
-        default is free. No bound is NaN, no lower one +inf and no upper one
-        -inf; crossed finite bounds are legal: `diagnose_infeasibility` names them.
+        `obj`, `lb` and `ub` are one value for all or one each; bounds
+        default to free. No cost is non-finite, no bound NaN, no lower one +inf and
+        no upper one -inf; crossed finite bounds are legal, and diagnosed.
         """
-        obj = np.asarray(obj, dtype=float)
+        obj = _each(obj, len(names))
         if obj.shape != (len(names),):
             raise ValueError(f"{len(names)} variables but {obj.shape} objective coefficients")
         if not np.all(np.isfinite(obj)):
@@ -158,20 +160,27 @@ class LpModel:
                  suffix: str = "") -> None:
         """Append one constraint per name in `names`, each ending in `suffix`.
 
-        `terms` are arrays (row, column, value) that broadcast together: the
-        row counts within this block and the column is the model's. Row i
-        reads `sum of value * x[column] over its terms  sense[i]  rhs[i]`.
-        Rows keep their order, each its terms in the order given, and
-        explicit zeros are dropped.
+        `rhs` is one value for all or one each. `terms` are arrays (row,
+        column, value) that broadcast together: the row counts within this
+        block and the column is the model's. Row i reads `sum of value *
+        x[column] over its terms  sense[i]  rhs[i]`. Rows keep their order,
+        each its terms in the order given, and explicit zeros are dropped.
         """
-        rhs = np.asarray(rhs, dtype=float)
+        rhs = _each(rhs, len(names))
         if len(sense) != len(names) or rhs.shape != (len(names),):
             raise ValueError("one sense and one rhs per row required")
         if not set(sense) <= set(_SENSES):
             raise ValueError(f"unknown sense in {sorted(set(sense) - set(_SENSES))}")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("non-finite rhs in row block")
-        row, col, value = _entries(terms)
+        parts = [np.broadcast_arrays(*term) for term in terms]
+        row, col, value = (np.concatenate([np.zeros(0, dtype)] + [np.ravel(p[i]) for p in parts])
+                           .astype(dtype, copy=False)
+                           for i, dtype in enumerate((np.int64, np.int64, float)))
+        if not np.all(np.isfinite(value)):
+            raise ValueError("non-finite coefficient in row block")
+        keep = value != 0.0
+        row, col, value = row[keep], col[keep], value[keep]
         if row.size and not (0 <= row.min() and row.max() < len(names)):
             raise ValueError(f"row index outside the block's {len(names)} rows")
         if col.size and not (0 <= col.min() and col.max() < self.n_vars):
@@ -184,29 +193,20 @@ class LpModel:
         self.con_rhs = np.concatenate((self.con_rhs, rhs))
 
 
+def _each(value, n: int) -> np.ndarray:
+    """`n` floats from one value for all or one each, or another shape to refuse."""
+    return np.full(n, value, float) if np.ndim(value) == 0 else np.asarray(value, float)
+
+
 def _bounds(bound, n: int, wrong: float) -> np.ndarray:
     """`n` variable bounds from one bound for all or one bound each;
     ValueError if one is NaN or `wrong` (+inf for lower bounds, -inf for upper)."""
-    bound = np.full(n, bound, float) if np.ndim(bound) == 0 else np.asarray(bound, float)
+    bound = _each(bound, n)
     if bound.shape != (n,):
         raise ValueError(f"{n} variables but bounds of shape {bound.shape}")
     if np.any(np.isnan(bound) | (bound == wrong)):
         raise ValueError(f"{'lower' if wrong > 0 else 'upper'} bound nan or {wrong}")
     return bound
-
-
-def _entries(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows, the columns and the values of `terms`, each term arrays
-    (row, column, value) that broadcast together, term after term, with
-    explicit zeros dropped; ValueError if a value is not finite."""
-    parts = [np.broadcast_arrays(*term) for term in terms]
-    row, col, value = (np.concatenate([np.zeros(0, dtype)] + [np.ravel(p[i]) for p in parts])
-                       .astype(dtype, copy=False)
-                       for i, dtype in enumerate((np.int64, np.int64, float)))
-    if not np.all(np.isfinite(value)):
-        raise ValueError("non-finite coefficient in row block")
-    keep = value != 0.0
-    return row[keep], col[keep], value[keep]
 
 
 @dataclass(frozen=True)
@@ -240,36 +240,29 @@ class Block:
     @classmethod
     def of(cls, columns: Sequence[tuple], d_cols: list[str], d_cost, sections: Sequence[tuple],
            bus_keys: list[tuple[str, int]], bal_rows: np.ndarray, outputs: dict, **extra):
-        """The block of index arrays, built once.
+        """The block of index arrays, built once through a scratch `LpModel`,
+        so with every check of its `add_vars` and `add_rows`.
 
         `columns` are the own columns kind by kind, each `(names, cost, lb,
-        ub)` with one value for all or one each; `d_cols` and `d_cost` are
-        the coupled columns. `sections` are the rows kind by kind, each
-        `(names, senses, rhs, terms)` as `LpModel.add_rows` takes them, but
-        the row counts within the section and the column among the own
-        columns and then the coupled ones. Explicit zeros are dropped, and
-        each row keeps its terms in the order given.
+        ub)` for `add_vars`, and `d_cols` and `d_cost` the coupled columns
+        after them; `sections` are the rows kind by kind, each `(names,
+        senses, rhs, terms)` for `add_rows`, over the own and coupled columns.
         `bal_rows` are the balance rows of `bus_keys`, and `outputs` map each
         result field to its keys and their columns.
         """
-        cols = [v for names, *_ in columns for v in names]
-        cost, lb, ub = (np.concatenate([np.broadcast_to(np.asarray(kind[i], dtype=float),
-                                                        len(kind[0])) for kind in columns])
-                        for i in (1, 2, 3))
-        rows: list[str] = []
-        sense: list[str] = []
-        rhs, entries = [], []
-        for names, senses, values, terms in sections:
-            entries += [(row + len(rows), col, val) for row, col, val in terms]
-            rows += names
-            sense += senses
-            rhs.append(np.broadcast_to(np.asarray(values, dtype=float), len(names)))
-        row, col, val = _entries(entries)
-        own = col < len(cols)
-        return cls(cols=cols, cost=cost, lb=lb, ub=ub, rows=rows, sense=sense,
-                   rhs=np.concatenate(rhs), terms=(row[own], col[own], val[own]),
-                   d_cols=d_cols, d_cost=np.asarray(d_cost, dtype=float),
-                   d_terms=(row[~own], col[~own] - len(cols), val[~own]),
+        model = LpModel()
+        for kind in columns:
+            model.add_vars(*kind)
+        n = model.n_vars
+        model.add_vars(d_cols, d_cost)
+        for section in sections:
+            model.add_rows(*section)
+        names, row, col, val = model.var_names, model._row, model._col, model._val
+        own = col < n
+        return cls(cols=names[:n], cost=model.obj[:n], lb=model.lb[:n], ub=model.ub[:n],
+                   rows=model.con_names, sense=model.con_sense, rhs=model.con_rhs,
+                   terms=(row[own], col[own], val[own]), d_cols=names[n:], d_cost=model.obj[n:],
+                   d_terms=(row[~own], col[~own] - n, val[~own]),
                    bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs, **extra)
 
     def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,

@@ -71,9 +71,7 @@ def myopic_bids(instance: Instance) -> list[BidCurve]:
 
 
 def myopic(instance: Instance) -> PolicyResult:
-    result = evaluate_bids(instance, myopic_bids(instance))
-    result.policy = "MyD"
-    return result
+    return evaluate_bids(instance, myopic_bids(instance), policy="MyD")
 
 
 def stochastic(instance: Instance) -> PolicyResult:

@@ -1,5 +1,6 @@
 """Bid-quantity optimization: relaxation structure, extraction, verifiers."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,16 @@ def test_oracle_deterministic_scenario_minimizer_at_realization(t1_perfect):
 def test_oracle_dimension_guard(sys5):
     with pytest.raises(ValueError):
         oracle_grid_search(sys5, (0.0, 5.0), 10.0)
+
+
+@pytest.mark.parametrize("step, count", [
+    (1e-320, "inf"), (1e-9, "50,000,000,001"), (5e-5, "1,000,001")])
+def test_oracle_point_guard(t1, step, count):
+    # counted before any point is made; t1's one axis of 50 MW holds
+    # 50 / step + 1 points: at 5e-5 MW one more than the limit
+    message = f"gives {count} grid points, above the limit of 1,000,000"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_grid_search(t1, (0.0,), step)
 
 
 def test_vre_profit_t1_expected_forecast(t1):

@@ -269,6 +269,13 @@ def test_cli_unknown_instance_errors():
     (["evaluate", "--bids", "{tmp}"], "Is a directory"),
     (["-o", "{tmp}/taken", "myd"], "File exists"),
     (["evaluate", "--bids", "{tmp}/latin1.csv"], "latin1.csv: 'utf-8' codec can't decode"),
+    (["oracle", "--step", "1e-320"], "gives inf grid points, above the limit of 1,000,000"),
+    (["oracle", "--step", "1e-9"], "gives 50,000,000,001 grid points"),
+    (["sweep-price", "--from", "0", "--to", "40", "--step", "1e-9"],
+     "gives about 40,000,000,001 points from 0.0 to 40.0, above the limit of 100,000"),
+    (["sweep-price", "--from", "0", "--to", "40", "--step", "1e-320"], "gives about inf points"),
+    # a step below the spacing of floats at --from: one point, above the cap
+    (["sweep-price", "--from", "1e16", "--to", "1e16", "--step", "1"], "bid price cap 1000"),
 ])
 def test_cli_bad_input_exits_4(tmp_path, args, message):
     # the bad files: {tmp} a directory, `taken` a file, `latin1.csv` not UTF-8

@@ -228,6 +228,21 @@ def test_nonfinite_coefficient_rejected():
         model.add_rows(["r"], [GE], [float("nan")], [(0, 0, 1.0)])
 
 
+@pytest.mark.parametrize("columns, sections, message", [
+    ([(["x"], [math.nan], 0.0, 5.0)], [(["r"], [GE], 2.0, [(0, 0, 1.0)])],
+     "non-finite objective"),
+    ([(["x"], 1.0, 0.0, 5.0)], [(["r"], [GE], 2.0, [(0, 2, 1.0)])],
+     "outside the model's 2 columns"),
+    ([(["x"], 1.0, 0.0, 5.0)], [(["r"], ["=>"], 2.0, [(0, 0, 1.0)])], "unknown sense"),
+    ([(["x"], 1.0, 0.0, 5.0)], [(["r"], [GE], math.nan, [(0, 0, 1.0)])], "non-finite rhs"),
+], ids=["nan-cost", "column-past-coupled", "unknown-sense", "nan-rhs"])
+def test_malformed_block_rejected_where_built(columns, sections, message):
+    # a block gets every check of add_vars and add_rows when it is built,
+    # not first when it is appended to a model
+    with pytest.raises(ValueError, match=message):
+        lp.Block.of(columns, ["w"], [0.0], sections, [], np.zeros(0, int), {})
+
+
 def test_column_index_outside_the_model_rejected():
     # and every other row block that does not fit: a row index outside the
     # block, an unknown sense, an rhs of the wrong length
