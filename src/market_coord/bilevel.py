@@ -52,14 +52,16 @@ ORACLE_MAX_POINTS = 10**6  # grid points it scores at most, one evaluate_bids ea
 def build_relaxed_bid(instance: Instance, prices) -> tuple[LpModel, "RelaxedContext"]:
     """The relaxed bid LP at fixed segment prices, and the map of its columns.
 
-    The McCormick box on each cap-row dual is [-VoLL, 0]: VoLL is the
-    largest marginal price the model can produce.
+    The McCormick box on each cap-row dual is [-VoLL, 0], an assumption:
+    the day-ahead market has no shedding, so a unit's variable cost above
+    VoLL can price a bus above it, and the box may then cut off the lower
+    level's optimum, leaving this LP infeasible.
     """
     prices = check_prices(instance, prices)
     lam_bar = instance.system.voll
     block = dam_structure(instance, len(prices))
     key_prices = block.key_prices(prices)
-    bid_cost = block.priced(key_prices)
+    bid_cost = block.priced(key_prices).cost
     model = LpModel(name="relaxed-bid")
     n_keys, curves = len(block.keys), block.curves
     w_bar = block.capacity

@@ -6,11 +6,12 @@ through the rhs of the segment cap rows, and bid prices only through the
 cost of the segment dispatch variables. Each instance therefore carries one
 `lp.Block` per segment count, built on first use: the terms over the
 market's own variables, the coupling terms `D` to the quantities
-`W[k,t,s]`, the true (zero-VRE-cost) costs, the row senses and the rhs. `build_dam` appends
-it with the quantities fixed (`rhs - D @ q`) and the prices written into a
-copy of the costs; the bilevel module appends it with the quantities kept as
-decision variables. Each column carries its bounds, declared with its cost,
-so no row bounds a single variable.
+`W[k,t,s]`, the true (zero-VRE-cost) costs, the row senses and the rhs.
+`build_dam` appends its priced block (`DamStructure.priced`: the prices
+written into a copy of the costs) with the quantities fixed (`rhs - D @ q`);
+the bilevel module appends it with the quantities kept as decision
+variables. Each column carries its bounds, declared with its cost, so no row
+bounds a single variable.
 The block is built from index arrays (`lp.Block.of`): each column and row
 sits at a position computed from its (unit, hour), (bus, hour), (line,
 hour) or (VRE, hour, segment), in the layout `grid` and `grid_names` share,
@@ -26,7 +27,7 @@ the block `build_dam(..., da_slack=True)` clears per loaded (bus, hour).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -204,11 +205,11 @@ class DamStructure(Block):
         """Each key's price when every curve bids the segment prices `prices`."""
         return np.array([prices[s] for _k, _t, s in self.keys], dtype=float)
 
-    def priced(self, prices: np.ndarray) -> np.ndarray:
-        """A copy of the costs with each key's price, `prices` in key order."""
+    def priced(self, prices: np.ndarray) -> DamStructure:
+        """The block with each key's price, `prices` in key order, as that key's cost."""
         cost = self.cost.copy()
         cost[self.pw_cols] = prices
-        return cost
+        return replace(self, cost=cost)
 
     def true_cost(self, x: np.ndarray) -> float:
         """f_DA(true) of the primal `x`, whose leading columns are the block's."""
@@ -367,7 +368,7 @@ def build_dam(instance: Instance, bids, da_slack: bool = False) -> tuple[LpModel
     if da_slack:  # the same bid layout, with the shedding columns
         block = _build_block(instance, block.seg_count, shed=True)
     model = LpModel(name="dam")
-    block.append_to(model, qtys, cost=block.priced(prices))
+    block.priced(prices).append_to(model, qtys)
     return model, block
 
 

@@ -101,10 +101,11 @@ class LpModel:
     arrays, and the coefficients are coordinate arrays (row, column, value)
     in the order they were added. `solve` hands these arrays to HiGHS as
     they are. A model that is only solved again may have any of `lb`, `ub`,
-    `obj` and `con_rhs` replaced by a float array of the same length, as
-    `rtm.expected_rt_cost` does per scenario. `con_sense` and the names are
-    labels, in lists: each block keeps the names it was given and a suffix;
-    `var_names` and `con_names` spell them out on demand.
+    `obj` and `con_rhs` replaced by a float array of the same length, such
+    as another block's of the same shape: `rtm.expected_rt_cost` puts in
+    each later scenario block's `fixed_rhs` and `ub`. `con_sense` and the
+    names are labels, in lists: each block keeps the names it was given and
+    a suffix; `var_names` and `con_names` spell them out on demand.
     """
 
     def __init__(self, name: str = "lp"):
@@ -265,40 +266,37 @@ class Block:
                    d_terms=(row[~own], col[~own] - n, val[~own]),
                    bus_keys=bus_keys, bal_rows=bal_rows, outputs=outputs, **extra)
 
-    def append_to(self, model: LpModel, fixed=None, rhs=None, ub=None, cost=None,
-                  suffix: str = "", weight: float = 1.0, coupled=None) -> np.ndarray:
+    def append_to(self, model: LpModel, fixed=None, suffix: str = "", weight: float = 1.0,
+                  coupled=None) -> np.ndarray:
         """Append the block's columns and rows to `model` and return the
         indices of its own columns there.
 
         With `fixed`, the coupled columns are substituted at those values;
         their cost, a constant, stays out of the model. Without, they are the
         model's columns at the distinct indices `coupled`, and their cost
-        joins its objective. `rhs`, `ub` and `cost` replace the block's own,
-        `suffix` ends every column and row name, and every cost is scaled by
-        `weight`.
+        joins its objective. `suffix` ends every column and row name, and
+        every cost is scaled by `weight`.
         """
-        rhs = self.rhs if rhs is None else rhs
-        cost = self.cost if cost is None else cost
-        cols = model.add_vars(self.cols, weight * cost, self.lb, self.ub if ub is None else ub,
-                              suffix)
+        cols = model.add_vars(self.cols, weight * self.cost, self.lb, self.ub, suffix)
         (row, col, value), (d_row, d_col, d_value) = self.terms, self.d_terms
         terms = [(row, cols[col], value)]
         if fixed is None:
+            rhs = self.rhs
             model.obj[coupled] += weight * self.d_cost
             # the own terms, then the coupled ones: no column has both, so
             # each column's terms keep their order
             terms.append((d_row, coupled[d_col], d_value))
         else:
-            rhs = self.fixed_rhs(rhs, fixed)
+            rhs = self.fixed_rhs(fixed)
         model.add_rows(self.rows, self.sense, rhs, terms, suffix)
         return cols
 
-    def fixed_rhs(self, rhs: np.ndarray, fixed) -> np.ndarray:
+    def fixed_rhs(self, fixed) -> np.ndarray:
         """`rhs - D @ fixed`: the rows' rhs with the coupled columns at the
         values `fixed`, subtracted term by term in row order, as substituting
         the values into each row in turn does."""
         d_row, d_col, d_value = self.d_terms
-        rhs = rhs.copy()
+        rhs = self.rhs.copy()
         np.subtract.at(rhs, d_row, d_value * np.asarray(fixed, float)[d_col])
         return rhs
 

@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-9
+# the largest magnitude of an instance's numbers, 1/reactance included: the
+# market LPs take them, and products such as VoLL times a capacity, as
+# coefficients, bounds and rhs, and HiGHS refuses coefficients above 1e15.
+# With every unit's p_max or ramp_up at 1e7, the bundled sys5's relaxed bid
+# LP already fails its certificates; at 1e6 each number alone solves
+MAGNITUDE_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -184,12 +190,23 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_finite(where: str, record, report: ValidationReport) -> None:
-    """Report each number field of dataclass `record` that is not finite."""
+def _number_error(value: float) -> str:
+    """Why `value` cannot be an instance's number: it is not finite or
+    exceeds `MAGNITUDE_LIMIT` in magnitude; "" if it can."""
+    if abs(value) <= MAGNITUDE_LIMIT:
+        return ""
+    if not math.isfinite(value):
+        return "is not finite"
+    return f"exceeds the magnitude limit {MAGNITUDE_LIMIT:g}"
+
+
+def _check_numbers(where: str, record, report: ValidationReport) -> None:
+    """Report each number field of dataclass `record` that `_number_error` refuses."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            report.violations.append(f"{where}: {f.name} {value} is not finite")
+        error = _number_error(value) if isinstance(value, (int, float)) else ""
+        if error:
+            report.violations.append(f"{where}: {f.name} {value} {error}")
 
 
 def _check_network(net: Network, report: ValidationReport) -> None:
@@ -199,7 +216,7 @@ def _check_network(net: Network, report: ValidationReport) -> None:
     if net.slack_bus not in buses:
         report.violations.append(f"slack bus {net.slack_bus!r} is not a declared bus")
     for ln in net.lines:
-        _check_finite(f"line ({ln.from_bus},{ln.to_bus})", ln, report)
+        _check_numbers(f"line ({ln.from_bus},{ln.to_bus})", ln, report)
         if ln.from_bus not in buses or ln.to_bus not in buses:
             report.violations.append(
                 f"line ({ln.from_bus},{ln.to_bus}) references an undeclared bus"
@@ -210,6 +227,9 @@ def _check_network(net: Network, report: ValidationReport) -> None:
             report.violations.append(
                 f"line ({ln.from_bus},{ln.to_bus}) reactance must be > 0"
             )
+        elif ln.reactance < 1.0 / MAGNITUDE_LIMIT:
+            report.violations.append(f"line ({ln.from_bus},{ln.to_bus}): susceptance 1/reactance "
+                                     f"{1.0 / ln.reactance:g} {_number_error(1.0 / ln.reactance)}")
         if ln.capacity < 0:
             report.violations.append(
                 f"line ({ln.from_bus},{ln.to_bus}) capacity must be >= 0"
@@ -233,7 +253,7 @@ def _check_network(net: Network, report: ValidationReport) -> None:
 
 
 def _check_unit(u: ConventionalUnit, buses: set[str], report: ValidationReport) -> None:
-    _check_finite(f"unit {u.id}", u, report)
+    _check_numbers(f"unit {u.id}", u, report)
     if u.bus not in buses:
         report.violations.append(f"unit {u.id}: bus {u.bus!r} not declared")
     if not (0 <= u.p_min <= u.p_max):
@@ -280,7 +300,7 @@ def validate(instance: Instance) -> ValidationReport:
     if len(set(vre_ids)) != len(vre_ids):
         report.violations.append("duplicate VRE unit ids")
     for v in instance.vre_units:
-        _check_finite(f"VRE {v.id}", v, report)
+        _check_numbers(f"VRE {v.id}", v, report)
         if v.bus not in buses:
             report.violations.append(f"VRE {v.id}: bus {v.bus!r} not declared")
         if v.id in buses:  # the scenario CSV could not tell its output from the bus's load
@@ -302,10 +322,9 @@ def validate(instance: Instance) -> ValidationReport:
             report.violations.append(f"day-ahead load references unknown bus {n!r}")
         if t not in hours:
             report.violations.append(f"day-ahead load references unknown hour {t}")
-        if not math.isfinite(val):
-            report.violations.append(f"day-ahead load at ({n},{t}) is not finite")
-        elif val < 0:
-            report.violations.append(f"day-ahead load at ({n},{t}) is negative")
+        error = _number_error(val)
+        if error or val < 0:
+            report.violations.append(f"day-ahead load at ({n},{t}) {error or 'is negative'}")
 
     total_p = sum(s.probability for s in ss.scenarios)
     if not ss.scenarios:
@@ -340,12 +359,11 @@ def validate(instance: Instance) -> ValidationReport:
                 report.violations.append(f"scenario {s.id}: unknown bus {n!r}")
             if t not in hours:
                 report.violations.append(f"scenario {s.id}: unknown hour {t}")
-            if not math.isfinite(val):
-                report.violations.append(f"scenario {s.id}: load at ({n},{t}) is not finite")
-            elif val < 0:
-                report.violations.append(f"scenario {s.id}: load at ({n},{t}) negative")
+            error = _number_error(val)
+            if error or val < 0:
+                report.violations.append(f"scenario {s.id}: load at ({n},{t}) {error or 'negative'}")
 
-    _check_finite("system", instance.system, report)
+    _check_numbers("system", instance.system, report)
     if instance.system.voll <= 0:
         report.violations.append("VoLL must be > 0")
     if instance.system.bid_price_cap < 0:

@@ -10,18 +10,18 @@ the costs, the column bounds and the row senses. It is built from index
 arrays, as the day-ahead block is, and its network and unit rows come from
 the same builders (`dam.network_rows`, `dam.unit_rows`). It couples to the
 day-ahead columns by position: they are laid out as the day-ahead block's
-first columns. `rtm_structure` pairs the template with one scenario's rhs
-and upper bounds. `build_rtm` appends it with the day-ahead schedule fixed
-(`rhs - D @ x_DA`, `Block.fixed_rhs`); the stochastic and bilevel modules
-append every scenario's block with `D` kept on the first columns of their
-day-ahead block (`append_scenarios`), so the day-ahead variables are shared
-decisions.
+first columns. `rtm_structure` returns one scenario's block: the template
+with that scenario's rhs and upper bounds. `build_rtm` appends it with the
+day-ahead schedule fixed (`rhs - D @ x_DA`, `Block.fixed_rhs`); the
+stochastic and bilevel modules append every scenario's block with `D` kept
+on the first columns of their day-ahead block (`append_scenarios`), so the
+day-ahead variables are shared decisions.
 
 Since scenarios differ only in the rhs and in finite column bounds, the
 optimal basis of one scenario's LP stays dual feasible for every other.
 `expected_rt_cost` therefore builds the first scenario's LP, solves it from
 scratch, and re-optimizes each other scenario from that basis on the same
-model and HiGHS object, with only the scenario's rhs and upper bounds put in
+model and HiGHS object, with only its block's rhs and upper bounds put in
 (`lp.solve(model, basis=, prices=)`). The object takes each scenario's LP
 anew, which clears its solver, and restarts from the first scenario's basis,
 so each result is, bit for bit, what a fresh object loaded with that
@@ -35,7 +35,7 @@ more than one optimal primal, at equal f_RT.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class _Template(Block):
 
     vre_rows: np.ndarray  # balance row of each curtailment key
 
-    def of_scenario(self, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-        """The rhs and the column upper bounds of `scenario`'s LP."""
+    def of_scenario(self, scenario: Scenario) -> _Template:
+        """`scenario`'s block: the template with the scenario's rhs and upper bounds."""
         bus_keys, shed = self.outputs["shed"]
         vre_keys, curtailment = self.outputs["curtailment"]
         load = [scenario.rt_load.get(key, 0.0) for key in bus_keys]
@@ -75,7 +75,7 @@ class _Template(Block):
         # np.subtract.at: a balance row recurs once per VRE unit at its bus
         np.subtract.at(rhs, self.vre_rows, vre)
         ub[shed], ub[curtailment] = load, vre
-        return rhs, ub
+        return replace(self, rhs=rhs, ub=ub)
 
     def day_ahead(self, da: DaSchedule) -> np.ndarray:
         """The coupled columns' values in the schedule `da`: each unit's
@@ -152,12 +152,10 @@ def _template(instance: Instance) -> _Template:
     return cached(instance, "_rtm_template", lambda: _build_template(instance))
 
 
-def rtm_structure(instance: Instance,
-                  scenario: Scenario) -> tuple[_Template, np.ndarray, np.ndarray]:
-    """The real-time block of one scenario: the instance's template, and the
+def rtm_structure(instance: Instance, scenario: Scenario) -> _Template:
+    """The real-time block of one scenario: the instance's template with the
     scenario's rhs and column upper bounds."""
-    tpl = _template(instance)
-    return (tpl, *tpl.of_scenario(scenario))
+    return _template(instance).of_scenario(scenario)
 
 
 def append_scenarios(instance: Instance, model: LpModel, first: int) -> None:
@@ -166,9 +164,9 @@ def append_scenarios(instance: Instance, model: LpModel, first: int) -> None:
     names carry `@<scenario id>` and costs, including the day-ahead terms of
     f_RT, are weighted by probability."""
     for scen in instance.scenario_set.scenarios:
-        tpl, rhs, ub = rtm_structure(instance, scen)
-        tpl.append_to(model, rhs=rhs, ub=ub, suffix=f"@{scen.id}", weight=scen.probability,
-                      coupled=first + np.arange(len(tpl.d_cols)))
+        block = rtm_structure(instance, scen)
+        block.append_to(model, suffix=f"@{scen.id}", weight=scen.probability,
+                        coupled=first + np.arange(len(block.d_cols)))
 
 
 @dataclass
@@ -190,14 +188,14 @@ class RtDispatch:
 def build_rtm(instance: Instance, da: DaSchedule, scenario_id: str) -> tuple[LpModel, _Template, float]:
     """RT LP for one scenario with the DA schedule substituted into the rhs.
 
-    Returns (model, template, objective offset); f_RT equals the LP
-    objective plus the offset, which carries the constant -C0 * uDA terms.
+    Returns (model, the scenario's block, objective offset); f_RT equals the
+    LP objective plus the offset, which carries the constant -C0 * uDA terms.
     """
-    tpl, rhs, ub = rtm_structure(instance, _find_scenario(instance, scenario_id))
+    block = rtm_structure(instance, _find_scenario(instance, scenario_id))
     model = LpModel(name=f"rtm[{scenario_id}]")
-    x_da = tpl.day_ahead(da)
-    tpl.append_to(model, x_da, rhs=rhs, ub=ub)
-    return model, tpl, sum((tpl.d_cost * x_da).tolist())
+    x_da = block.day_ahead(da)
+    block.append_to(model, x_da)
+    return model, block, sum((block.d_cost * x_da).tolist())
 
 
 def _find_scenario(instance: Instance, scenario_id: str) -> Scenario:
@@ -216,19 +214,19 @@ def clear_rtm(
     return _redispatch(*build_rtm(instance, da, scenario_id), scenario_id)[0]
 
 
-def _redispatch(model: LpModel, tpl: _Template, offset: float, scenario_id: str,
+def _redispatch(model: LpModel, block: _Template, offset: float, scenario_id: str,
                 basis=None) -> tuple[RtDispatch, object]:
-    """The re-dispatch of `build_rtm`'s `(model, tpl, offset)` for one
+    """The re-dispatch of `build_rtm`'s `(model, block, offset)` for one
     scenario and its start (`LpSolution.basis`), solved from `basis` if
     given (the start of another scenario's LP) where that leaves its LMPs
     unique, and from scratch if not."""
     sol = solved(model, f"real-time dispatch for scenario {scenario_id!r}",
-                 basis=basis, prices=tpl.bal_rows)
+                 basis=basis, prices=block.bal_rows)
     dispatch = RtDispatch(
         scenario_id=scenario_id,
-        **tpl.read(sol.primal),
+        **block.read(sol.primal),
         f_rt=sol.objective + offset,
-        lmp=tpl.balance_duals(sol.duals),
+        lmp=block.balance_duals(sol.duals),
     )
     return dispatch, sol.basis
 
@@ -241,21 +239,21 @@ def expected_rt_cost(instance: Instance, da: DaSchedule) -> tuple[float, list[Rt
     the scenarios' LPs differ only in their rhs and column bounds; a
     scenario whose LMPs that start leaves non-unique is solved from scratch.
     The later scenarios reuse the first one's model and HiGHS object, with
-    their own rhs and upper bounds; each result is what its own LP, built
-    afresh and started from the first scenario's basis, gives, bit for bit.
-    Each scenario's result is therefore a function of the schedule, the
+    their own blocks' rhs and upper bounds; each result is what its own LP,
+    built afresh and started from the first scenario's basis, gives, bit for
+    bit. Each scenario's result is therefore a function of the schedule, the
     first scenario and its own data alone. Nothing of the reused model or
     object is kept once this returns.
     """
     scenarios = instance.scenario_set.scenarios
-    model, tpl, offset = build_rtm(instance, da, scenarios[0].id)
-    first, start = _redispatch(model, tpl, offset, scenarios[0].id)
+    model, block, offset = build_rtm(instance, da, scenarios[0].id)
+    first, start = _redispatch(model, block, offset, scenarios[0].id)
     dispatches = [first]
-    x_da = tpl.day_ahead(da)
+    x_da = block.day_ahead(da)
     for scen in scenarios[1:]:
-        _, rhs, ub = rtm_structure(instance, scen)
+        block = rtm_structure(instance, scen)
         model.name = f"rtm[{scen.id}]"
-        model.con_rhs, model.ub = tpl.fixed_rhs(rhs, x_da), ub
-        dispatches.append(_redispatch(model, tpl, offset, scen.id, start)[0])
+        model.con_rhs, model.ub = block.fixed_rhs(x_da), block.ub
+        dispatches.append(_redispatch(model, block, offset, scen.id, start)[0])
     total = sum(s.probability * d.f_rt for s, d in zip(scenarios, dispatches))
     return total, dispatches

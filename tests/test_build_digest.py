@@ -73,9 +73,9 @@ def _stochastic(instance) -> LpModel:
 
 
 def _real_time(instance) -> LpModel:
-    tpl, rhs, ub = rtm_structure(instance, instance.scenario_set.scenarios[0])
+    block = rtm_structure(instance, instance.scenario_set.scenarios[0])
     model = LpModel(name="rtm")
-    tpl.append_to(model, np.linspace(0.0, 1.0, len(tpl.d_cols)), rhs=rhs, ub=ub)
+    block.append_to(model, np.linspace(0.0, 1.0, len(block.d_cols)))
     return model
 
 

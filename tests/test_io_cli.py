@@ -290,6 +290,67 @@ def test_cli_bad_input_exits_4(tmp_path, args, message):
     assert "Traceback" not in result.output
 
 
+def _unit(doc, **fields):
+    doc["conventional_units"][0].update(fields)
+
+
+def _first_bus_load(rows: list[str]) -> list[str]:
+    """Scenario CSV rows with the first bus load row's value at 1e308 (the
+    bundled bus ids start with b, the VRE ids with w)."""
+    at = next(i for i, row in enumerate(rows) if row.split(",")[3].startswith("b"))
+    return rows[:at] + [rows[at].rsplit(",", 1)[0] + ",1e308"] + rows[at + 1:]
+
+
+# (system, command, edit of its JSON document, edit of its scenario CSV rows, violation)
+MAGNITUDE = [
+    ("sys3", "myd", lambda doc: _unit(doc, p_max_mw=2 ** 63), None,
+     "unit g1: p_max 9.223372036854776e+18"),
+    ("sys3", "myd", lambda doc: _unit(doc, p_max_mw=1e16), None, "unit g1: p_max 1e+16"),
+    ("sys3", "myd", lambda doc: _unit(doc, startup_cost_usd=1e308), None,
+     "unit g1: startup_cost 1e+308"),
+    ("sys3", "myd", lambda doc: _unit(doc, ramp_up_mw_per_h=1e308), None,
+     "unit g1: ramp_up 1e+308"),
+    ("sys3", "myd", lambda doc: doc["da_load"][0].update(load_mw=1e308), None,
+     "day-ahead load at (b2,0)"),
+    ("sys3", "myd", lambda doc: doc["network"]["lines"][0].update(reactance=1e-16), None,
+     "line (b1,b2): susceptance 1/reactance 1e+16"),
+    ("sys3", "myd", lambda doc: _unit(doc, variable_cost_usd_per_mwh=1e308), None,
+     "unit g1: variable_cost 1e+308"),
+    ("sys3", "myd", lambda doc: doc["system"].update(voll_usd_per_mwh=1e308), None,
+     "system: voll 1e+308"),
+    ("sys3", "myd", None, _first_bus_load, "scenario s1: load at (b2,0)"),
+    ("sys5", "compare", lambda doc: doc["vre_units"][0].update(capacity_mw=1e308), None,
+     "VRE w1: capacity 1e+308"),
+    ("sys5", "compare", lambda doc: doc["network"]["lines"][0].update(capacity_mw=1e308), None,
+     "line (b1,b2): capacity 1e+308"),
+    ("sys5", "compare", lambda doc: _unit(doc, variable_cost_usd_per_mwh=1e16), None,
+     "unit g1: variable_cost 1e+16"),
+    ("sys5", "compare", lambda doc: _unit(doc, up_redispatch_cost_usd_per_mwh=2 ** 63), None,
+     "unit g1: up_redispatch_cost 9.223372036854776e+18"),
+]
+
+
+@pytest.mark.parametrize("system, command, edit, edit_rows, violation", MAGNITUDE, ids=[
+    "p-max-2^63", "p-max-1e16", "startup", "ramp-up", "da-load", "reactance", "variable-cost",
+    "voll", "rt-load", "vre-capacity", "line-capacity", "variable-cost-1e16", "c-up"])
+def test_cli_instance_number_above_magnitude_limit_is_bad_input(tmp_path, system, command, edit,
+                                                                edit_rows, violation):
+    """HiGHS cannot take any of these numbers, so each must stop at validation."""
+    doc = json.loads((DATA / f"{system}.json").read_text())
+    rows = (DATA / f"{system}_scenarios.csv").read_text().splitlines()
+    if edit:
+        edit(doc)
+    if edit_rows:
+        rows = edit_rows(rows)
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    (tmp_path / "big_scenarios.csv").write_text("\n".join(rows) + "\n")
+    result = run_cli("-i", str(tmp_path / "big.json"), "-o", str(tmp_path), command)
+    assert result.exit_code == 4, result.output
+    assert "bad input:" in result.output
+    assert f"{violation} exceeds the magnitude limit 1e+06" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("field, value",
                          [("voll_usd_per_mwh", "abc"), ("price_cap_usd_per_mwh", [])])
 def test_cli_malformed_instance_value_is_bad_input(tmp_path, field, value):

@@ -7,6 +7,7 @@ import pytest
 
 from market_coord.dam import BidSetError, check_prices
 from market_coord.model import (
+    MAGNITUDE_LIMIT,
     BidCurve,
     Line,
     Scenario,
@@ -66,6 +67,21 @@ def _with_scenario(instance, **changes):
         instance, scenario_set=dataclasses.replace(instance.scenario_set, scenarios=scenarios))
 
 
+def _with(instance, record: str, **changes):
+    """`instance` with `changes` made to its `record`: "network", "system",
+    "scenario_set", or "units"/"vre_units" (their only member)."""
+    value = getattr(instance, record)
+    if isinstance(value, tuple):
+        (value,) = value
+        return dataclasses.replace(instance, **{record: (dataclasses.replace(value, **changes),)})
+    return dataclasses.replace(instance, **{record: dataclasses.replace(value, **changes)})
+
+
+def _two_buses(reactance: float = 0.1, capacity: float = 10.0):
+    """The buses of t1 and b2, joined by one line."""
+    return dict(buses=("b1", "b2"), lines=(Line("b1", "b2", reactance, capacity),))
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda i: dataclasses.replace(i, system=SystemParams(voll=math.nan)),
      "system: voll nan is not finite"),
@@ -83,7 +99,30 @@ def _with_scenario(instance, **changes):
     (lambda i: _with_scenario(i, probability=math.nan), "scenario s1: probability nan"),
     (lambda i: _with_scenario(i, rt_load={("b1", 0): math.nan}),
      "scenario s1: load at (b1,0) is not finite"),
-], ids=["voll", "price-cap", "ramp", "vre-capacity", "da-load", "probability", "rt-load"])
+    # finite, but above the magnitude limit
+    (lambda i: _with(i, "units", p_max=2 ** 63),
+     "unit g1: p_max 9223372036854775808 exceeds the magnitude limit 1e+06"),
+    (lambda i: _with(i, "units", p_max=1e16), "unit g1: p_max 1e+16 exceeds the magnitude limit"),
+    (lambda i: _with(i, "units", startup_cost=1e308), "unit g1: startup_cost 1e+308 exceeds"),
+    (lambda i: _with(i, "units", ramp_up=1e308), "unit g1: ramp_up 1e+308 exceeds"),
+    (lambda i: _with(i, "units", variable_cost=-1e308), "unit g1: variable_cost -1e+308 exceeds"),
+    (lambda i: _with(i, "units", up_redispatch_cost=2.0 ** 63),
+     "unit g1: up_redispatch_cost 9.223372036854776e+18 exceeds"),
+    (lambda i: _with(i, "system", voll=1e308), "system: voll 1e+308 exceeds"),
+    (lambda i: _with(i, "vre_units", capacity=1e308), "VRE w1: capacity 1e+308 exceeds"),
+    (lambda i: _with(i, "network", **_two_buses(capacity=1e308)),
+     "line (b1,b2): capacity 1e+308 exceeds"),
+    (lambda i: _with(i, "network", **_two_buses(reactance=1e-16)),
+     "line (b1,b2): susceptance 1/reactance 1e+16 exceeds"),
+    (lambda i: _with(i, "scenario_set", da_load={("b1", 0): 1e308}),
+     "day-ahead load at (b1,0) exceeds"),
+    (lambda i: _with_scenario(i, rt_load={("b1", 0): 1e308}),
+     "scenario s1: load at (b1,0) exceeds"),
+], ids=["voll", "price-cap", "ramp", "vre-capacity", "da-load", "probability", "rt-load",
+        "p-max-int-above-limit", "p-max-above-limit", "startup-above-limit", "ramp-above-limit",
+        "variable-cost-above-limit", "c-up-above-limit", "voll-above-limit",
+        "vre-capacity-above-limit", "line-capacity-above-limit", "susceptance-above-limit",
+        "da-load-above-limit", "rt-load-above-limit"])
 def test_nonfinite_number_fails_validation_before_any_lp(t1, change, message):
     bad = change(t1)
     assert any(message in v for v in validate(bad).violations)
@@ -92,14 +131,11 @@ def test_nonfinite_number_fails_validation_before_any_lp(t1, change, message):
             call(bad)
 
 
-def _with(instance, record: str, **changes):
-    """`instance` with `changes` made to its `record`: "network", "system",
-    "scenario_set", or "units"/"vre_units" (their only member)."""
-    value = getattr(instance, record)
-    if isinstance(value, tuple):
-        (value,) = value
-        return dataclasses.replace(instance, **{record: (dataclasses.replace(value, **changes),)})
-    return dataclasses.replace(instance, **{record: dataclasses.replace(value, **changes)})
+def test_numbers_at_the_magnitude_limit_validate(t1):
+    at_limit = _with(_with(_with(t1, "units", p_max=MAGNITUDE_LIMIT, ramp_up=MAGNITUDE_LIMIT),
+                           "system", voll=MAGNITUDE_LIMIT),
+                     "network", **_two_buses(reactance=1.0 / MAGNITUDE_LIMIT))
+    assert validate(at_limit).ok, validate(at_limit).violations
 
 
 @pytest.mark.parametrize("change, message", [

@@ -11,8 +11,12 @@ so each side runs from its own source. Pair i of `PAIRS` runs
 on each side, one process at a time, with S the `run_seconds` of
 `BENCHMARK.json`; the parent runs first in odd pairs.
 The record holds, per workload and end-to-end metric, each side's median
-and quartiles, the pairs in which the change read lower and the relative
-change of the medians, and every run's final JSON line.
+and quartiles over the runs that report it, the pairs in which both report
+it and the change read lower, and the relative change of the medians; per
+workload, each side's failed operations and incorrect runs; and every run's
+final JSON line. A run that fails a check reports no metrics, and one that
+ends without its JSON line is recorded as incorrect with its exit code and
+the end of its stderr: either way the record is still written.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}  # of each run's JSON line
 
 
 def unpack_parent(rev: str, into: Path) -> None:
@@ -51,13 +56,36 @@ def unpack_change(into: Path) -> None:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's final JSON line, or, if its last line of stdout is none, an
+    incorrect result with no operations, its exit code and its stderr's end."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{root} {workload} seed {seed}: no output\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+        if isinstance(result, dict) and RESULT_KEYS <= result.keys():
+            return result
+    except (IndexError, json.JSONDecodeError):
+        pass
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+            "exit_code": done.returncode, "stderr": done.stderr[-2000:]}
+
+
+def _spread(values: list) -> tuple:
+    """The median and the quartiles of the `values` that are not None; None
+    for none."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return None, None
+    return float(np.median(values)), [float(q) for q in np.percentile(values, [25, 75])]
+
+
+def _rounded(value):
+    """`value`, a float, a list of floats or None, rounded to 4 decimals."""
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return round(value, 4) if isinstance(value, float) else value
 
 
 def summarize(runs: dict, metrics: list[dict]) -> dict:
@@ -66,20 +94,27 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         entry = {}
         for metric in metrics:
             name = metric["name"]
-            parent, change = ([r["metrics"][name]["value"] for r in sides[side]]
+            # one value per run, None where the run reports none
+            parent, change = ([r["metrics"].get(name, {}).get("value") for r in sides[side]]
                               for side in ("parent", "change"))
+            pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
             sign = 1.0 if metric["better"] == "lower" else -1.0
-            better = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+            better = sum(sign * (c - p) < 0 for p, c in pairs)
+            (parent_median, parent_quartiles), (change_median, change_quartiles) = (
+                _spread(parent), _spread(change))
             entry[name] = {
-                "parent_median": round(float(np.median(parent)), 4),
-                "parent_quartiles": [round(float(q), 4) for q in np.percentile(parent, [25, 75])],
-                "change_median": round(float(np.median(change)), 4),
-                "change_quartiles": [round(float(q), 4) for q in np.percentile(change, [25, 75])],
-                f"change_{metric['better']}_in_pairs": f"{better}/{len(parent)}",
-                "relative_change": round(float(np.median(change) / np.median(parent) - 1.0), 4),
+                "parent_median": _rounded(parent_median),
+                "parent_quartiles": _rounded(parent_quartiles),
+                "change_median": _rounded(change_median),
+                "change_quartiles": _rounded(change_quartiles),
+                f"change_{metric['better']}_in_pairs": f"{better}/{len(pairs)}",
+                "relative_change": (_rounded(change_median / parent_median - 1.0)
+                                    if parent_median and change_median is not None else None),
             }
         entry["failed"] = {side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
                            for side, rs in sides.items()}
+        entry["incorrect"] = {side: f"{sum(not r['correct'] for r in rs)}/{len(rs)}"
+                              for side, rs in sides.items()}
         entry["correct"] = all(r["correct"] for rs in sides.values() for r in rs)
         summary[workload] = entry
     return summary
