@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 a market LP without an optimum or a usage error click
-reports (an unknown option, a value that is not a number), 3 failed
-assertion (benchmark chain or theorem check), 4 bad input (a missing,
+Exit codes: 0 success, 2 a market LP without an optimum, an LP that HiGHS
+fails on or whose optimum it cannot certify (`lp.SolverError`), or a usage
+error click reports (an unknown option, a value that is not a number), 3
+failed assertion (benchmark chain or theorem check), 4 bad input (a missing,
 unreadable or malformed instance, bid file or bid set, an --output that is a
 file, or a bad option value such as a price list, sweep range, grid step or
 scenario id).
@@ -19,6 +20,7 @@ import click
 
 from . import bilevel, io as mio, policies
 from .dam import BidSetError, DamInfeasibleError, check_prices, clear_dam
+from .lp import SolverError
 from .model import Instance
 from .rtm import clear_rtm
 
@@ -68,7 +70,7 @@ def _output(obj, name: str) -> Path:
 class _Main(click.Group):
     """Ends every command with exit 4 on a file it cannot read, write or
     parse or a malformed bid set, and with exit 2 on a market LP without an
-    optimum."""
+    optimum or an LP that HiGHS fails on or cannot certify."""
 
     def invoke(self, ctx):
         try:
@@ -77,6 +79,9 @@ class _Main(click.Group):
             _bad_input(exc)
         except DamInfeasibleError as exc:
             click.echo(f"infeasible: {exc}", err=True)
+            sys.exit(EXIT_INFEASIBLE)
+        except SolverError as exc:
+            click.echo(f"solver failure: {exc}", err=True)
             sys.exit(EXIT_INFEASIBLE)
 
 

@@ -14,14 +14,12 @@ included.
 `solve` assembles each LP in one pass, from the model's coordinate triplets
 straight to HiGHS's column-wise arrays (`Colwise`), and hands HiGHS each row
 as the model states it, with its own bounds: (-inf, rhs) for "<=",
-(rhs, inf) for ">=" and (rhs, rhs) for "=". The inequality rows come first
-and the "=" rows after, each in model order: HiGHS picks its vertex of a
-degenerate LP by row order, and the reported quantities, LMPs and
-diagnoses follow that vertex. Entries are sorted by column and row, and the
-values at one coordinate summed in the order added. `linprog`, the one seam
-to the solver, loads them with the array form of `passModel` in scipy's
-bundled HiGHS binding (`scipy.optimize._highspy._core`), which makes no
-Python object per entry. The seam keeps the names `c`, `A_ub`, `A_eq` and
+(rhs, inf) for ">=" and (rhs, rhs) for "=", in model order. Entries are
+sorted by column and row, and the values at one coordinate summed in the
+order added. `linprog`, the one seam to the solver, loads them with the
+array form of `passModel` in scipy's bundled HiGHS binding
+(`scipy.optimize._highspy._core`), which makes no Python object per
+entry. The seam keeps the names `c`, `A_ub`, `A_eq` and
 `nit` because the benchmark's traced run wraps `lp.linprog` by name and
 counts each solve's rows and nonzeros from `A_ub` and `A_eq`: the
 inequality and the equality rows, two `RowSpan`s of one `Colwise` matrix.
@@ -353,10 +351,10 @@ class Colwise:
     value: np.ndarray
 
     @classmethod
-    def of(cls, model: LpModel, highs_row: np.ndarray) -> Colwise:
-        """`model`'s coefficients with row i moved to `highs_row[i]`; the
-        values at one coordinate are summed one by one in the order added."""
-        row, col, value = highs_row[model._row], model._col, model._val
+    def of(cls, model: LpModel) -> Colwise:
+        """`model`'s coefficients; the values at one coordinate are summed one
+        by one in the order added."""
+        row, col, value = model._row, model._col, model._val
         shape = (model.n_cons, model.n_vars)
         order = np.argsort(col * shape[0] + row, kind="stable")
         row, col, value = row[order], col[order], value[order]
@@ -375,12 +373,12 @@ class Colwise:
         per_entry = np.repeat(x, np.diff(self.start))
         return np.bincount(self.index, self.value * per_entry, minlength=self.shape[0])
 
-    def split(self, m: int) -> tuple[RowSpan, RowSpan]:
-        """The rows before `m` and the rows from `m` on."""
-        n_row, n_col = self.shape
-        nnz = int(np.count_nonzero(self.index < m))
-        return (RowSpan(self, (m, n_col), nnz),
-                RowSpan(self, (n_row - m, n_col), self.value.size - nnz))
+    def split(self, is_eq: np.ndarray) -> tuple[RowSpan, RowSpan]:
+        """The rows where `is_eq` is False and the rows where it is True."""
+        m, n_col = int(np.count_nonzero(is_eq)), self.shape[1]
+        nnz = int(np.count_nonzero(is_eq[self.index]))
+        return (RowSpan(self, (self.shape[0] - m, n_col), self.value.size - nnz),
+                RowSpan(self, (m, n_col), nnz))
 
 
 class RowSpan(NamedTuple):
@@ -417,8 +415,8 @@ def linprog(c, *, A_ub: RowSpan, A_eq: RowSpan, row_bounds, bounds, basis=None,
     per call.
 
     `A_ub` and `A_eq` are the inequality and the equality rows of one
-    `Colwise` matrix A, in that order; `row_bounds` is `(row_lower,
-    row_upper)` over A's rows and `bounds` is `(lb, ub)`, one array each.
+    `Colwise` matrix A; `row_bounds` is `(row_lower, row_upper)` over A's
+    rows and `bounds` is `(lb, ub)`, one array each.
     HiGHS gets them as they are, with the options of `_OPTIONS`. Each call
     without `basis` loads a fresh HiGHS object; with `basis`, the start's
     object is loaded again and restarted from its basis (`_load`). Either way
@@ -553,34 +551,20 @@ def _unique_duals(highs: _highs._Highs, x: np.ndarray, A: Colwise, lower: np.nda
     return not np.any(np.abs(combined[degenerate]) > 1e-9)
 
 
-def _highs_form(model: LpModel) -> tuple[np.ndarray, Colwise, np.ndarray, tuple, int]:
-    """`model` as HiGHS gets it: each row's HiGHS row, then in HiGHS's row
-    order the matrix, the rhs and the row bounds `(lower, upper)`, and the
-    number of inequality rows.
+def _highs_form(model: LpModel) -> tuple[Colwise, np.ndarray, tuple]:
+    """`model` as HiGHS gets it, row by row in model order: the matrix, the
+    senses and the row bounds `(lower, upper)`.
 
-    The matrix part is kept on the model, keyed by its counts of rows,
-    columns and entries, so solves of one model share one `Colwise`; the
-    rhs and the row bounds are read afresh from `model.con_rhs` each call.
-
-    The inequality rows come first and the "=" rows after, each in model
-    order. HiGHS picks its vertex of a degenerate LP by row order, and the
-    reported results follow that vertex: with every row in model order, the
-    relaxed bid LP on a generated 6-bus grid gave other quantities and
-    S_BiD-q, sys5's real-time LMPs moved, and a two-bus diagnosis named
-    another row.
+    The matrix and the senses are kept on the model, keyed by its counts of
+    rows, columns and entries, so solves of one model share one `Colwise`;
+    the row bounds are read afresh from `model.con_rhs` each call.
     """
     key = (model.n_cons, model.n_vars, len(model._val))
     if model._form is None or model._form[0] != key:
-        sense = np.array(model.con_sense, dtype="<U2")
-        is_eq = sense == EQ
-        order = np.argsort(is_eq, kind="stable")  # model row of each HiGHS row
-        highs_row = np.argsort(order)  # HiGHS row of each model row
-        model._form = (key, order, highs_row, sense[order], Colwise.of(model, highs_row),
-                       model.n_cons - int(np.count_nonzero(is_eq)))
-    _, order, highs_row, sense, A, m = model._form
-    rhs = model.con_rhs[order]
-    bounds = (np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs))
-    return highs_row, A, rhs, bounds, m
+        model._form = (key, Colwise.of(model), np.array(model.con_sense, dtype="<U2"))
+    _, A, sense = model._form
+    rhs = model.con_rhs
+    return A, sense, (np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs))
 
 
 def _excess(value: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -616,11 +600,12 @@ def solve(model: LpModel, basis: _Start | None = None,
         if then.shape != (model.n_vars,) or not np.all(np.isfinite(then)):
             raise ValueError(f"second costs must be {model.n_vars} finite values, "
                              f"not of shape {then.shape}")
-    highs_row, A, rhs, row_bounds, m = _highs_form(model)
-    c, lbv, ubv = model.obj, model.lb, model.ub
-    A_ub, A_eq = A.split(m)
+    A, sense, row_bounds = _highs_form(model)
+    c, lbv, ubv, rhs = model.obj, model.lb, model.ub, model.con_rhs
+    is_eq = sense == EQ
+    A_ub, A_eq = A.split(is_eq)
     res = linprog(c, A_ub=A_ub, A_eq=A_eq, row_bounds=row_bounds, bounds=(lbv, ubv),
-                  basis=basis, prices=highs_row[np.asarray(prices, dtype=np.int64)])
+                  basis=basis, prices=prices)
     if res.status == _highs.HighsModelStatus.kInfeasible:
         return LpSolution(status=LpStatus.INFEASIBLE)
     if res.status == _highs.HighsModelStatus.kUnbounded:
@@ -638,7 +623,7 @@ def solve(model: LpModel, basis: _Start | None = None,
     # z > 0 the lower bound, z < 0 the upper
     zl, zu = np.where(z > 0, z, 0.0), np.where(z < 0, z, 0.0)
 
-    # certificates, over HiGHS's rows: one product A @ x
+    # certificates: one product A @ x
     Ax = A @ x
     finite_lb, finite_ub = np.isfinite(lbv), np.isfinite(ubv)
     lbf, ubf = np.where(finite_lb, lbv, 0.0), np.where(finite_ub, ubv, 0.0)
@@ -646,7 +631,7 @@ def solve(model: LpModel, basis: _Start | None = None,
                         initial=0.0))
     dual_obj = float(rhs @ y) + float(np.sum(lbf * zl)) + float(np.sum(ubf * zu))
     gap = abs(fun - dual_obj) / max(1.0, abs(fun))
-    comp = float(max(np.max(np.abs((Ax - rhs)[:m] * y[:m]), initial=0.0),
+    comp = float(max(np.max(np.abs((Ax - rhs)[~is_eq] * y[~is_eq]), initial=0.0),
                      np.max(np.abs(np.where(finite_lb, x - lbf, 0.0) * zl), initial=0.0),
                      np.max(np.abs(np.where(finite_ub, ubf - x, 0.0) * zu), initial=0.0)))
 
@@ -657,7 +642,7 @@ def solve(model: LpModel, basis: _Start | None = None,
     if not gap <= GAP_TOL:
         raise SolverError(f"{model.name!r}: duality gap {gap:.3e} exceeds {GAP_TOL:g}")
     return LpSolution(status=LpStatus.OPTIMAL, objective=float(fun), primal=x,
-                      duals=y[highs_row], certificates=certs, basis=res.basis)
+                      duals=y, certificates=certs, basis=res.basis)
 
 
 def diagnose_infeasibility(model: LpModel) -> list[str]:
@@ -671,14 +656,14 @@ def diagnose_infeasibility(model: LpModel) -> list[str]:
     crossed = _worst((model.lb - model.ub).tolist(), model.var_names)
     if crossed:
         return crossed
-    highs_row, A, _, row_bounds, _ = _highs_form(model)
+    A, _, row_bounds = _highs_form(model)
     highs = _load(_pass_model(np.zeros(model.n_vars), A, (model.lb, model.ub), row_bounds))
     # an infinite penalty keeps the column bounds hard
     if highs is None or (highs.feasibilityRelaxation(math.inf, math.inf, 1.0)
                          != _highs.HighsStatus.kOk):
         return ["elastic diagnosis failed"]
     excess = _excess(np.array(highs.getSolution().row_value), *row_bounds)
-    return _worst(excess[highs_row].tolist(), model.con_names)
+    return _worst(excess.tolist(), model.con_names)
 
 
 def _worst(violation: list[float], names: list[str]) -> list[str]:

@@ -2,8 +2,11 @@
 
 Units follow standard power-system conventions: power in MW, prices and
 costs in $/MWh (variable) or $ (fixed), reactances in p.u., angles in rad.
-All containers are immutable after construction and safe to share between
-concurrent solves.
+Each domain type is a frozen dataclass, so no field changes after
+construction; `ValidationReport`, which `validate` fills, is the one mutable
+type. An `Instance` also carries what is built from it on first use
+(`cached`): its LP blocks and its validation, kept in its own __dict__, as
+a `Network` keeps its incidence arrays.
 """
 from __future__ import annotations
 

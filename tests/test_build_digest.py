@@ -1,7 +1,7 @@
 """HiGHS's inputs pinned without solving.
 
 Each model below is reduced to one sha256 over what `lp.solve` hands HiGHS:
-the objective, the column bounds, each row's HiGHS row and the row bounds
+the objective, the column bounds, the row bounds in model order
 (`lp._highs_form`), the column-wise matrix (`Colwise` `start`, `index` and
 `value`) and the column and row names. A digest moves only when some input
 moves by a bit, a signed zero included. A change that alters an LP by design
@@ -92,11 +92,10 @@ MODELS = {
 
 def digest(model: LpModel) -> str:
     """sha256 of every HiGHS input of `model` and its names."""
-    highs_row, A, _rhs, (row_lower, row_upper), m = _highs_form(model)
+    A, _sense, (row_lower, row_upper) = _highs_form(model)
     parts = [
         np.array(model.obj, dtype=float), np.array(model.lb, dtype=float),
-        np.array(model.ub, dtype=float), highs_row.astype(np.int64),
-        np.array([m], dtype=np.int64), row_lower.astype(float), row_upper.astype(float),
+        np.array(model.ub, dtype=float), row_lower.astype(float), row_upper.astype(float),
         A.start.astype(np.int32), A.index.astype(np.int32), A.value.astype(float),
     ]
     sha = hashlib.sha256()
@@ -117,44 +116,44 @@ def current() -> dict[str, str]:
     return out
 
 
-# recorded with the named-row builders (`lp.Row`, `lp.split_rows`), before
-# both market blocks were built from index arrays
+# recorded once HiGHS got every row in model order; each model's matrix,
+# bounds, costs and names equal the ones before, up to row order
 DIGESTS = {
-    "t1/dam_myopic": "812224952f888127a6a93ded388352d0c13210383cf0bf7ba43e98d3715d5af6",
-    "t1/dam_3seg": "24b172c4e6feff349e184fbeb8c3051192719393d8511f614a50ce0c9f16c3d4",
-    "t1/dam_slack": "3433c30e4007011b5a1d693fdc0b9f892ab7ee3e39b8ebccbd51522e51bee106",
-    "t1/relaxed_1": "d6319c15458ce529baba5c6a2309a9a882714ca2c9960402b33c4d268eee8a2f",
-    "t1/relaxed_3": "9fb9200c71ba84202d0281379458ebd48b0edea789489bd9c0663affed59f687",
-    "t1/stochastic": "1e32cdd98ef24d951573f7fd81331c7ec2fde68702082c55a48d95fdcf37541e",
-    "t1/real_time": "cdec772fa0c9c2fddf43b184a2290b87bc323eb359dedb72d379cdf447827fe3",
-    "sys3/dam_myopic": "a5862338e620e8aef38f9d6ca60cdbf54eb95489a2750e98dd2d4d65d7951b72",
-    "sys3/dam_3seg": "74d1732c2ddc09c42d2323bf84860011a340c48566b2136a2f2ed3b8a85e6d9a",
-    "sys3/dam_slack": "aec5916a609edda7af4851f7f19ac9485dd0d59c9c00ac31778e6427651fe907",
-    "sys3/relaxed_1": "8cd21801d705ee07285f59bd7e26ce99c644ccaf80161fcc9657ed1a66de1660",
-    "sys3/relaxed_3": "2c686b1cdbdefdf83374dedda69f6894974aab0a3d827a979896706a187093e5",
-    "sys3/stochastic": "3797d19c050007b8aaf15a26e391509892b27d619238509f34a6f0b7c7733150",
-    "sys3/real_time": "0ab603190e53dba4cec03a2c3db652334440954cf71790d957c57aba569c2bbb",
-    "sys5/dam_myopic": "7d2748cd2457dbc9d0e6d20b7004371c7b5510e59f067f30031adf3f92a3e9d9",
-    "sys5/dam_3seg": "1aca808b61dc519a43e309fe25b1899adbec26b5af03fd442a599df03bc074f8",
-    "sys5/dam_slack": "6eb0294a09028712625305e848d3a37baea5a500d5781b4c78975c33abdd63c0",
-    "sys5/relaxed_1": "e9854f0939d7abacf118da7fcd5a6e660ab30457b3884173aba5192bf34831f2",
-    "sys5/relaxed_3": "ae0266edc46f1192800f363df65dce16b375288dde49e10eb9da4e8805ce960c",
-    "sys5/stochastic": "918e34b8b6f84ddc8cc82318fc30b7c5148eedd07c7aae7e587b9da91570e2eb",
-    "sys5/real_time": "83ac424dcbdde91fcd828b453800338be8a54c4772885529c1e3f5c1b85dc247",
-    "grid6/dam_myopic": "210815a8f4cc6fdd824ce25c152c06f35123100599fda4f6827fa1a716ff2e6d",
-    "grid6/dam_3seg": "2b857097d8546bf3e28b04ab8cd20263a73172810909d891ab6f2421d1831ba2",
-    "grid6/dam_slack": "39ce559541c4d3e684ade6ddf4d0f93054a3dad09bf38784c9e3535685ffa7b8",
-    "grid6/relaxed_1": "2eeb68b469a7883bfc1b3548e88810ca79dfd231288186c89192dcf711c13796",
-    "grid6/relaxed_3": "37052d3f079995b22428f34e8142503edf19cec47303882ae051a4c736b15f43",
-    "grid6/stochastic": "d76d1dc9cf177a313674cb0b010cc5f0738d0d9cb4584c53fea0da0fdce211a5",
-    "grid6/real_time": "350ee10f82a2d5afda2d555a91476b64c778053f8861640c97c8bf290933327d",
-    "two_bus/dam_myopic": "51c39484f172c9468be4ca8e8f788c444291fb05c462f907d1d4f18d1453a272",
-    "two_bus/dam_3seg": "f2a1a3a35173e5be89a51530bc10da80392a9822a5792d4b40a3a44314feff00",
-    "two_bus/dam_slack": "941296cb537d7a2e6c47a5c7bf20f96db3bc1cef3ad491c58bf2eaf88da06006",
-    "two_bus/relaxed_1": "0f2da693186adeb27b275431c110e29df69b994d963c412ec9750d5bc2defc36",
-    "two_bus/relaxed_3": "5391cecfb57ab62adebefa9cbaa9fd11ba64d55f38eae2c0430c3b0575cfd845",
-    "two_bus/stochastic": "794378d5d74c7559173b292d5c29260e8c5047ea4afccaa15f98fc57758a2e37",
-    "two_bus/real_time": "1ec05604a1a2db2caec9ce73313787d594683d4dcfa4645b3bb313d1ce88d1d4",
+    "t1/dam_myopic": "a45678d462e759c91ea84a81dbaf352af1c5f0186ab34cce2a00599e1dec37e6",
+    "t1/dam_3seg": "fc8c51cb36123d01b61d8e94229b8dadb2cd9ccd3fd18e45330ad3eccf011c76",
+    "t1/dam_slack": "d6a5a8968fab2c4f6a9aa27712290de8400b450c2b6a852d65da3fdebb45eaff",
+    "t1/relaxed_1": "3da44438f8fc5c2790977df5b71710560ee245fdd673cf75850eae8151db337f",
+    "t1/relaxed_3": "90f0ef1148536ca966104cf73134e15a66a5eb8779def62a4153cc069b6e4467",
+    "t1/stochastic": "d720787e194db55bb705970c9b57f20d97b0ddf56759de1b7f52e8887ef94a4f",
+    "t1/real_time": "fa301acce789bb982d51075b871cc17839229f3c1bc2d9a522740c809177f8ed",
+    "sys3/dam_myopic": "9157d4e0d46287d6feeb6f2bb4a6e9c95ab1efaf1990df1c140aa77cab447aae",
+    "sys3/dam_3seg": "3769655b5449bedd143ecbb5e16ed4d888f8fdda3818cc214e2920e8bb5d89af",
+    "sys3/dam_slack": "581bed187ea31bcb5a37477336699089c57224279c9123845748e36a87bfec6b",
+    "sys3/relaxed_1": "1cde9ff6863b3a0e8e4b53a9cca072362e53359b4fff0f2c877c3109eb3347bd",
+    "sys3/relaxed_3": "8ab5234bd28ad1728dd3ad88653d3a87c2f49b48b296d301c40a652252d8e5f6",
+    "sys3/stochastic": "739ee48834931b8837b81853161496a50a3d8cc0f3143bb329b05ca9c79271a6",
+    "sys3/real_time": "86a09e45eebd73c6e0f46a6f1223ffdb7d7d07a2715fc02c42bc2b78807ff990",
+    "sys5/dam_myopic": "916c429d4fdd940348bbae77edade71d0abe5295fbe6e331e80484109cbe7229",
+    "sys5/dam_3seg": "b7cf85055cb7d12f0fcff071f2899e0c12834de4c7a3ee3879b01d2097538a64",
+    "sys5/dam_slack": "aecf6e427a433087fa67684c5030f1c7e98117016a7dbf25b613b6f9e824c989",
+    "sys5/relaxed_1": "27a244ed0f3c5a3f96e3da888e81f2713764808ccc98fd9220ada5d9273efbd5",
+    "sys5/relaxed_3": "f0e0c90500fd22ff4325e349a2bc378268818970f34b01233600b64e1bd10789",
+    "sys5/stochastic": "03c91a20c5aafb14d05caac1c6acb06e58c1eede363ce7ca53abef30e9736ed5",
+    "sys5/real_time": "9f4519cb2cd0afa3d4081f0b0a1fd6863d8114677b2bf8e04a40d20c0d2daea6",
+    "grid6/dam_myopic": "ed18ef07c09dc713a8cd357f64597285690be3298023e4bbdba76c710a27bf75",
+    "grid6/dam_3seg": "5ed58c01c567291b1fd81ef33e3e907cf1aa7dd905ec1bfc131a7bad7c188260",
+    "grid6/dam_slack": "547db31e481fe1bb013ecf0bc81093ebdb14c7b565b7365124378d2dae5d4dcf",
+    "grid6/relaxed_1": "6b09f2a87b0dc0284626c53cc8e3a7f6d1d5cbf291ed6d7605b219fcfac3fbb5",
+    "grid6/relaxed_3": "ba682e03d64a6e4670c2db8382583b2477b62f009aa478d69def045b2e44faad",
+    "grid6/stochastic": "0af276a1e93c40d7fa8b95f71bcc9ffb28cee7441691f011e201ba0656e87741",
+    "grid6/real_time": "8f3e5f6e8b8685f8bf8609175ef47ca9b586248769fba5470c8d346e302c4b1c",
+    "two_bus/dam_myopic": "7f429fb3d5b81fd634284cd1b0d26692d8602f3d81c89ec038aa19f482a971f9",
+    "two_bus/dam_3seg": "1a061485ec33a7d2d989e7fbec317493fcb42d061d15deff564e347707741d21",
+    "two_bus/dam_slack": "33b9114c2a58e41a8778c1e6025541eb8d7a0a30040c251d90d6b6777f283eff",
+    "two_bus/relaxed_1": "5ba8394de97831e14943490a5ca5167edf07997f15689a2055b37ea451fda7ca",
+    "two_bus/relaxed_3": "da2d870fe68a186830c6938c72b61d913ccb7b9598fdc2d16a7a82711f45f2c0",
+    "two_bus/stochastic": "3923ede575f1f806738e409f829239560a436c3b87ba3c629521a309a0aef4d4",
+    "two_bus/real_time": "ea44638a19d937ea99769af72bbfa0bab690792d806187065024c346a23ba426",
 }
 
 

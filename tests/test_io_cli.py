@@ -351,6 +351,25 @@ def test_cli_instance_number_above_magnitude_limit_is_bad_input(tmp_path, system
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["compare", "optimize-bid"])
+def test_cli_uncertified_optimum_exits_2(tmp_path, command):
+    """Numbers at the magnitude limit pass validation, but HiGHS cannot
+    certify the relaxed bid LP's optimum: the CLI names the LP and the gap."""
+    doc = json.loads((DATA / "sys5.json").read_text())
+    for unit in doc["conventional_units"]:
+        unit.update(p_max_mw=1e6, ramp_up_mw_per_h=1e6, ramp_down_mw_per_h=1e6,
+                    up_redispatch_cost_usd_per_mwh=1e6)
+    for item in doc["network"]["lines"] + doc["vre_units"]:
+        item["capacity_mw"] = 1e6
+    doc["system"]["voll_usd_per_mwh"] = 1e6
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    shutil.copy(DATA / "sys5_scenarios.csv", tmp_path / "big_scenarios.csv")
+    result = run_cli("-i", str(tmp_path / "big.json"), "-o", str(tmp_path), command)
+    assert result.exit_code == 2, result.output
+    assert type(result.exception) is SystemExit
+    assert "solver failure: 'relaxed-bid': duality gap" in result.output
+
+
 @pytest.mark.parametrize("field, value",
                          [("voll_usd_per_mwh", "abc"), ("price_cap_usd_per_mwh", [])])
 def test_cli_malformed_instance_value_is_bad_input(tmp_path, field, value):

@@ -425,24 +425,15 @@ def test_highs_binding_has_what_the_seam_calls():
 
 
 def scipy_reference(model):
-    """The LP HiGHS should hold for `model`, assembled with scipy.sparse: the
-    inequality rows and then the "=" rows, each in model order and as
-    stated, as one CSC matrix with duplicates summed, and each row's bounds:
-    (-inf, rhs) for "<=", (rhs, inf) for ">=" and (rhs, rhs) for "="."""
+    """The LP HiGHS should hold for `model`, assembled with scipy.sparse:
+    every row in model order and as stated, as one CSR matrix with
+    duplicates summed, in CSC form, and each row's bounds: (-inf, rhs) for
+    "<=", (rhs, inf) for ">=" and (rhs, rhs) for "="."""
     row, col, val = (np.array(a) for a in (model._row, model._col, model._val))
     sense, rhs = np.array(model.con_sense), np.array(model.con_rhs)
-    blocks, lower, upper = [], [], []
-    for rows in (np.flatnonzero(sense != EQ), np.flatnonzero(sense == EQ)):
-        at = np.full(model.n_cons, -1)
-        at[rows] = np.arange(rows.size)
-        on = np.isin(row, rows)
-        blocks.append(sparse.csr_matrix((val[on], (at[row[on]], col[on])),
-                                        shape=(rows.size, model.n_vars)))
-        lower.append(np.where(sense[rows] == LE, -np.inf, rhs[rows]))
-        upper.append(np.where(sense[rows] == GE, np.inf, rhs[rows]))
-    A = sparse.vstack(blocks, format="csc")
+    A = sparse.csr_matrix((val, (row, col)), shape=(model.n_cons, model.n_vars)).tocsc()
     A.sum_duplicates()
-    return A, np.concatenate(lower), np.concatenate(upper)
+    return A, np.where(sense == LE, -np.inf, rhs), np.where(sense == GE, np.inf, rhs)
 
 
 def three_terms_at_one_coordinate():
